@@ -5,6 +5,7 @@ and the monotone weakening fixpoint."""
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,18 +105,11 @@ class KvarRegistry:
         kid = next(self._next)
         self.infos[kid] = KvarInfo(kid, base, scope, origin)
         subst = [("v", TValueVar())]
-        from .syntax import RBase as _RB
         for name in scope.binding_names():
             t = scope.lookup(name)
-            if isinstance(t, _RB):
+            if isinstance(t, RBase):
                 subst.append((name, TVar(name)))
         return RBase(base, PKvar(kid, tuple(subst)))
-
-    def by_origin(self, origin: tuple) -> Optional[int]:
-        for kid, info in self.infos.items():
-            if info.origin == origin:
-                return kid
-        return None
 
     def note_strings(self, lits) -> None:
         for s in lits:
@@ -290,17 +284,24 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
     assign = initial_assignment(registry, qualifiers)
     sizes = {k: len(v) for k, v in assign.items()}
 
+    # clauses are work items by position in khead; by_hyp and by_head map
+    # a kvar to the clauses reading it and to those weakening it
     khead = [cl for cl in clauses if cl.head[0] == "k"]
     by_hyp: dict[int, list] = {}
-    for cl in khead:
+    by_head: dict[int, list] = {}
+    for i, cl in enumerate(khead):
+        by_head.setdefault(cl.head[1], []).append(i)
         for kid, _ in cl.hyp_kapps:
-            by_hyp.setdefault(kid, []).append(cl)
+            by_hyp.setdefault(kid, []).append(i)
 
-    work = list(khead)
+    work = deque(range(len(khead)))
+    queued = set(work)
     rounds = 0
     while work:
         rounds += 1
-        cl = work.pop(0)
+        i = work.popleft()
+        queued.discard(i)
+        cl = khead[i]
         _, kid, hsubst = cl.head
         current = assign.get(kid, [])
         kept = []
@@ -320,11 +321,9 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
             assign[kid] = kept
             if trace is not None:
                 trace.append((cl.cid, kid, len(kept)))
-            for dep in by_hyp.get(kid, []):
-                if dep not in work:
-                    work.append(dep)
-            for dep in khead:
-                if dep.head[1] == kid and dep not in work:
+            for dep in by_hyp.get(kid, []) + by_head[kid]:
+                if dep not in queued:
+                    queued.add(dep)
                     work.append(dep)
         total = sum(len(v) for v in assign.values())
         assert total <= sum(sizes.values()), "assignment grew"

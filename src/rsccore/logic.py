@@ -359,10 +359,6 @@ class TypeEnv:
         return None
 
 
-def embed_env(env: TypeEnv, with_axioms: bool = True) -> Pred:
-    return env.embed(with_axioms)
-
-
 # ---------------------------------------------------------------------------
 # Sort checking / well-formedness
 

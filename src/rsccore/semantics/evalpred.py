@@ -10,7 +10,7 @@ from ..syntax import (
     TValueVar, TVar, Term,
 )
 from .values import (
-    HArr, HObj, Heap, StuckError, VLoc, Value, js_div, js_mod, type_tag,
+    ARITH, COMPARE, HArr, HObj, Heap, StuckError, VLoc, Value, type_tag,
     values_equal,
 )
 
@@ -72,21 +72,10 @@ def eval_term(t: Term, env: dict, heap: Heap, parents: dict) -> Value:
             return _as_bool(eval_term(t.args[1], env, heap, parents))
         args = [eval_term(a, env, heap, parents) for a in t.args]
         op = t.op
-        if op in ("add", "sub", "mul", "div", "mod"):
-            a, b = _as_num(args[0]), _as_num(args[1])
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            if op == "mul":
-                return a * b
-            if op == "div":
-                return js_div(a, b)
-            return js_mod(a, b)
-        if op in ("lt", "le", "gt", "ge"):
-            a, b = _as_num(args[0]), _as_num(args[1])
-            return {"lt": a < b, "le": a <= b, "gt": a > b,
-                    "ge": a >= b}[op]
+        if op in ARITH:
+            return ARITH[op](_as_num(args[0]), _as_num(args[1]))
+        if op in COMPARE:
+            return COMPARE[op](_as_num(args[0]), _as_num(args[1]))
         if op == "eq":
             return values_equal(args[0], args[1])
         if op == "ne":

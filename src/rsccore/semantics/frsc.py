@@ -12,12 +12,15 @@ from ..syntax import (
     BArr, BClass, BPrim, Ctx, EArgsLen, ECast, EClosure, EConst,
     ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew,
     EThis, EVal, EVar, Expr, KHole, KLetIf, KLetIn, KLetWhile, Node,
-    RBase, RExists, RType, UNDEFINED,
+    P_TRUE, RBase, RExists, RType, UNDEFINED,
 )
 from .evalpred import eval_pred
-from .irsc import MISSING, mk_val, val_of
+from .irsc import EHole, MISSING, mk_val, val_of
 from .tables import RuntimeTables
-from .values import HArr, HObj, Heap, StuckError, VClosure, VLoc, Value
+from .values import (
+    HArr, HObj, Heap, StuckError, VClosure, VLoc, Value, apply_builtin,
+    inject_value, type_tag,
+)
 
 
 @dataclass
@@ -47,7 +50,6 @@ class FrscConfig:
 
 
 def subst_expr(e, m: dict):
-    from .irsc import EHole
     if not m:
         return e
     if isinstance(e, EHole):
@@ -164,7 +166,7 @@ def mk_ctxapply(k: Ctx, e: Expr) -> Expr:
 
 
 class FrscMachine:
-    def __init__(self, tables: RuntimeTables, solver_eval=None):
+    def __init__(self, tables: RuntimeTables):
         self.t = tables
         self.parents = tables.parent_map()
 
@@ -178,7 +180,6 @@ class FrscMachine:
     def initial_call(self, fname: str, args: list) -> FrscConfig:
         heap = Heap()
         self.t.prealloc_class_objects(heap)
-        from .values import inject_value
         call = EFuncCall(EVar(fname, nid=0),
                          [mk_val(inject_value(a, heap)) for a in args],
                          nid=0)
@@ -313,7 +314,6 @@ class FrscMachine:
         raise StuckError(f"cannot evaluate {type(e).__name__}")
 
     def _dispatch_call(self, c, fname, argv, argc):
-        from .values import apply_builtin
         if self.t.is_builtin(fname):
             return ("new", mk_val(apply_builtin(fname, argv, c.heap)))
         fn = self.t.funcs.get(fname)
@@ -424,7 +424,6 @@ class FrscMachine:
                         f"cast failure: invariant of {cur} does not hold")
                 cur = info.parent
         elif isinstance(base, BPrim):
-            from .values import type_tag
             tag = {"number": "number", "bool": "boolean", "string": "string",
                    "undefined": "undefined", "null": "object"}[base.name]
             if type_tag(v) != tag:
@@ -439,7 +438,6 @@ class FrscMachine:
         return
 
     def _precond_holds(self, c: FrscConfig, sm, vo, argv) -> bool:
-        from ..syntax import P_TRUE
         p = sm.decl.precond
         if p == P_TRUE or p is None:
             return True

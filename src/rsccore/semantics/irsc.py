@@ -8,16 +8,18 @@ runtime (loop unrollings, value statements) carry node id 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 
 from ..syntax import (
     BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, EConst, EFieldRead,
-    EFuncCall, EMethodCall, ENew, EThis, EVar, Expr, SAssign, SExprStmt,
-    SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, Stmt, UNDEFINED,
+    EFuncCall, EMethodCall, ENew, EThis, EVal, EVar, Expr, SAssign,
+    SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, Stmt,
+    UNDEFINED,
 )
 from .tables import RuntimeTables
 from .values import (
     HObj, Heap, StuckError, VClosure, VLoc, Value, apply_builtin,
+    inject_value,
 )
 
 MISSING = object()
@@ -31,7 +33,6 @@ class EHole:
 
 
 def val_of(e) -> object:
-    from ..syntax import EVal
     if isinstance(e, EVal):
         return e.value
     if isinstance(e, EConst):
@@ -48,7 +49,6 @@ def val_of(e) -> object:
 
 
 def mk_val(v: Value):
-    from ..syntax import EVal
     return EVal(v, nid=0)
 
 
@@ -68,10 +68,10 @@ class IrscConfig:
 
 
 def plug(tree, filling):
-    """Replace the unique EHole in tree by `filling` (pure rebuild)."""
+    """Replace the EHole in tree by `filling` (pure rebuild); a hole-free
+    subtree comes back as the same object."""
     if isinstance(tree, EHole):
         return filling
-    from dataclasses import fields as dc_fields
     if not hasattr(tree, "nid"):
         return tree
     changed = False
@@ -79,36 +79,15 @@ def plug(tree, filling):
     for f in dc_fields(tree):
         v = getattr(tree, f.name)
         if isinstance(v, list):
-            nv = []
-            for c in v:
-                c2 = plug(c, filling) if _holey(c) else c
-                changed = changed or (c2 is not c)
-                nv.append(c2)
-            kwargs[f.name] = nv
-        elif isinstance(v, EHole) or (_holey(v)):
-            kwargs[f.name] = plug(v, filling)
-            changed = True
+            nv = [plug(c, filling) for c in v]
+            changed = changed or any(a is not b for a, b in zip(nv, v))
         else:
-            kwargs[f.name] = v
+            nv = plug(v, filling)
+            changed = changed or nv is not v
+        kwargs[f.name] = nv
     if not changed:
         return tree
     return type(tree)(**kwargs)
-
-
-def _holey(node) -> bool:
-    if isinstance(node, EHole):
-        return True
-    if not hasattr(node, "nid"):
-        return False
-    from dataclasses import fields as dc_fields
-    for f in dc_fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, list):
-            if any(_holey(c) for c in v):
-                return True
-        elif _holey(v):
-            return True
-    return False
 
 
 class IrscMachine:
@@ -136,7 +115,6 @@ class IrscMachine:
     def initial_call(self, fname: str, args: list) -> IrscConfig:
         heap = Heap()
         self.t.prealloc_class_objects(heap)
-        from .values import inject_value
         call = EFuncCall(EVar(fname, nid=0),
                          [mk_val(inject_value(a, heap)) for a in args],
                          nid=0)

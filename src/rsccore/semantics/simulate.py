@@ -29,10 +29,12 @@ from ..syntax import (
     SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile,
     expr_str,
 )
-from .frsc import EWhileRun, FrscMachine, mk_ctxapply
-from .irsc import EHole, IrscConfig, IrscMachine, MISSING, mk_val, val_of
+from .frsc import EWhileRun, FrscMachine, ctx_binders, mk_ctxapply
+from .irsc import (
+    EHole, IrscConfig, IrscMachine, MISSING, mk_val, plug, val_of,
+)
 from .tables import RuntimeTables
-from .values import HArr, HObj, Heap, VClosure, value_str
+from .values import HArr, HObj, Heap, VClosure, value_str, values_equal
 
 
 class TranslateGap(Exception):
@@ -58,11 +60,6 @@ class ConfigTranslator:
     def __init__(self, theta: GlobalSsaEnv, tables: RuntimeTables):
         self.theta = theta
         self.t = tables
-
-    # -- values ----------------------------------------------------------------
-
-    def value_expr(self, v) -> Expr:
-        return mk_val(v)
 
     # -- expressions -------------------------------------------------------------
 
@@ -184,8 +181,8 @@ class ConfigTranslator:
             cond = self.expr(s.cond, store, bound, ren)
             k1 = self._stmt_ctx(s.then_s, store, bound, ren)
             k2 = self._stmt_ctx(s.else_s, store, bound, ren)
-            b1 = _ctx_binders_of(k1)
-            b2 = _ctx_binders_of(k2)
+            b1 = ctx_binders(k1)
+            b2 = ctx_binders(k2)
             lefts = [self._phi_slot(p, p.left, bound | b1, store, ren)
                      for p in phis]
             rights = [self._phi_slot(p, p.right, bound | b2, store, ren)
@@ -307,7 +304,7 @@ class ConfigTranslator:
         cur = self._focus(c.focus, c.store)
         for fr in reversed(c.stack):
             ectx = self._focus(fr.ectx, fr.store)
-            cur = _plug_expr(ectx, cur)
+            cur = plug(ectx, cur)
         return normalize(cur)
 
     def _focus(self, focus, store) -> Expr:
@@ -324,25 +321,6 @@ class _CtxMark:
         self.nid = 0
 
 
-def _ctx_binders_of(k) -> set:
-    out: set = set()
-    cur = [k]
-    while cur:
-        c = cur.pop()
-        if isinstance(c, KHole):
-            continue
-        if isinstance(c, KLetIn):
-            out.add(c.name)
-            cur.append(c.rest)
-        elif isinstance(c, KLetIf):
-            out |= {p.phi for p in c.phis}
-            cur.extend([c.then_ctx, c.else_ctx, c.rest])
-        elif isinstance(c, KLetWhile):
-            out |= {p.phi for p in c.phis}
-            cur.extend([c.body_ctx, c.rest])
-    return out
-
-
 def _to_ctx(e):
     """Convert an expression ending in a _CtxMark into a pure context."""
     if isinstance(e, _CtxMark):
@@ -352,11 +330,6 @@ def _to_ctx(e):
     if isinstance(e, EWhileRun):
         raise TranslateGap("running loop inside an unstarted branch")
     raise TranslateGap("branch translation did not end in a hole")
-
-
-def _plug_expr(tree, filling):
-    from .irsc import plug
-    return plug(tree, filling)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +487,7 @@ def _values_eq(a, b) -> bool:
     if isinstance(a, VClosure) and isinstance(b, VClosure):
         return a.fname == b.fname and _vals_list_eq(list(a.caps),
                                                     list(b.caps))
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    return a == b
+    return values_equal(a, b)
 
 
 def heaps_equal(h1: Heap, h2: Heap) -> bool:

@@ -1,8 +1,11 @@
 """Runtime values, heaps, and the primitive operations shared by both
-interpreters (so the two machines cannot drift on builtin behavior)."""
+interpreters (so the two machines cannot drift on builtin behavior).  The
+integer operators and strict equality defined here are also the meaning
+the predicate evaluator, the constant folder and the solver give them."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -137,7 +140,19 @@ def js_mod(a: int, b: int) -> int:
     return a - js_div(a, b) * b
 
 
+# the integer operators, keyed by logic operator name
+ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+         "div": js_div, "mod": js_mod}
+COMPARE = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
+           "ge": operator.ge}
+
+# source operator -> logic operator
+_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
+             "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+
+
 def values_equal(a: Value, b: Value) -> bool:
+    """Strict equality: a boolean never equals a number."""
     if isinstance(a, bool) != isinstance(b, bool):
         return False
     return a == b
@@ -183,24 +198,13 @@ def apply_builtin(name: str, args: list, heap: Heap) -> Value:
         return UNDEFINED
     if name == "typeof":
         return type_tag(args[0])
-    if name in ("+", "-", "*", "/", "%"):
+    if name in _OP_NAMES:
         a = _num(args[0], f"operator {name}")
         b = _num(args[1], f"operator {name}")
-        if name == "+":
-            return a + b
-        if name == "-":
-            return a - b
-        if name == "*":
-            return a * b
-        if name == "/":
-            return js_div(a, b)
-        return js_mod(a, b)
+        op = _OP_NAMES[name]
+        return (ARITH.get(op) or COMPARE[op])(a, b)
     if name == "neg":
         return -_num(args[0], "negation")
-    if name in ("<", "<=", ">", ">="):
-        a = _num(args[0], f"operator {name}")
-        b = _num(args[1], f"operator {name}")
-        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[name]
     if name in ("===", "=="):
         return values_equal(args[0], args[1])
     if name in ("!==", "!="):

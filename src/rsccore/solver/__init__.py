@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ..semantics.values import ARITH, StuckError
 from ..syntax import Pred, pred_str
 from .euf import CongruenceClosure
 from .fm import solve as fm_solve
@@ -147,7 +148,6 @@ def _theory_check(lits: list) -> tuple:
     base = [l for l in lits if not (isinstance(l, LinCmp) and l.op == "ne")]
     if ne_lits:
         reasons = []
-        sat_answer = None
         for signs in itertools.product((1, -1), repeat=len(ne_lits)):
             case = list(base)
             for lit, sg in zip(ne_lits, signs):
@@ -158,7 +158,6 @@ def _theory_check(lits: list) -> tuple:
                 return r
             if r[0] == "unknown":
                 reasons.append(r[1])
-                sat_answer = r
         if reasons:
             return ("unknown", reasons[0])
         return ("unsat",)
@@ -346,31 +345,24 @@ def _class_const(cc: CongruenceClosure, t: Skel):
     return None
 
 
+# interpreted Skel heads -> ARITH operators; products print as "*" in
+# countermodels
+_INTERP = {"*": "mul", "add": "add", "sub": "sub", "div": "div",
+           "mod": "mod"}
+
+
 def _interpreted(sk: Skel) -> bool:
-    return sk.kind == "app" and sk.head in ("*", "add", "sub", "div", "mod")
+    return sk.kind == "app" and sk.head in _INTERP
 
 
 def _eval_interp(sk: Skel, args: list):
-    from ..semantics.values import StuckError, js_div, js_mod
     if not all(isinstance(a, int) and not isinstance(a, bool)
                for a in args):
         return None
-    a = args[0]
-    b = args[1] if len(args) > 1 else None
     try:
-        if sk.head == "*":
-            return a * b
-        if sk.head == "add":
-            return a + b
-        if sk.head == "sub":
-            return a - b
-        if sk.head == "div":
-            return js_div(a, b)
-        if sk.head == "mod":
-            return js_mod(a, b)
+        return ARITH[_INTERP[sk.head]](*args)
     except StuckError:
         return None
-    return None
 
 
 def emit_smtlib(q: Query) -> str:

@@ -13,10 +13,10 @@ from fractions import Fraction
 from typing import Union
 
 from ..logic import S_BOOL, S_INT, S_STR, Sort
-
+from ..semantics.values import ARITH, COMPARE, StuckError, values_equal
 from ..syntax import (
     NULL, PAnd, PAtom, PKvar, PNot, Pred, TBuiltin, TConst, TField, TThis,
-    TUF, TValueVar, TVar, Term, UNDEFINED, literal_str, term_str,
+    TUF, TValueVar, TVar, Term, UNDEFINED, literal_str, p_and, term_str,
 )
 
 
@@ -38,21 +38,9 @@ def const_fold(t: Term) -> Term:
         args = tuple(const_fold(a) for a in t.args)
         op = t.op
         vals = [a.value if isinstance(a, TConst) else None for a in args]
-        if op in ("add", "sub", "mul", "div", "mod") and \
-                all(_is_int(v) for v in vals):
-            from ..semantics.values import StuckError, js_div, js_mod
-            a, b = vals if len(vals) == 2 else (vals[0], None)
+        if op in ARITH and all(_is_int(v) for v in vals):
             try:
-                if op == "add":
-                    return TConst(a + b)
-                if op == "sub":
-                    return TConst(a - b)
-                if op == "mul":
-                    return TConst(a * b)
-                if op == "div":
-                    return TConst(js_div(a, b))
-                if op == "mod":
-                    return TConst(js_mod(a, b))
+                return TConst(ARITH[op](*vals))
             except StuckError:
                 pass
         if op == "add":
@@ -69,12 +57,10 @@ def const_fold(t: Term) -> Term:
                 return args[0]
             if vals[0] == 0 or vals[1] == 0:
                 return TConst(0)
-        if op in ("lt", "le", "gt", "ge") and all(_is_int(v) for v in vals):
-            a, b = vals
-            return TConst({"lt": a < b, "le": a <= b, "gt": a > b,
-                           "ge": a >= b}[op])
+        if op in COMPARE and all(_is_int(v) for v in vals):
+            return TConst(COMPARE[op](*vals))
         if op in ("eq", "ne") and all(isinstance(a, TConst) for a in args):
-            same = _const_eq(vals[0], vals[1])
+            same = values_equal(vals[0], vals[1])
             return TConst(same if op == "eq" else not same)
         if op == "and":
             if vals[0] is True:
@@ -105,14 +91,7 @@ def const_fold(t: Term) -> Term:
     return t
 
 
-def _const_eq(a, b) -> bool:
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    return a == b
-
-
 def fold_pred(p: Pred) -> Pred:
-    from ..syntax import p_and
     if isinstance(p, PAnd):
         return p_and(*[fold_pred(c) for c in p.conjuncts])
     if isinstance(p, PNot):

@@ -13,6 +13,8 @@ import pytest
 from conftest import external_solver_cmd
 
 from rsccore.logic import S_ARR, S_BOOL, S_INT, S_STR, Sort
+from rsccore.semantics.evalpred import eval_term
+from rsccore.semantics.values import Heap, StuckError, apply_builtin
 from rsccore.solver import (
     Query, SolverConfig, Verdict, check_valid, const_fold, emit_smtlib,
 )
@@ -226,7 +228,7 @@ def test_differential_internal_vs_external():
 # generative properties
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 _const_term = st.recursive(
     st.integers(-9, 9).map(TConst),
@@ -291,12 +293,48 @@ def test_fourier_motzkin_unsat_is_sound(rows):
             assert not ok, f"fm said unsat but x={vx}, y={vy} satisfies"
 
 
-@given(st.integers(-20, 20), st.integers(1, 9))
+@given(st.integers(-20, 20), st.integers(-9, 9))
+@example(-7, 2)
+@example(7, -2)
+@example(7, 0)
 @settings(max_examples=100, deadline=None)
 def test_division_folding_matches_runtime(a, b):
-    from rsccore.semantics.values import js_div, js_mod
-    q = const_fold(TBuiltin("div", (TConst(a), TConst(b))))
-    m = const_fold(TBuiltin("mod", (TConst(a), TConst(b))))
-    assert q == TConst(js_div(a, b))
-    assert m == TConst(js_mod(a, b))
-    assert js_div(a, b) * b + js_mod(a, b) == a
+    """Both machines' builtins, the predicate evaluator, the constant
+    folder and the solver's interpreted arithmetic agree on / and %
+    (truncating, dividend-signed, stuck or uninterpreted on zero) and on
+    strict equality."""
+    heap = Heap()
+    x, y = TVar("x"), TVar("y")
+    sorts = {"x": S_INT, "y": S_INT}
+    pinned = p_and(p_eq(x, TConst(a)), p_eq(y, TConst(b)))
+    results = []
+    for src, op in (("/", "div"), ("%", "mod")):
+        ground = TBuiltin(op, (TConst(a), TConst(b)))
+        symbolic = TBuiltin(op, (x, y))
+        if b == 0:
+            with pytest.raises(StuckError):
+                apply_builtin(src, [a, b], heap)
+            with pytest.raises(StuckError):
+                eval_term(ground, {}, heap, {})
+            assert const_fold(ground) == ground
+            for c in (0, 1):
+                goal = p_eq(symbolic, TConst(c))
+                assert not check_valid(_q(sorts, pinned, goal)).is_valid
+            continue
+        r = apply_builtin(src, [a, b], heap)
+        assert eval_term(ground, {}, heap, {}) == r
+        assert const_fold(ground) == TConst(r)
+        goal = p_eq(symbolic, TConst(r))
+        assert check_valid(_q(sorts, pinned, goal)).is_valid
+        results.append(r)
+    if b != 0:
+        q, m = results
+        assert abs(q) == abs(a) // abs(b)
+        assert q * b + m == a
+        assert m == 0 or (m < 0) == (a < 0)
+    # a boolean never equals a number
+    for n, flag in ((1, True), (0, False)):
+        eq = TBuiltin("eq", (TConst(n), TConst(flag)))
+        assert apply_builtin("===", [n, flag], heap) is False
+        assert eval_term(eq, {}, heap, {}) is False
+        assert const_fold(eq) == TConst(False)
