@@ -335,13 +335,13 @@ class _Mismatch(Exception):
 
 
 def _class_const(cc: CongruenceClosure, t: Skel):
+    # a class holds at most one constant, and it is the representative
     if t not in cc.terms:
         return None
     rep = cc.find(t)
-    for m in cc.classes().get(rep, []):
-        if m.kind == "const" and isinstance(m.head, int) and \
-                not isinstance(m.head, bool):
-            return m.head
+    if rep.kind == "const" and isinstance(rep.head, int) and \
+            not isinstance(rep.head, bool):
+        return rep.head
     return None
 
 

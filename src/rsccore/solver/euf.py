@@ -2,7 +2,16 @@
 
 Terms are canonical skeletons; distinct constants of the same sort refuse
 to merge, which is how string-literal distinctness and true/false conflict
-detection fall out."""
+detection fall out.
+
+The closure is the use-list and signature-table algorithm of Downey,
+Sethi and Tarjan, as presented by Nieuwenhuis and Oliveras ("Fast
+congruence closure and extensions", 2007): every application is indexed
+by its signature, its head applied to the representatives of its
+arguments, and a merge re-signs only the applications that use the
+absorbed class.  Two applications whose signatures meet are queued for
+merging, so the partition is congruence-closed after every `add` and
+`merge`."""
 
 from __future__ import annotations
 
@@ -12,10 +21,12 @@ from .normal import EufLit, Skel
 class CongruenceClosure:
     def __init__(self):
         self.parent: dict[Skel, Skel] = {}
-        self.uses: dict[Skel, list] = {}
+        self.uses: dict[Skel, list] = {}  # representative -> applications
+        self.sigs: dict[tuple, Skel] = {}  # signature -> application
         self.terms: set[Skel] = set()
         self.diseqs: list[tuple[Skel, Skel]] = []
         self.conflict: bool = False
+        self._classes: dict | None = None
 
     # -- union-find -----------------------------------------------------------
 
@@ -25,44 +36,52 @@ class CongruenceClosure:
         self.terms.add(t)
         self.parent[t] = t
         self.uses[t] = []
-        for a in t.args:
-            self.add(a)
-            self.uses[self.find(a)].append(t)
+        self._classes = None
+        if t.kind == "app":
+            for a in t.args:
+                self.add(a)
+                self.uses[self.find(a)].append(t)
+            # a fresh application has no uses, so joining its twin's
+            # class cascades nothing
+            twin = self.sigs.setdefault(self._signature(t), t)
+            if twin is not t:
+                self.parent[t] = self.find(twin)
 
     def find(self, t: Skel) -> Skel:
         root = t
-        while self.parent[root] != root:
+        while self.parent[root] is not root:
             root = self.parent[root]
-        while self.parent[t] != root:
+        while self.parent[t] is not root:
             self.parent[t], t = root, self.parent[t]
         return root
+
+    def _signature(self, app: Skel) -> tuple:
+        return (app.head, *map(self.find, app.args))
 
     def merge(self, a: Skel, b: Skel):
         self.add(a)
         self.add(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if ra.kind == "const" and rb.kind == "const":
-            self.conflict = True
-            return
-        # keep constants as representatives
-        if rb.kind == "const":
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        moved = self.uses.pop(rb, [])
-        self.uses.setdefault(ra, []).extend(moved)
-        # congruence: re-examine applications that used the merged class
-        for app in list(self.uses.get(ra, [])):
-            for other in list(self.terms):
-                if other is app or other.kind != "app":
-                    continue
-                if other.head == app.head and \
-                        len(other.args) == len(app.args):
-                    if self.find(other) != self.find(app) and all(
-                            self.find(x) == self.find(y)
-                            for x, y in zip(other.args, app.args)):
-                        self.merge(app, other)
+        pending = [(a, b)]
+        while pending:
+            ra, rb = map(self.find, pending.pop())
+            if ra is rb:
+                continue
+            if ra.kind == "const" and rb.kind == "const":
+                self.conflict = True
+                continue
+            # constants stay representatives; otherwise the class with
+            # more uses does, so fewer applications are re-signed
+            if rb.kind == "const" or (ra.kind != "const" and
+                                      len(self.uses[ra]) < len(self.uses[rb])):
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+            self._classes = None
+            moved = self.uses.pop(rb)
+            for app in moved:
+                twin = self.sigs.setdefault(self._signature(app), app)
+                if twin is not app:
+                    pending.append((app, twin))
+            self.uses[ra].extend(moved)
 
     # -- API -------------------------------------------------------------------
 
@@ -75,34 +94,21 @@ class CongruenceClosure:
             self.diseqs.append((lit.t1, lit.t2))
 
     def close(self) -> bool:
-        """Final congruence fixpoint; returns False on conflict."""
-        changed = True
-        while changed and not self.conflict:
-            changed = False
-            apps = [t for t in self.terms if t.kind == "app"]
-            for i in range(len(apps)):
-                for j in range(i + 1, len(apps)):
-                    a, b = apps[i], apps[j]
-                    if a.head != b.head or len(a.args) != len(b.args):
-                        continue
-                    if self.find(a) == self.find(b):
-                        continue
-                    if all(self.find(x) == self.find(y)
-                           for x, y in zip(a.args, b.args)):
-                        self.merge(a, b)
-                        changed = True
+        """False on a constant conflict or a violated disequality; the
+        partition itself is already closed."""
         if self.conflict:
             return False
-        for a, b in self.diseqs:
-            if self.find(a) == self.find(b):
-                return False
-        return True
+        return all(self.find(a) is not self.find(b) for a, b in self.diseqs)
 
     def classes(self) -> dict:
-        out: dict[Skel, list] = {}
-        for t in self.terms:
-            out.setdefault(self.find(t), []).append(t)
-        return out
+        """Representative -> members in the iteration order of `terms`;
+        built once per partition, so callers must not mutate it."""
+        if self._classes is None:
+            out: dict[Skel, list] = {}
+            for t in self.terms:
+                out.setdefault(self.find(t), []).append(t)
+            self._classes = out
+        return self._classes
 
     def int_equalities(self) -> list:
         """Pairs of integer-sorted terms the closure proved equal."""

@@ -63,18 +63,19 @@ def solve(rows_in: list) -> tuple:
             if not r.coeffs and r.bound < 0:
                 return ("unsat",)
         rows = [r for r in rows if r.coeffs]
-        keys: dict = {}
+        signs: dict = {}  # key -> [positive rows, negative rows]
         for r in rows:
-            for k in r.coeffs:
-                keys[k] = keys.get(k, 0) + 1
-        if not keys:
+            for k, c in r.coeffs.items():
+                count = signs.setdefault(k, [0, 0])
+                if c > 0:
+                    count[0] += 1
+                elif c < 0:
+                    count[1] += 1
+        if not signs:
             break
-        # cheapest elimination first
-        def cost(k):
-            pos = sum(1 for r in rows if r.coeffs.get(k, 0) > 0)
-            neg = sum(1 for r in rows if r.coeffs.get(k, 0) < 0)
-            return pos * neg, str(k)
-        var = min(keys, key=cost)
+        # cheapest elimination first: fewest combined rows, then by name;
+        # an exact tie goes to the key that appeared first
+        var = min(signs, key=lambda k: (signs[k][0] * signs[k][1], str(k)))
         uppers = []  # var <= expr
         lowers = []  # var >= expr
         rest = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+from weakref import WeakValueDictionary
 
 from ..logic import S_BOOL, S_INT, S_STR, Sort
 from ..semantics.values import ARITH, COMPARE, StuckError, values_equal
@@ -191,15 +192,40 @@ class EufLit:
         return f"{self.t1} {op} {self.t2}"
 
 
-@dataclass(frozen=True)
 class Skel:
     """Canonical first-order skeleton of a term: a constant, a variable,
-    or an application."""
+    or an application.
+
+    Skeletons are hash-consed: constructing one returns the live object
+    with the same key, so equality is identity and the hash, the
+    structural hash of the key, is computed once.  The table holds its
+    entries weakly; a skeleton leaves it with its last reference."""
+
+    __slots__ = ("kind", "head", "args", "sort", "_hash", "__weakref__")
+    _table: WeakValueDictionary = WeakValueDictionary()
 
     kind: str  # "var" | "const" | "app"
     head: object
-    args: tuple = ()
-    sort: str = "int"
+    args: tuple
+    sort: str
+
+    def __new__(cls, kind: str, head: object, args: tuple = (),
+                sort: str = "int"):
+        key = (kind, head, args, sort)
+        self = cls._table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.kind, self.head, self.args, self.sort = key
+            self._hash = hash(key)
+            cls._table[key] = self
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"Skel(kind={self.kind!r}, head={self.head!r}, "
+                f"args={self.args!r}, sort={self.sort!r})")
 
     def __str__(self):
         if self.kind == "app":

@@ -1,7 +1,9 @@
 """Validity-checker tests: the worked verification conditions, constant
 folding, congruence, integrality tightening, conservativity, emission
-determinism, and the subprocess boundary."""
+determinism, the subprocess boundary, skeleton interning, and the
+congruence closure against a quadratic reference."""
 
+import gc
 import os
 import random
 import stat
@@ -10,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import external_solver_cmd
+from conftest import CORPUS, ROOT, external_solver_cmd
 
 from rsccore.logic import S_ARR, S_BOOL, S_INT, S_STR, Sort
 from rsccore.semantics.evalpred import eval_term
@@ -338,3 +340,271 @@ def test_division_folding_matches_runtime(a, b):
         assert apply_builtin("===", [n, flag], heap) is False
         assert eval_term(eq, {}, heap, {}) is False
         assert const_fold(eq) == TConst(False)
+
+
+# ---------------------------------------------------------------------------
+# hash-consed skeletons and the signature-table congruence closure
+
+
+from rsccore.solver.euf import CongruenceClosure
+from rsccore.solver.normal import EufLit, Skel
+
+
+class _QuadraticClosure:
+    """Reference oracle: the closure that rescans every term on each merge
+    and compares all pairs of applications until nothing changes."""
+
+    def __init__(self):
+        self.parent = {}
+        self.uses = {}
+        self.terms = set()
+        self.diseqs = []
+        self.conflict = False
+
+    def add(self, t):
+        if t in self.terms:
+            return
+        self.terms.add(t)
+        self.parent[t] = t
+        self.uses[t] = []
+        for a in t.args:
+            self.add(a)
+            self.uses[self.find(a)].append(t)
+
+    def find(self, t):
+        while self.parent[t] is not t:
+            t = self.parent[t]
+        return t
+
+    def merge(self, a, b):
+        self.add(a)
+        self.add(b)
+        ra, rb = self.find(a), self.find(b)
+        if ra is rb:
+            return
+        if ra.kind == "const" and rb.kind == "const":
+            self.conflict = True
+            return
+        if rb.kind == "const":
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.uses.setdefault(ra, []).extend(self.uses.pop(rb, []))
+        for app in list(self.uses.get(ra, [])):
+            for other in list(self.terms):
+                if other is app or other.kind != "app":
+                    continue
+                if other.head == app.head and \
+                        len(other.args) == len(app.args) and \
+                        self.find(other) is not self.find(app) and all(
+                            self.find(x) is self.find(y)
+                            for x, y in zip(other.args, app.args)):
+                    self.merge(app, other)
+
+    def assert_lit(self, lit):
+        if lit.eq:
+            self.merge(lit.t1, lit.t2)
+        else:
+            self.add(lit.t1)
+            self.add(lit.t2)
+            self.diseqs.append((lit.t1, lit.t2))
+
+    def close(self):
+        changed = True
+        while changed and not self.conflict:
+            changed = False
+            apps = [t for t in self.terms if t.kind == "app"]
+            for i, a in enumerate(apps):
+                for b in apps[i + 1:]:
+                    if a.head == b.head and len(a.args) == len(b.args) and \
+                            self.find(a) is not self.find(b) and all(
+                                self.find(x) is self.find(y)
+                                for x, y in zip(a.args, b.args)):
+                        self.merge(a, b)
+                        changed = True
+        if self.conflict:
+            return False
+        return all(self.find(a) is not self.find(b) for a, b in self.diseqs)
+
+
+def _partition(cc) -> set:
+    classes = {}
+    for t in cc.terms:
+        classes.setdefault(cc.find(t), set()).add(t)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _var(i):
+    return Skel("var", f"x{i}", (), "int")
+
+
+def _f(a):
+    return Skel("app", "f", (a,), "int")
+
+
+def _g(a, b):
+    return Skel("app", "g", (a, b), "int")
+
+
+def _h(a):
+    return Skel("app", "h", (a,), "int")
+
+
+def _euf_steps(nvars):
+    leaves = [_var(i) for i in range(nvars)] + \
+        [Skel("const", c, (), "int") for c in (0, 1)]
+    terms = st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(sub.map(_f), sub.map(_h),
+                              st.tuples(sub, sub).map(lambda ab: _g(*ab))),
+        max_leaves=4)
+    lit = st.tuples(st.booleans(), terms, terms).map(lambda l: EufLit(*l))
+    # a bare term is added without a literal, between the assertions
+    return st.lists(st.one_of(lit, terms), min_size=1, max_size=8)
+
+
+def _f_power(n, a):
+    for _ in range(n):
+        a = _f(a)
+    return a
+
+
+_X0, _X1, _X2 = _var(0), _var(1), _var(2)
+
+
+@given(st.integers(3, 4).flatmap(_euf_steps))
+@example([EufLit(True, _f_power(3, _X0), _X0),
+          EufLit(True, _f_power(5, _X0), _X0),
+          EufLit(False, _f(_X0), _X0)])
+@example([_f(_g(_f(_X0), _X2)), _f(_g(_f(_X1), _X2)),
+          EufLit(True, _X0, _X1)])
+@example([EufLit(True, _f(_X0), Skel("const", 0, (), "int")),
+          EufLit(True, _f(_X1), Skel("const", 1, (), "int")),
+          EufLit(True, _X1, _X0)])
+@settings(max_examples=400, deadline=None)
+def test_congruence_closure_matches_quadratic_oracle(steps):
+    """The signature-table closure agrees with the quadratic one on
+    conflict, on close() and, absent a conflict (after which the
+    partition is unspecified), on the partition of the terms."""
+    cc, oracle = CongruenceClosure(), _QuadraticClosure()
+    for step in steps:
+        for closure in (cc, oracle):
+            if isinstance(step, EufLit):
+                closure.assert_lit(step)
+            else:
+                closure.add(step)
+    assert cc.close() == oracle.close()
+    assert cc.conflict == oracle.conflict
+    assert cc.terms == oracle.terms
+    if not oracle.conflict:
+        assert _partition(cc) == _partition(oracle)
+        assert set(map(frozenset, cc.classes().values())) == \
+            _partition(oracle)
+
+
+def test_classic_congruence_through_check_valid():
+    """f(f(f(a))) = a and f(f(f(f(f(a))))) = a imply f(a) = a."""
+    a = TVar("a")
+
+    def f(t, n=1):
+        for _ in range(n):
+            t = TUF("f", (t,))
+        return t
+
+    sorts = {"a": S_INT, "%uf:f": S_INT}
+    hyp = p_and(p_eq(f(a, 3), a), p_eq(f(a, 5), a))
+    assert check_valid(_q(sorts, hyp, p_eq(f(a), a))).is_valid
+    assert not check_valid(_q(sorts, p_eq(f(a, 3), a),
+                              p_eq(f(a), a))).is_valid
+
+
+def test_one_merge_cascades_through_the_pending_queue():
+    """Merging x0 and x1 makes f(x0) ~ f(x1), then g(f(x0), x2) ~
+    g(f(x1), x2), then f of those, with no call to close()."""
+    cc = CongruenceClosure()
+    top0, top1 = _f(_g(_f(_X0), _X2)), _f(_g(_f(_X1), _X2))
+    cc.add(top0)
+    cc.add(top1)
+    assert cc.find(top0) is not cc.find(top1)
+    cc.merge(_X0, _X1)
+    assert cc.find(top0) is cc.find(top1)
+    assert cc.find(top0.args[0]) is cc.find(top1.args[0])
+
+
+def test_constants_stay_representatives():
+    cc = CongruenceClosure()
+    zero = Skel("const", 0, (), "int")
+    cc.merge(_f(_X0), _X1)
+    cc.merge(_X1, zero)
+    cc.merge(_X0, _X2)
+    assert cc.find(_f(_X0)) is zero
+    cc.merge(_X1, Skel("const", 1, (), "int"))
+    assert cc.conflict and not cc.close()
+
+
+def test_classes_map_is_reused_until_the_partition_changes():
+    cc = CongruenceClosure()
+    cc.add(_g(_X0, _X1))
+    first = cc.classes()
+    assert cc.classes() is first
+    cc.merge(_X0, _X1)
+    second = cc.classes()
+    assert second is not first
+    assert [list(m) for m in second.values()] == \
+        [[t for t in cc.terms if cc.find(t) is rep] for rep in second]
+    cc.add(_X2)
+    assert cc.classes() is not second
+
+
+def test_skeletons_are_interned():
+    assert Skel("var", "x", (), "int") is Skel("var", "x")
+    app = Skel("app", "f", (Skel("var", "x"),), "int")
+    assert app is Skel("app", "f", (Skel("var", "x", (), "int"),), "int")
+    assert hash(app) == hash(("app", "f", (Skel("var", "x"),), "int"))
+    one, true = Skel("const", 1, (), "int"), Skel("const", True, (), "bool")
+    assert one is not true and one != true
+    assert (str(one), str(true)) == ("1", "true")
+
+
+def test_interning_table_drops_dead_skeletons():
+    key = ("var", "only-in-this-test", (), "int")
+    sk = Skel(*key)
+    assert Skel._table.get(key) is sk
+    del sk
+    gc.collect()
+    assert key not in Skel._table
+
+
+_CHECK_SCRIPT = """
+import json, sys
+from pathlib import Path
+from rsccore import checker, frontend, solver
+for path in sys.argv[1:]:
+    r = checker.check_program(frontend.parse_program(
+        Path(path).read_text(), path), solver.SolverConfig())
+print(json.dumps({
+    "verdict": r.verdict,
+    "diagnostics": [d.render() for d in r.diagnostics],
+    "solution": {"schema": "rsc/solution/v1",
+                 "kvars": r.assignment.to_json(r.registry)},
+}, sort_keys=True))
+"""
+
+
+def test_check_does_not_depend_on_interning_history():
+    """minindex.rsc gives the same verdict, diagnostics and solution in a
+    fresh process as after the rest of the corpus in one process."""
+    target = CORPUS / "minindex.rsc"
+    rest = sorted(p for p in CORPUS.glob("*.rsc") if p != target)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+
+    def run(paths):
+        r = subprocess.run([sys.executable, "-c", _CHECK_SCRIPT,
+                            *map(str, paths)],
+                           capture_output=True, text=True, env=env,
+                           timeout=600)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    fresh = run([target])
+    assert '"verdict": "verified"' in fresh
+    assert run([*rest, target]) == fresh
