@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (verified, terminal run, consistent simulation),
 1 analysis or runtime findings (type errors, stuck, divergence),
-2 usage, IO, or solver-infrastructure failure."""
+2 usage, IO, or solver-infrastructure failure, and inputs past a limit
+(nesting deeper than the recursion limit, the fixpoint iteration bound)."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .frontend import FrontendError, parse_program
 from .frontend.lexer import LexError
 from .frontend.parser import ParseError
 from .frontend.types_parser import ParseErrorBase
-from .infer import load_qualifier_file
+from .infer import FixpointBoundError, load_qualifier_file
 from .semantics import run as run_machine, simulate
 from .solver import SolverConfig
 from .ssa import SsaErrors, ssa_program
@@ -107,6 +108,13 @@ def main(argv=None) -> int:
         print(f"{e}", file=sys.stderr)
         return 1
     except OSError as e:
+        print(f"rsc: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("rsc: input nested too deeply (maximum recursion depth"
+              " exceeded)", file=sys.stderr)
+        return 2
+    except FixpointBoundError as e:
         print(f"rsc: {e}", file=sys.stderr)
         return 2
 

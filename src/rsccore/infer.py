@@ -224,6 +224,10 @@ class KvarAssignment:
         return out
 
 
+class FixpointBoundError(RuntimeError):
+    """The weakening fixpoint ran past its iteration bound."""
+
+
 class SolveFailure:
     def __init__(self, clause: HornClause, verdict: Verdict):
         self.clause = clause
@@ -328,7 +332,7 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
         total = sum(len(v) for v in assign.values())
         assert total <= sum(sizes.values()), "assignment grew"
         if rounds > 10_000:
-            raise RuntimeError("fixpoint iteration bound exceeded")
+            raise FixpointBoundError("fixpoint iteration bound exceeded")
 
     failures: list[SolveFailure] = []
     for cl in clauses:

@@ -180,10 +180,10 @@ def _theory_check_conj(lits: list) -> tuple:
     # (so products over pinned operands become pinned themselves)
     for lit in arith:
         if lit.op == "eq" and len(lit.coeffs) == 1 and \
-                lit.coeffs[0][1] == 1 and lit.const.denominator == 1:
+                lit.coeffs[0][1] == 1:
             key = lit.coeffs[0][0]
             cc.add(key)
-            cc.merge(key, Skel("const", int(-lit.const), (), "int"))
+            cc.merge(key, Skel("const", -lit.const, (), "int"))
     if not cc.close():
         return ("unsat",)
     changed = True
@@ -224,8 +224,8 @@ def _theory_check_conj(lits: list) -> tuple:
     for a, b in cc.int_equalities():
         coeffs = _skel_linear(a, 1)
         for k, c in _skel_linear(b, -1).items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c
-        const = coeffs.pop("%const", Fraction(0))
+            coeffs[k] = coeffs.get(k, 0) + c
+        const = coeffs.pop("%const", 0)
         coeffs = {k: c for k, c in coeffs.items() if c != 0}
         rows.append((coeffs, -const, "eq"))
     r = fm_solve(rows)
@@ -240,18 +240,18 @@ def _skel_linear(sk: Skel, sign: int) -> dict:
     equalities discovered by congruence feed arithmetic precisely."""
     if sk.kind == "const" and isinstance(sk.head, int) and \
             not isinstance(sk.head, bool):
-        return {"%const": Fraction(sign * sk.head)}
+        return {"%const": sign * sk.head}
     if sk.kind == "app" and sk.head == "add":
         out = _skel_linear(sk.args[0], sign)
         for k, c in _skel_linear(sk.args[1], sign).items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return out
     if sk.kind == "app" and sk.head == "sub":
         out = _skel_linear(sk.args[0], sign)
         for k, c in _skel_linear(sk.args[1], -sign).items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return out
-    return {sk: Fraction(sign)}
+    return {sk: sign}
 
 
 def _verify_model(lits: list, cc: CongruenceClosure, model: dict) -> tuple:
@@ -303,7 +303,7 @@ def _verify_model(lits: list, cc: CongruenceClosure, model: dict) -> tuple:
                 if (v1 == v2) != lit.eq:
                     return ("unknown", f"candidate model unverified: {lit}")
             else:
-                acc = Fraction(lit.const)
+                acc = lit.const
                 for k, c in lit.coeffs:
                     v = value_of(k)
                     if not isinstance(v, int):

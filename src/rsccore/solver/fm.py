@@ -1,76 +1,92 @@
-"""Fourier-Motzkin elimination over the rationals with integer tightening:
+"""Fourier-Motzkin elimination over integer rows with integer tightening:
 strict bounds over integer-sorted unknowns shift by one, and rows divide
 through by the gcd of their coefficients with the bound floored.
+
+Elimination works on exact `int` rows and keeps each distinct coefficient
+vector once: a parallel row merges into the kept one, which takes the
+tighter bound and counts how many rows of plain elimination it stands for
+(`mult`).  The variable order sums those counts, so it, the rows that
+survive and the candidate point are those of elimination without merging.
 Sound for unsatisfiability; satisfiable outcomes come with a candidate
 point for model checking."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 from typing import Optional
 
 
 class Row:
-    """sum(coeffs[k] * k) <= bound (le) or < bound (lt, pre-tightening)."""
+    """sum(coeffs[k] * k) <= bound over integers, standing for `mult`
+    parallel rows of plain elimination."""
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ("coeffs", "bound", "mult")
 
-    def __init__(self, coeffs: dict, bound: Fraction):
+    def __init__(self, coeffs: dict, bound: int, mult: int):
         self.coeffs = coeffs
         self.bound = bound
+        self.mult = mult
 
 
-def _tighten(coeffs: dict, bound: Fraction, strict: bool) -> Optional[Row]:
-    """Scale to integers, tighten strictness, divide by the gcd, floor."""
-    if not coeffs:
-        if strict:
-            return Row({}, bound - 1) if bound == int(bound) else \
-                Row({}, Fraction(floor(bound)))
-        return Row({}, bound)
-    denoms = [c.denominator for c in coeffs.values()] + [bound.denominator]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ic = {k: int(c * scale) for k, c in coeffs.items()}
-    ib = bound * scale
-    if strict:
-        # integer-sorted atoms: sum < b  =>  sum <= ceil(b) - 1
-        ib = Fraction(int(ib) - 1) if ib == int(ib) else Fraction(floor(ib))
-    g = 0
-    for c in ic.values():
-        g = gcd(g, abs(c))
+def _primitive(coeffs: dict, bound: int, mult: int = 1) -> Row:
+    """Divide an integer row by the gcd of its coefficients, flooring the
+    bound."""
+    g = gcd(*coeffs.values())
     if g > 1:
-        ic = {k: c // g for k, c in ic.items()}
-        ib = Fraction(floor(Fraction(ib) / g))
-    return Row(ic, Fraction(ib))
+        coeffs = {k: c // g for k, c in coeffs.items()}
+        bound //= g
+    return Row(coeffs, bound, mult)
+
+
+def _tighten(coeffs: dict, bound, strict: bool) -> Row:
+    """Scale an int or Fraction row to integers, tighten strictness, divide
+    by the gcd, floor."""
+    scale = lcm(bound.denominator,
+                *(c.denominator for c in coeffs.values()))
+    ib = int(bound * scale)
+    if strict:
+        # integer-sorted atoms: sum < b  =>  sum <= b - 1
+        ib -= 1
+    return _primitive({k: int(c * scale) for k, c in coeffs.items()}, ib)
+
+
+def _add(rows: dict, row: Row) -> None:
+    """Insert `row`, merging it into a kept row with the same coefficients:
+    the tighter bound wins and the multiplicities add."""
+    key = frozenset(row.coeffs.items())
+    kept = rows.get(key)
+    if kept is None:
+        rows[key] = row
+    else:
+        kept.bound = min(kept.bound, row.bound)
+        kept.mult += row.mult
 
 
 def solve(rows_in: list) -> tuple:
-    """rows_in: list of (coeffs dict, bound Fraction, op in le/lt/eq).
-    Returns ("unsat",) or ("sat", model dict key->Fraction)."""
-    rows: list[Row] = []
+    """rows_in: list of (coeffs dict, bound int or Fraction, op in
+    le/lt/eq).  Returns ("unsat",) or ("sat", model dict key->Fraction)."""
+    rows: dict = {}  # frozenset(coeffs.items()) -> Row, in insertion order
     for coeffs, bound, op in rows_in:
         if op == "eq":
-            r1 = _tighten(dict(coeffs), bound, False)
-            r2 = _tighten({k: -c for k, c in coeffs.items()}, -bound, False)
-            rows.extend([r1, r2])
+            _add(rows, _tighten(coeffs, bound, False))
+            _add(rows, _tighten({k: -c for k, c in coeffs.items()}, -bound,
+                                False))
         else:
-            rows.append(_tighten(dict(coeffs), bound, op == "lt"))
+            _add(rows, _tighten(coeffs, bound, op == "lt"))
     eliminated: list[tuple] = []  # (key, lower rows, upper rows)
     while True:
-        for r in rows:
-            if not r.coeffs and r.bound < 0:
-                return ("unsat",)
-        rows = [r for r in rows if r.coeffs]
+        trivial = rows.pop(frozenset(), None)
+        if trivial is not None and trivial.bound < 0:
+            return ("unsat",)
         signs: dict = {}  # key -> [positive rows, negative rows]
-        for r in rows:
+        for r in rows.values():
             for k, c in r.coeffs.items():
                 count = signs.setdefault(k, [0, 0])
                 if c > 0:
-                    count[0] += 1
+                    count[0] += r.mult
                 elif c < 0:
-                    count[1] += 1
+                    count[1] += r.mult
         if not signs:
             break
         # cheapest elimination first: fewest combined rows, then by name;
@@ -78,38 +94,34 @@ def solve(rows_in: list) -> tuple:
         var = min(signs, key=lambda k: (signs[k][0] * signs[k][1], str(k)))
         uppers = []  # var <= expr
         lowers = []  # var >= expr
-        rest = []
-        for r in rows:
+        new_rows: dict = {}
+        for key, r in rows.items():
             c = r.coeffs.get(var, 0)
-            if c == 0:
-                rest.append(r)
-            elif c > 0:
+            if c > 0:
                 uppers.append(r)
-            else:
+            elif c < 0:
                 lowers.append(r)
+            else:
+                new_rows[key] = r
         eliminated.append((var, lowers, uppers))
-        new_rows = rest
         for up in uppers:
             cu = up.coeffs[var]
             for lo in lowers:
                 cl = -lo.coeffs[var]
-                coeffs: dict = {}
-                for k, c in up.coeffs.items():
-                    if k != var:
-                        coeffs[k] = coeffs.get(k, Fraction(0)) + \
-                            Fraction(c, cu)
+                # cl * up + cu * lo cancels var
+                coeffs = {k: cl * c for k, c in up.coeffs.items()
+                          if k != var}
                 for k, c in lo.coeffs.items():
                     if k != var:
-                        coeffs[k] = coeffs.get(k, Fraction(0)) + \
-                            Fraction(c, cl)
+                        coeffs[k] = coeffs.get(k, 0) + cu * c
                 coeffs = {k: c for k, c in coeffs.items() if c != 0}
-                bound = Fraction(up.bound, cu) + Fraction(lo.bound, cl)
-                new_rows.append(_tighten(coeffs, bound, False))
+                _add(new_rows, _primitive(coeffs, cl * up.bound +
+                                          cu * lo.bound, up.mult * lo.mult))
         rows = new_rows
     # back-substitute a candidate point, preferring integers
     model: dict = {}
 
-    def val(expr_coeffs: dict, bound: Fraction, sign: int) -> Fraction:
+    def val(expr_coeffs: dict, bound, sign: int) -> Fraction:
         acc = bound
         for k, c in expr_coeffs.items():
             # keys whose rows were discarded by a one-sided elimination

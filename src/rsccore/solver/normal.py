@@ -9,7 +9,6 @@ reasoning while Fourier-Motzkin sees them as plain unknowns."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 from weakref import WeakValueDictionary
 
@@ -170,8 +169,8 @@ class LinCmp:
     term skeletons (canonical strings) valued over the integers."""
 
     op: str
-    coeffs: tuple  # tuple[(key, Fraction)] sorted by key
-    const: Fraction
+    coeffs: tuple  # tuple[(key, int)] sorted by key
+    const: int
 
     def __str__(self):
         parts = [f"{c}*{k}" for k, c in self.coeffs]
@@ -198,10 +197,12 @@ class Skel:
 
     Skeletons are hash-consed: constructing one returns the live object
     with the same key, so equality is identity and the hash, the
-    structural hash of the key, is computed once.  The table holds its
-    entries weakly; a skeleton leaves it with its last reference."""
+    structural hash of the key, is computed once, as is the string on its
+    first use.  The table holds its entries weakly; a skeleton leaves it
+    with its last reference."""
 
-    __slots__ = ("kind", "head", "args", "sort", "_hash", "__weakref__")
+    __slots__ = ("kind", "head", "args", "sort", "_hash", "_str",
+                 "__weakref__")
     _table: WeakValueDictionary = WeakValueDictionary()
 
     kind: str  # "var" | "const" | "app"
@@ -217,6 +218,7 @@ class Skel:
             self = object.__new__(cls)
             self.kind, self.head, self.args, self.sort = key
             self._hash = hash(key)
+            self._str = None
             cls._table[key] = self
         return self
 
@@ -228,11 +230,14 @@ class Skel:
                 f"args={self.args!r}, sort={self.sort!r})")
 
     def __str__(self):
-        if self.kind == "app":
-            return f"{self.head}({', '.join(map(str, self.args))})"
-        if self.kind == "const":
-            return literal_str(self.head)
-        return str(self.head)
+        if self._str is None:
+            if self.kind == "app":
+                self._str = f"{self.head}({', '.join(map(str, self.args))})"
+            elif self.kind == "const":
+                self._str = literal_str(self.head)
+            else:
+                self._str = str(self.head)
+        return self._str
 
 
 Lit = Union[LinCmp, EufLit]
@@ -282,7 +287,7 @@ def skel_of(t: Term, sorts: dict) -> Skel:
 def linearize(t: Term, sorts: dict) -> tuple:
     """Integer term -> (coeff map over Skel keys, constant)."""
     if isinstance(t, TConst) and _is_int(t.value):
-        return {}, Fraction(t.value)
+        return {}, t.value
     if isinstance(t, TBuiltin):
         if t.op == "add":
             c1, k1 = linearize(t.args[0], sorts)
@@ -302,17 +307,17 @@ def linearize(t: Term, sorts: dict) -> tuple:
                 return {k: v * k2 for k, v in c1.items() if v * k2 != 0}, \
                     k1 * k2
             sk = skel_of(t, sorts)
-            return {sk: Fraction(1)}, Fraction(0)
+            return {sk: 1}, 0
     sk = skel_of(t, sorts)
     # type-variable-sorted atoms participate as opaque integer unknowns;
     # hypotheses that put them in arithmetic have already pinned their tag
-    return {sk: Fraction(1)}, Fraction(0)
+    return {sk: 1}, 0
 
 
 def _merge(c1: dict, c2: dict, sign: int) -> dict:
     out = dict(c1)
     for k, v in c2.items():
-        nv = out.get(k, Fraction(0)) + sign * v
+        nv = out.get(k, 0) + sign * v
         if nv == 0:
             out.pop(k, None)
         else:

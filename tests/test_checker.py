@@ -1,6 +1,7 @@
 """Constraint generation: the typing rules' shapes, constructor
-rewriting, two-phase overload expansion, casts, and verdicts on the
-positive/negative corpus."""
+rewriting, two-phase overload expansion, casts, verdicts on the
+positive/negative corpus and a two-accumulator loop, and the solver
+counters of a corpus check."""
 
 import pytest
 
@@ -360,3 +361,69 @@ class C {
 """)
     assert r.verdict == "errors"
     assert any("mutable field" in d.message for d in r.errors())
+
+
+# -- the k = 2 loop: two accumulators carried beside the index -----------------
+
+
+_LOOP_K2 = """/*@ (a: number[]) => number */
+function f(a) {
+  var i = 0;
+  var s0 = 0;
+  var s1 = 0;
+  while (i CMP a.length) {
+    var x = a[i];
+    s0 = s0 + x;
+    s1 = s1 + x;
+    i = i + 1;
+  }
+  return i;
+}
+"""
+
+
+def test_loop_with_two_accumulators_decides():
+    """The safe loop verifies and its off-by-one twin fails at the array
+    read on line 7.  Before Fourier-Motzkin merged repeated rows, this
+    check ran for minutes and reached gigabytes of memory."""
+    assert check_text(_LOOP_K2.replace("CMP", "<")).verdict == "verified"
+    r = check_text(_LOOP_K2.replace("CMP", "<="))
+    assert r.verdict == "errors"
+    assert [d.span.line for d in r.errors()] == [7]
+
+
+def test_corpus_solver_counters(monkeypatch):
+    """Checking the corpus, each file with a fresh solver config, makes
+    a fixed number of validity queries, verdicts and Fourier-Motzkin
+    calls; an optimization of the solver must leave all of them equal."""
+    import collections
+    import sys
+
+    from rsccore import solver
+    from rsccore.solver import SolverConfig, fm
+
+    counts = collections.Counter()
+    check_valid, fm_solve = solver.check_valid, fm.solve
+
+    def counted_check_valid(*args, **kwargs):
+        verdict = check_valid(*args, **kwargs)
+        counts["queries"] += 1
+        counts[verdict.status] += 1
+        return verdict
+
+    def counted_fm_solve(*args, **kwargs):
+        counts["fm"] += 1
+        return fm_solve(*args, **kwargs)
+
+    # swap each function wherever a module binds it by name
+    for name, mod in list(sys.modules.items()):
+        if name == "rsccore" or name.startswith("rsccore."):
+            for attr, value in list(vars(mod).items()):
+                if value is check_valid:
+                    monkeypatch.setattr(mod, attr, counted_check_valid)
+                elif value is fm_solve:
+                    monkeypatch.setattr(mod, attr, counted_fm_solve)
+    for path in sorted(CORPUS.glob("*.rsc")):
+        check_program(parse(path), SolverConfig())
+    assert dict(counts) == {"queries": 1209, "valid": 487, "invalid": 510,
+                            "unknown": 212, "fm": 1007}

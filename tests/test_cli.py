@@ -111,3 +111,24 @@ def test_qualifier_file_flag(tmp_path):
     r = rsc("check", "--qualifiers", str(quals),
             str(CORPUS / "ssa_reduce.rsc"))
     assert r.returncode == 0
+
+
+def test_limits_are_one_line_diagnostics(tmp_path, capsys, monkeypatch):
+    """Deep nesting and the fixpoint bound end as `rsc:` lines with exit
+    code 2, not as tracebacks."""
+    from rsccore import cli
+    from rsccore.infer import FixpointBoundError
+    deep = tmp_path / "deep.rsc"
+    deep.write_text("/*@ () => number */\nfunction f() { return "
+                    + "(" * 3000 + "1" + ")" * 3000 + "; }\n")
+    assert cli.main(["check", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rsc: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+    def bound(*args, **kwargs):
+        raise FixpointBoundError("fixpoint iteration bound exceeded")
+    monkeypatch.setattr(cli, "check_program", bound)
+    assert cli.main(["check", str(CORPUS / "head.rsc")]) == 2
+    assert capsys.readouterr().err == \
+        "rsc: fixpoint iteration bound exceeded\n"

@@ -1,7 +1,8 @@
 """Validity-checker tests: the worked verification conditions, constant
 folding, congruence, integrality tightening, conservativity, emission
-determinism, the subprocess boundary, skeleton interning, and the
-congruence closure against a quadratic reference."""
+determinism, the subprocess boundary, skeleton interning, the congruence
+closure against a quadratic reference, and Fourier-Motzkin against plain
+`Fraction` elimination."""
 
 import gc
 import os
@@ -293,6 +294,163 @@ def test_fourier_motzkin_unsat_is_sound(rows):
                 if not ok:
                     break
             assert not ok, f"fm said unsat but x={vx}, y={vy} satisfies"
+
+
+def _fraction_fm_solve(rows_in: list) -> tuple:
+    """Reference oracle: Fourier-Motzkin as it was before integer rows,
+    eliminating over `Fraction`s and keeping every repeated row."""
+    from fractions import Fraction
+    from math import floor, gcd
+
+    def tighten(coeffs, bound, strict):
+        bound = Fraction(bound)
+        if not coeffs:
+            if strict:
+                return ({}, bound - 1) if bound == int(bound) else \
+                    ({}, Fraction(floor(bound)))
+            return ({}, bound)
+        scale = 1
+        for d in [Fraction(c).denominator for c in coeffs.values()] + \
+                [bound.denominator]:
+            scale = scale * d // gcd(scale, d)
+        ic = {k: int(c * scale) for k, c in coeffs.items()}
+        ib = bound * scale
+        if strict:
+            ib = Fraction(int(ib) - 1) if ib == int(ib) else \
+                Fraction(floor(ib))
+        g = 0
+        for c in ic.values():
+            g = gcd(g, abs(c))
+        if g > 1:
+            ic = {k: c // g for k, c in ic.items()}
+            ib = Fraction(floor(Fraction(ib) / g))
+        return (ic, Fraction(ib))
+
+    rows = []
+    for coeffs, bound, op in rows_in:
+        if op == "eq":
+            rows.append(tighten(dict(coeffs), bound, False))
+            rows.append(tighten({k: -c for k, c in coeffs.items()}, -bound,
+                                False))
+        else:
+            rows.append(tighten(dict(coeffs), bound, op == "lt"))
+    eliminated = []
+    while True:
+        if any(not c and b < 0 for c, b in rows):
+            return ("unsat",)
+        rows = [r for r in rows if r[0]]
+        signs = {}
+        for c_, _ in rows:
+            for k, c in c_.items():
+                count = signs.setdefault(k, [0, 0])
+                if c > 0:
+                    count[0] += 1
+                elif c < 0:
+                    count[1] += 1
+        if not signs:
+            break
+        var = min(signs, key=lambda k: (signs[k][0] * signs[k][1], str(k)))
+        uppers = [r for r in rows if r[0].get(var, 0) > 0]
+        lowers = [r for r in rows if r[0].get(var, 0) < 0]
+        new_rows = [r for r in rows if r[0].get(var, 0) == 0]
+        eliminated.append((var, lowers, uppers))
+        for up, ub in uppers:
+            cu = up[var]
+            for lo, lb in lowers:
+                cl = -lo[var]
+                coeffs = {}
+                for k, c in up.items():
+                    if k != var:
+                        coeffs[k] = coeffs.get(k, 0) + Fraction(c, cu)
+                for k, c in lo.items():
+                    if k != var:
+                        coeffs[k] = coeffs.get(k, 0) + Fraction(c, cl)
+                coeffs = {k: c for k, c in coeffs.items() if c != 0}
+                new_rows.append(tighten(coeffs, Fraction(ub, cu) +
+                                        Fraction(lb, cl), False))
+        rows = new_rows
+    model = {}
+
+    def val(expr_coeffs, bound):
+        acc = bound
+        for k, c in expr_coeffs.items():
+            acc -= c * model.setdefault(k, Fraction(0))
+        return acc
+
+    for var, lowers, uppers in reversed(eliminated):
+        lo_bound = hi_bound = None
+        for c_, b_ in uppers:
+            rest = {k: c for k, c in c_.items() if k != var}
+            b = Fraction(val(rest, b_), c_[var])
+            hi_bound = b if hi_bound is None else min(hi_bound, b)
+        for c_, b_ in lowers:
+            rest = {k: c for k, c in c_.items() if k != var}
+            b = Fraction(-val(rest, b_), -c_[var])
+            lo_bound = b if lo_bound is None else max(lo_bound, b)
+        if lo_bound is None and hi_bound is None:
+            model[var] = Fraction(0)
+        elif lo_bound is None:
+            model[var] = Fraction(floor(hi_bound))
+        elif hi_bound is None:
+            model[var] = Fraction(-floor(-lo_bound))
+        else:
+            c = Fraction(-floor(-lo_bound))
+            model[var] = c if c <= hi_bound else \
+                Fraction(lo_bound + hi_bound, 2)
+    return ("sat", model)
+
+
+def _fm_system(nvars):
+    """Base rows over `nvars` unknowns, plus copies of them: (row index,
+    scale, bound slack, insertion position)."""
+    from fractions import Fraction
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=nvars,
+                             max_size=nvars),
+                    st.integers(-6, 6), st.sampled_from(["le", "lt", "eq"]))
+    copy = st.tuples(st.integers(0, 5),
+                     st.sampled_from([1, 2, 3, Fraction(1, 2),
+                                      Fraction(1, 3)]),
+                     st.integers(0, 3), st.integers(0, 20))
+    return st.tuples(st.lists(row, min_size=1, max_size=6),
+                     st.lists(copy, max_size=16))
+
+
+def _fm_rows(system) -> list:
+    base, copies = system
+    keys = [Skel("var", n, (), "int") for n in ("x", "y", "z", "w")]
+
+    def row(coeffs, bound, op, scale=1):
+        return ({k: c * scale for k, c in zip(keys, coeffs) if c},
+                bound * scale, op)
+
+    rows = [row(*r) for r in base]
+    for i, scale, slack, pos in copies:
+        coeffs, bound, op = base[i % len(base)]
+        rows.insert(pos % (len(rows) + 1),
+                    row(coeffs, bound + slack, op, scale))
+    return rows
+
+
+# four rows over three unknowns (the first and the last parallel), each
+# copied up to four times, scaled and loosened: repeated rows outnumber
+# distinct ones
+_HEAVY_FM = ([([1, -1, 0], 2, "le"), ([-1, 0, 1], -1, "le"),
+              ([0, 1, -1], 0, "lt"), ([-1, 1, 0], 3, "le")],
+             [(0, 2, 1, 0), (0, 3, 0, 5), (0, 1, 2, 9), (1, 1, 3, 1),
+              (1, 2, 0, 7), (2, 3, 1, 2), (2, 1, 0, 11), (3, 2, 2, 4),
+              (3, 1, 0, 13), (0, 1, 1, 6), (1, 3, 2, 3), (2, 2, 3, 8)])
+
+
+@given(st.integers(2, 4).flatmap(_fm_system))
+@example(_HEAVY_FM)
+@settings(max_examples=400, deadline=None)
+def test_fourier_motzkin_matches_fraction_oracle(system):
+    """Integer elimination over merged rows gives the outcome and the
+    candidate point of plain `Fraction` elimination, on systems whose rows
+    repeat, scaled and with looser bounds."""
+    from rsccore.solver.fm import solve as fm_solve
+    rows = _fm_rows(system)
+    assert fm_solve(rows) == _fraction_fm_solve(rows)
 
 
 @given(st.integers(-20, 20), st.integers(-9, 9))
