@@ -242,7 +242,7 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
     diags.extend(checker.diags)
 
     # -- solve ---------------------------------------------------------------
-    clauses = split_horn(checker.constraints, registry, classes)
+    clauses = split_horn(checker.constraints)
     quals = default_qualifiers() + (qualifiers or [])
     assignment = None
     if not any(d.severity == "error" for d in diags):

@@ -13,7 +13,7 @@ from ..frontend.prelude import load_prelude
 from ..infer import KvarRegistry
 from ..logic import (
     ClassTable, NameSupply, TypeEnv, WfViolation, drop_kvars, selfify,
-    sort_of_base, strengthen, wf_type,
+    strengthen, wf_type,
 )
 from ..solver import Query, SolverConfig, check_valid
 from ..syntax import (
@@ -266,10 +266,8 @@ class Checker:
                               f" {b2.name}"
             inv = self.classes.class_inv(b2.name, TValueVar())
             hyp = p_and(drop_kvars(env2.embed()), drop_kvars(t.pred))
-            sorts = env2.sorts()
-            sorts["%v"] = sort_of_base(b1)
-            self._add_field_sorts(sorts)
-            verdict = check_valid(Query.make(sorts, hyp, inv), self.config)
+            verdict = check_valid(Query.make(env2.query_sorts(b1), hyp, inv),
+                                  self.config)
             if not verdict.is_valid:
                 why = verdict.reason or verdict.model or "not provable"
                 return False, (f"cannot prove the invariants of {b2.name}:"
@@ -286,16 +284,6 @@ class Checker:
             return False, (f"base mismatch: cannot cast {_base_str(b1)}"
                            f" to {_base_str(b2)}")
         return False, "unsupported cast target"
-
-    def _add_field_sorts(self, sorts: dict):
-        for cname, decl in self.classes.decls.items():
-            for f in decl.fields:
-                t = f.rtype
-                while isinstance(t, RExists):
-                    t = t.body
-                if isinstance(t, RBase):
-                    sorts.setdefault(f"%field:{f.name}",
-                                     sort_of_base(t.base))
 
     # -- expressions --------------------------------------------------------------
 

@@ -9,13 +9,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .logic import TypeEnv, WfViolation, sort_of_base, wf_pred
-
+from .logic import TypeEnv, WfViolation, wf_pred
 from .solver import Query, SolverConfig, Verdict, check_valid
 from .syntax import (
     Base, P_TRUE, PAtom, PKvar, Pred, RBase, RType, TBuiltin, TConst,
-    TUF, TValueVar, TVar, Term, conjuncts_of, p_and, pred_str, pred_subst,
-    term_str,
+    TUF, TValueVar, TVar, Term, conjuncts_of, p_and, pred_free_vars,
+    pred_str, pred_subst, term_str,
 )
 
 PLACEHOLDER = "★"
@@ -32,16 +31,7 @@ class Qualifier:
         return pred_subst(self.body, {PLACEHOLDER: t})
 
     def has_placeholder(self) -> bool:
-        return PLACEHOLDER in _pred_names(self.body)
-
-
-def _pred_names(p: Pred) -> set:
-    from .syntax import pred_free_vars
-    return pred_free_vars(p)
-
-
-def _q(name: str, body: Pred) -> Qualifier:
-    return Qualifier(name, body)
+        return PLACEHOLDER in pred_free_vars(self.body)
 
 
 def default_qualifiers() -> list:
@@ -51,14 +41,14 @@ def default_qualifiers() -> list:
     hole = TVar(PLACEHOLDER)
     lenh = TUF("len", (hole,))
     return [
-        _q("zeroLe", PAtom(TBuiltin("le", (TConst(0), v)))),
-        _q("zeroLt", PAtom(TBuiltin("lt", (TConst(0), v)))),
-        _q("ltVar", PAtom(TBuiltin("lt", (v, hole)))),
-        _q("leVar", PAtom(TBuiltin("le", (v, hole)))),
-        _q("eqVar", PAtom(TBuiltin("eq", (v, hole)))),
-        _q("ltLen", PAtom(TBuiltin("lt", (v, lenh)))),
-        _q("leLen", PAtom(TBuiltin("le", (v, lenh)))),
-        _q("eqLen", PAtom(TBuiltin("eq", (v, lenh)))),
+        Qualifier("zeroLe", PAtom(TBuiltin("le", (TConst(0), v)))),
+        Qualifier("zeroLt", PAtom(TBuiltin("lt", (TConst(0), v)))),
+        Qualifier("ltVar", PAtom(TBuiltin("lt", (v, hole)))),
+        Qualifier("leVar", PAtom(TBuiltin("le", (v, hole)))),
+        Qualifier("eqVar", PAtom(TBuiltin("eq", (v, hole)))),
+        Qualifier("ltLen", PAtom(TBuiltin("lt", (v, lenh)))),
+        Qualifier("leLen", PAtom(TBuiltin("le", (v, lenh)))),
+        Qualifier("eqLen", PAtom(TBuiltin("eq", (v, lenh)))),
     ]
 
 
@@ -72,10 +62,10 @@ def load_qualifier_file(path: str) -> list:
             if not line or line.startswith("//"):
                 continue
             pred = parse_qualifier_line(line, path, i)
-            if pred_str(pred) in seen:
+            if pred in seen:
                 continue
-            seen.add(pred_str(pred))
-            out.append(_q(f"user{i}", pred))
+            seen.add(pred)
+            out.append(Qualifier(f"user{i}", pred))
     return out
 
 
@@ -161,8 +151,7 @@ def split_pred(p: Pred) -> tuple:
     return p_and(*concrete), kapps
 
 
-def split_horn(constraints: list, registry: KvarRegistry,
-               classes) -> list:
+def split_horn(constraints: list) -> list:
     """Subtyping constraints -> Horn clauses (one clause per head
     conjunct); well-formedness constraints contribute no clauses, their
     scopes were recorded at template creation."""
@@ -176,7 +165,7 @@ def split_horn(constraints: list, registry: KvarRegistry,
         lhs_concrete, lhs_kapps = split_pred(lhs.pred)
         hyp = p_and(hyp_embed, lhs_concrete)
         kapps = hyp_kapps + lhs_kapps
-        sorts = _clause_sorts(env, lhs, rhs, classes)
+        sorts = env.query_sorts(lhs.base)
         for conj in conjuncts_of(rhs.pred) or [P_TRUE]:
             if isinstance(conj, PKvar):
                 head = ("k", conj.kid, dict(conj.subst))
@@ -185,21 +174,6 @@ def split_horn(constraints: list, registry: KvarRegistry,
             out.append(HornClause(hyp, kapps, head, sorts, c.span, c.rule,
                                   c.cid, c.unit))
     return out
-
-
-def _clause_sorts(env: TypeEnv, lhs: RType, rhs: RType, classes) -> dict:
-    sorts = env.sorts()
-    sorts["%v"] = sort_of_base(lhs.base)
-    # field-path result sorts harvested from the class table
-    for cname, decl in classes.decls.items():
-        for f in decl.fields:
-            t = f.rtype
-            while hasattr(t, "body"):
-                t = t.body
-            if isinstance(t, RBase):
-                key = f"%field:{f.name}"
-                sorts.setdefault(key, sort_of_base(t.base))
-    return sorts
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +217,11 @@ def initial_assignment(registry: KvarRegistry, qualifiers: list) -> dict:
         seen: set = set()
 
         def keep(p: Pred):
-            key = pred_str(p)
-            if key in seen:
+            if p in seen:
                 return
             if wf_pred(info.scope, p, info.base):
                 return  # ill-sorted for this scope
-            seen.add(key)
+            seen.add(p)
             cands.append(p)
 
         for q in qualifiers:
@@ -361,15 +334,11 @@ def recheck_all(clauses: list, assignment: KvarAssignment,
 
 
 def preds_equivalent(env: TypeEnv, vee_base: Base, p1: Pred, p2: Pred,
-                     config: Optional[SolverConfig] = None,
-                     extra_sorts: Optional[dict] = None) -> bool:
+                     config: Optional[SolverConfig] = None) -> bool:
     """Logical equivalence of two refinements under an environment, by
     mutual implication."""
     config = config or SolverConfig()
-    sorts = env.sorts()
-    sorts["%v"] = sort_of_base(vee_base)
-    if extra_sorts:
-        sorts.update(extra_sorts)
+    sorts = env.query_sorts(vee_base)
     hyp = env.embed()
     q1 = Query.make(sorts, p_and(hyp, p1), p2)
     q2 = Query.make(sorts, p_and(hyp, p2), p1)

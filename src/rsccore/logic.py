@@ -86,6 +86,17 @@ class ClassTable:
                                 " inherited method")
                         seen_methods.add(m.name)
                     cur = self.decls.get(cur.parent) if cur.parent else None
+        # the solver's sort of each field path `%field:<name>`; the first
+        # class declaring the name wins
+        self.field_sorts: dict[str, Sort] = {}
+        for c in self.decls.values():
+            for f in c.fields:
+                t = f.rtype
+                while isinstance(t, RExists):
+                    t = t.body
+                if isinstance(t, RBase):
+                    self.field_sorts.setdefault(f"%field:{f.name}",
+                                                sort_of_base(t.base))
 
     def has_class(self, name: str) -> bool:
         return name == "Object" or name in self.decls
@@ -352,6 +363,13 @@ class TypeEnv:
                 out[item.name] = sort_of_base(item.rtype.base)
         return out
 
+    def query_sorts(self, vee_base: Base) -> dict:
+        """The sort table of a validity query under this environment: the
+        bindings, the value variable `%v` at `vee_base`, and every field
+        path of the class table."""
+        return {**self.classes.field_sorts, **self.sorts(),
+                "%v": sort_of_base(vee_base)}
+
     def base_of(self, name: str) -> Optional[Base]:
         t = self.lookup(name)
         if isinstance(t, RBase):
@@ -548,13 +566,3 @@ def drop_kvars(p: Pred, positive: bool = True) -> Pred:
     if isinstance(p, PNot):
         return PNot(drop_kvars(p.pred, not positive))
     return p
-
-
-def has_kvars(p: Pred) -> bool:
-    if isinstance(p, PKvar):
-        return True
-    if isinstance(p, PAnd):
-        return any(has_kvars(c) for c in p.conjuncts)
-    if isinstance(p, PNot):
-        return has_kvars(p.pred)
-    return False

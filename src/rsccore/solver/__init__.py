@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..semantics.values import ARITH, StuckError
-from ..syntax import Pred, pred_str
+from ..syntax import Pred
 from .euf import CongruenceClosure
 from .fm import solve as fm_solve
 from .normal import (
@@ -42,9 +42,6 @@ class Query:
     def sort_map(self) -> dict:
         return dict(self.sorts)
 
-    def key(self) -> str:
-        return f"{self.sorts}|{pred_str(self.hyp)}|{pred_str(self.goal)}"
-
 
 @dataclass
 class Verdict:
@@ -63,13 +60,13 @@ class SolverConfig:
     command: Optional[str] = None
     timeout_ms: int = 10_000
 
+    # Query -> Verdict; a config's backend is fixed at construction
     _cache: dict = field(default_factory=dict, repr=False)
 
 
 def check_valid(q: Query, config: Optional[SolverConfig] = None) -> Verdict:
     config = config or SolverConfig()
-    key = (config.backend, q.key())
-    hit = config._cache.get(key)
+    hit = config._cache.get(q)
     if hit is not None:
         return hit
     if config.backend == "external":
@@ -77,7 +74,7 @@ def check_valid(q: Query, config: Optional[SolverConfig] = None) -> Verdict:
         v = check_external(q, config)
     else:
         v = _check_internal(q)
-    config._cache[key] = v
+    config._cache[q] = v
     return v
 
 

@@ -100,7 +100,18 @@ class TVar:
 
 @dataclass(frozen=True)
 class TConst:
+    """A literal; equality and hash see the literal's type, so `1` and
+    `true` (equal in Python) stay distinct terms."""
+
     value: Literal
+
+    def __eq__(self, other):
+        return other.__class__ is TConst and \
+            type(self.value) is type(other.value) and \
+            self.value == other.value
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)
@@ -465,29 +476,6 @@ def base_subst(t: RType, m: dict) -> RType:
                     base_subst(t.ret, m2), t.tyvars, t.precond)
     if isinstance(t, RInter):
         return RInter(tuple(base_subst(c, m) for c in t.conjuncts))
-    raise TypeError(t)
-
-
-def type_base_vars(t: RType) -> set[str]:
-    if isinstance(t, RBase):
-        if isinstance(t.base, BVar):
-            return {t.base.name}
-        if isinstance(t.base, BArr):
-            return type_base_vars(t.base.elem)
-        return set()
-    if isinstance(t, RExists):
-        return type_base_vars(t.bound) | type_base_vars(t.body)
-    if isinstance(t, RFun):
-        out = set()
-        for _, pt in t.params:
-            out |= type_base_vars(pt)
-        out |= type_base_vars(t.ret)
-        return out - set(t.tyvars)
-    if isinstance(t, RInter):
-        out = set()
-        for c in t.conjuncts:
-            out |= type_base_vars(c)
-        return out
     raise TypeError(t)
 
 

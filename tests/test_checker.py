@@ -394,8 +394,9 @@ def test_loop_with_two_accumulators_decides():
 
 def test_corpus_solver_counters(monkeypatch):
     """Checking the corpus, each file with a fresh solver config, makes
-    a fixed number of validity queries, verdicts and Fourier-Motzkin
-    calls; an optimization of the solver must leave all of them equal."""
+    a fixed number of validity queries, verdicts, cache misses (internal
+    solver runs) and Fourier-Motzkin calls; an optimization of the solver
+    must leave all of them equal."""
     import collections
     import sys
 
@@ -404,12 +405,17 @@ def test_corpus_solver_counters(monkeypatch):
 
     counts = collections.Counter()
     check_valid, fm_solve = solver.check_valid, fm.solve
+    check_internal = solver._check_internal
 
     def counted_check_valid(*args, **kwargs):
         verdict = check_valid(*args, **kwargs)
         counts["queries"] += 1
         counts[verdict.status] += 1
         return verdict
+
+    def counted_check_internal(*args, **kwargs):
+        counts["runs"] += 1
+        return check_internal(*args, **kwargs)
 
     def counted_fm_solve(*args, **kwargs):
         counts["fm"] += 1
@@ -421,9 +427,11 @@ def test_corpus_solver_counters(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is check_valid:
                     monkeypatch.setattr(mod, attr, counted_check_valid)
+                elif value is check_internal:
+                    monkeypatch.setattr(mod, attr, counted_check_internal)
                 elif value is fm_solve:
                     monkeypatch.setattr(mod, attr, counted_fm_solve)
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
     assert dict(counts) == {"queries": 1209, "valid": 487, "invalid": 510,
-                            "unknown": 212, "fm": 1007}
+                            "unknown": 212, "runs": 1158, "fm": 1007}

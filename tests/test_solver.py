@@ -22,7 +22,7 @@ from rsccore.solver import (
     Query, SolverConfig, Verdict, check_valid, const_fold, emit_smtlib,
 )
 from rsccore.syntax import (
-    PAtom, PNot, TBuiltin, TConst, TUF, TValueVar, TVar, p_and, p_eq,
+    P_TRUE, PAtom, PNot, TBuiltin, TConst, TUF, TValueVar, TVar, p_and, p_eq,
 )
 
 V = TValueVar()
@@ -87,6 +87,26 @@ def test_simple_invalid_with_model():
     v = check_valid(q)
     assert v.status == "invalid"
     assert "%v = 0" in v.model
+
+
+def test_verdict_cache_tells_apart_queries_that_print_alike():
+    """Queries that print the same but differ as values keep their own
+    verdicts in one config: a program variable `v` beside the value
+    variable, and the literal `1` beside `true`."""
+    assert TConst(1) != TConst(True) and TConst(0) != TConst(False)
+    assert PAtom(TConst(1)) != P_TRUE
+    x, v = TVar("x"), TVar("v")
+    cfg = SolverConfig()
+    sorts = {"v": S_INT, "%v": S_INT}
+    assert check_valid(_q(sorts, p_eq(v, TConst(0)), p_eq(v, TConst(0))),
+                       cfg).status == "valid"
+    assert check_valid(_q(sorts, p_eq(V, TConst(0)), p_eq(v, TConst(0))),
+                       cfg).status == "invalid"
+    sorts = {"x": S_INT}
+    assert check_valid(_q(sorts, p_eq(x, TConst(1)), p_eq(x, TConst(1))),
+                       cfg).status == "valid"
+    assert check_valid(_q(sorts, p_eq(x, TConst(1)), p_eq(x, TConst(True))),
+                       cfg).status == "unknown"
 
 
 def test_const_fold_grid_size():
