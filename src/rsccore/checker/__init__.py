@@ -13,8 +13,8 @@ from ..logic import ClassTable, NameSupply, TypeEnv, WfViolation, wf_pred, wf_ty
 from ..solver import SolverConfig
 from ..ssa import SsaErrors, ssa_program
 from ..syntax import (
-    BClass, ClassDecl, EConst, FuncDecl, P_TRUE, Program, RBase, RFun,
-    RInter, RType, SourceSpan, trivially_refine, walk_body, stmt_exprs,
+    BClass, ClassDecl, EConst, FuncDecl, P_TRUE, Program, RBase, RExists,
+    RFun, RInter, RType, SourceSpan, trivially_refine, walk_body, stmt_exprs,
     walk_expr, BReturn, BSeq, BIte,
 )
 from .constraints import Constraint, Diagnostic
@@ -162,7 +162,6 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
 
     # -- functions ---------------------------------------------------------
     from ..semantics.frsc import subst_expr
-    from ..syntax import EConst as _EConst
 
     for f in check_funcs:
         if f.body is None or f.signature is None:
@@ -184,7 +183,7 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
             if sig.precond != P_TRUE:
                 env = env.guard(sig.precond)
             body = subst_expr(sf.body,
-                              {"#argc": _EConst(len(sig.params), nid=0)})
+                              {"#argc": EConst(len(sig.params), nid=0)})
             t_body = checker.check_expr(env, body)
             if sig.ret is None:
                 inferred = _trivial_ret(t_body)
@@ -221,7 +220,7 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
                 if m.precond != P_TRUE:
                     env = env.guard(m.precond)
                 body = subst_expr(sm.body,
-                                  {"#argc": _EConst(len(m.params), nid=0)})
+                                  {"#argc": EConst(len(m.params), nid=0)})
                 t_body = checker.check_expr(env, body)
                 if not m.is_ctor:
                     checker.sub(env, t_body, m.ret, m.span, "RET")
@@ -277,7 +276,6 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
 
 
 def _trivial_ret(t: RType) -> RType:
-    from ..syntax import RExists
     while isinstance(t, RExists):
         t = t.body
     if isinstance(t, RBase):

@@ -23,7 +23,8 @@ from ..syntax import (
     P_TRUE, PAtom, PNot, RBase, RExists, RFun, RInter, RType,
     R_BOOL, R_BOT, R_UNDEF, R_NULL, SourceSpan, TBuiltin,
     TConst, TField, TThis, TUF, TValueVar, TVar, Term, UNDEFINED,
-    p_and, p_eq, pred_subst, trivially_refine, type_str, type_subst,
+    base_str, base_subst, conjuncts_of, p_and, p_eq, pred_subst,
+    trivially_refine, type_str, type_subst,
 )
 from .constraints import Constraint, Diagnostic
 
@@ -221,8 +222,8 @@ class Checker:
                          t2.pred)
             self.emit_sub_atomic(env, t1, RBase(b1, goal), span, rule)
             return
-        self.abort(span, rule, f"base type mismatch: {_base_str(b1)} is not"
-                   f" compatible with {_base_str(b2)}")
+        self.abort(span, rule, f"base type mismatch: {base_str(b1)} is not"
+                   f" compatible with {base_str(b2)}")
 
     def _sub_fun(self, env: TypeEnv, f1: RFun, f2: RFun, span, rule):
         if len(f1.params) != len(f2.params):
@@ -262,7 +263,7 @@ class Checker:
         b1, b2 = t.base, t2.base
         if isinstance(b2, BClass):
             if not isinstance(b1, (BClass, BVar)):
-                return False, f"cannot cast {_base_str(b1)} to class" \
+                return False, f"cannot cast {base_str(b1)} to class" \
                               f" {b2.name}"
             inv = self.classes.class_inv(b2.name, TValueVar())
             hyp = p_and(drop_kvars(env2.embed()), drop_kvars(t.pred))
@@ -281,8 +282,8 @@ class Checker:
             if _same_base(b1, b2) or isinstance(b1, BVar):
                 self.sub(env2, t, t2, span, "LQ-CHK-CAST")
                 return True, None
-            return False, (f"base mismatch: cannot cast {_base_str(b1)}"
-                           f" to {_base_str(b2)}")
+            return False, (f"base mismatch: cannot cast {base_str(b1)}"
+                           f" to {base_str(b2)}")
         return False, "unsupported cast target"
 
     # -- expressions --------------------------------------------------------------
@@ -500,9 +501,9 @@ class Checker:
                                     span.line, span.col))
                     self.emit_wf(env, bsub[tv], span, rule)
             sig = RFun(
-                tuple((n, _base_subst_safe(pt, bsub))
+                tuple((n, base_subst(pt, bsub))
                       for n, pt in sig.params),
-                _base_subst_safe(sig.ret, bsub) if sig.ret is not None
+                base_subst(sig.ret, bsub) if sig.ret is not None
                 else None,
                 (), sig.precond)
         # dependent parameter passing
@@ -762,7 +763,7 @@ class Checker:
                 return b1
         self.abort(span, "LQ-CHK-CTX-LETIF",
                    f"branches join values of incompatible base types"
-                   f" {_base_str(b1)} and {_base_str(b2)} (annotate the"
+                   f" {base_str(b1)} and {base_str(b2)} (annotate the"
                    " variable per overload if this is an overloaded"
                    " function)")
 
@@ -844,13 +845,7 @@ def _same_base(b1: Base, b2: Base) -> bool:
     return False
 
 
-def _base_str(b: Base) -> str:
-    from ..syntax import base_str
-    return base_str(b)
-
-
 def _selfification_witness(t: RType) -> Optional[Term]:
-    from ..syntax import conjuncts_of
     if not isinstance(t, RBase):
         return None
     for c in conjuncts_of(t.pred):
@@ -894,11 +889,6 @@ def _unify_bases(param: RType, arg: RType, tyvars: set, inst: dict):
             _unify_bases(p, a, tyvars, inst)
         if param.ret is not None and arg.ret is not None:
             _unify_bases(param.ret, arg.ret, tyvars, inst)
-
-
-def _base_subst_safe(t: RType, bsub: dict) -> RType:
-    from ..syntax import base_subst
-    return base_subst(t, bsub)
 
 
 def _replace_core(t: RType, core: RBase) -> RType:

@@ -13,11 +13,12 @@ from typing import Optional
 
 from ..logic import ClassTable
 from ..syntax import (
-    BIte, BReturn, BSeq, Body, ClassDecl, EFieldRead, EFuncCall,
-    EMethodCall, EThis, EVar, Expr, MethodDecl, P_TRUE, PAtom, Pred,
-    RBase, RFun, RType, SExprStmt, SFieldAssign, SIte, SSeq, SSkip,
-    SVarDecl, SWhile, SAssign, Stmt, TConst, TThis, TUF, TVar, Term,
-    expr_children, next_node_id, walk_stmts,
+    BArr, BClass, BIte, BPrim, BReturn, BSeq, Body, ClassDecl, EFieldRead,
+    EFuncCall, EMethodCall, EThis, EVar, Expr, MethodDecl, P_TRUE, PAnd,
+    PAtom, PKvar, PNot, Pred, RBase, RExists, RFun, RType, SExprStmt,
+    SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SAssign, Stmt,
+    TBuiltin, TConst, TField, TThis, TUF, TVar, Term, expr_children,
+    next_node_id, p_and, walk_stmts,
 )
 
 CTOR_INIT = "ctor_init"
@@ -45,24 +46,21 @@ def _field_param(f: str) -> str:
 def _paths_to_params(t, fields: list):
     """Replace this.f paths by the corresponding local parameter name in a
     type or predicate."""
-    sub = {}
     # handled via a term-level rewrite: TField(TThis, f) -> TVar(_f)
     def rw_term(u: Term) -> Term:
-        from ..syntax import TBuiltin, TUF as _TUF, TField as _TField
-        if isinstance(u, _TField) and isinstance(u.base, TThis):
+        if isinstance(u, TField) and isinstance(u.base, TThis):
             if u.fname in fields:
                 return TVar(_field_param(u.fname))
             return u
-        if isinstance(u, _TField):
-            return _TField(rw_term(u.base), u.fname)
+        if isinstance(u, TField):
+            return TField(rw_term(u.base), u.fname)
         if isinstance(u, TBuiltin):
             return TBuiltin(u.op, tuple(rw_term(a) for a in u.args))
-        if isinstance(u, _TUF):
-            return _TUF(u.fname, tuple(rw_term(a) for a in u.args))
+        if isinstance(u, TUF):
+            return TUF(u.fname, tuple(rw_term(a) for a in u.args))
         return u
 
     def rw_pred(p: Pred) -> Pred:
-        from ..syntax import PAnd, PNot, PKvar
         if isinstance(p, PAnd):
             return PAnd(tuple(rw_pred(c) for c in p.conjuncts))
         if isinstance(p, PNot):
@@ -72,7 +70,6 @@ def _paths_to_params(t, fields: list):
         return PAtom(rw_term(p.term))
 
     def rw_type(ty: RType) -> RType:
-        from ..syntax import BArr, RExists
         if isinstance(ty, RBase):
             b = ty.base
             if isinstance(b, BArr):
@@ -92,7 +89,7 @@ def ctor_init_signature(classes: ClassTable, cname: str) -> CtorInfo:
     (inherited first), typed at the declared field type with this-rooted
     paths redirected to the sibling parameters; the declared class
     invariant becomes its precondition."""
-    fields = classes.fields_of(RBase(_bclass(cname), P_TRUE), TThis(),
+    fields = classes.fields_of(RBase(BClass(cname), P_TRUE), TThis(),
                                strengthen_with_refinement=False)
     fnames = [n for _, n, _ in fields]
     params = []
@@ -103,26 +100,16 @@ def ctor_init_signature(classes: ClassTable, cname: str) -> CtorInfo:
     # `this` does not exist yet at initialization time; invariant conjuncts
     # about raw inclusion hold by construction
     precond = _strip_structural(precond, classes, cname)
-    sig = RFun(tuple(params), RBase(_bprim_void(), P_TRUE), (), precond)
+    sig = RFun(tuple(params), RBase(BPrim("undefined"), P_TRUE), (),
+               precond)
     return CtorInfo(cname, [(p, f) for (p, _), f in
                             zip(params, [f for _, _, f in fields])],
                     sig, {})
 
 
-def _bclass(name):
-    from ..syntax import BClass
-    return BClass(name)
-
-
-def _bprim_void():
-    from ..syntax import BPrim
-    return BPrim("undefined")
-
-
 def _strip_structural(p: Pred, classes: ClassTable, cname: str) -> Pred:
     """instanceof(this, D) facts hold by construction inside the
     constructor; replace them by true in the initializer's obligation."""
-    from ..syntax import PAnd, PNot, p_and
     if isinstance(p, PAnd):
         return p_and(*[_strip_structural(c, classes, cname)
                        for c in p.conjuncts])
@@ -165,7 +152,7 @@ def ctor_rewrite(cls: ClassDecl, classes: ClassTable) -> MethodDecl:
     for m in cls.methods:
         if m.is_ctor:
             ctor = m
-    fields = classes.fields_of(RBase(_bclass(cls.name), P_TRUE), TThis(),
+    fields = classes.fields_of(RBase(BClass(cls.name), P_TRUE), TThis(),
                                strengthen_with_refinement=False)
     fnames = [n for _, n, _ in fields]
     if ctor is None:
@@ -177,8 +164,8 @@ def ctor_rewrite(cls: ClassDecl, classes: ClassTable) -> MethodDecl:
                                  nid=next_node_id()),
                        nid=next_node_id(), span=cls.span)
         return MethodDecl("constructor", [], P_TRUE,
-                          RBase(_bprim_void(), P_TRUE), body, (), cls.span,
-                          is_ctor=True), {}
+                          RBase(BPrim("undefined"), P_TRUE), body, (),
+                          cls.span, is_ctor=True), {}
 
     assigned: dict[str, Optional[str]] = {}
     new_body, _ = _rewrite_body(ctor.body, fnames, assigned, cls.span)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from ..frontend.desugar import _clone
 from ..frontend.prelude import load_prelude
 from ..syntax import (
-    Body, EArgsLen, EConst, FuncDecl, Program, RFun, RInter, next_node_id,
+    BClass, Body, EArgsLen, EConst, FuncDecl, P_TRUE, Program, RBase, RFun,
+    RInter, TThis, next_node_id,
 )
 from .shapes import ShapeChecker
 
@@ -56,7 +57,6 @@ def make_shape_checker(program: Program) -> ShapeChecker:
     checker = ShapeChecker(fn_shapes, class_fields, class_methods, prelude)
     from ..logic import ClassTable
     ct = ClassTable(program)
-    from ..syntax import P_TRUE, RBase, BClass, TThis
     for c in program.classes:
         fields = {}
         for mut, name, ft in ct.fields_of(RBase(BClass(c.name), P_TRUE),

@@ -145,22 +145,10 @@ def _cmd_check(ns) -> int:
     if ns.qualifiers:
         quals = load_qualifier_file(ns.qualifiers)
     if ns.dump_ssa:
-        sp, _ = ssa_program(program)
-        for name in sorted(sp.functions):
-            f = sp.functions[name]
-            if f.body is None:
-                continue
-            print(f"function {name}({', '.join(f.params)}) =")
-            print(expr_str(f.body))
-            print()
-        for (cname, mname) in sorted(sp.methods):
-            m = sp.methods[(cname, mname)]
-            print(f"method {cname}.{mname}({', '.join(m.params)}) =")
-            print(expr_str(m.body))
-            print()
-        if sp.top is not None:
-            print("top =")
-            print(expr_str(sp.top))
+        try:
+            _print_ssa(ssa_program(program)[0])
+        except SsaErrors:
+            pass  # check_program reports them as diagnostics
     result = check_program(program, config, quals,
                            strict_unknown=ns.strict_unknown)
     if ns.dump_vcs:
@@ -185,6 +173,24 @@ def _cmd_check(ns) -> int:
             print(d.render(), file=sys.stderr)
         print("VERIFIED" if result.ok else "ERRORS", file=sys.stderr)
     return 0 if result.ok else 1
+
+
+def _print_ssa(sp) -> None:
+    for name in sorted(sp.functions):
+        f = sp.functions[name]
+        if f.body is None:
+            continue
+        print(f"function {name}({', '.join(f.params)}) =")
+        print(expr_str(f.body))
+        print()
+    for (cname, mname) in sorted(sp.methods):
+        m = sp.methods[(cname, mname)]
+        print(f"method {cname}.{mname}({', '.join(m.params)}) =")
+        print(expr_str(m.body))
+        print()
+    if sp.top is not None:
+        print("top =")
+        print(expr_str(sp.top))
 
 
 def _cmd_run(ns) -> int:

@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..syntax import (
-    Body, ClassDecl, FieldDecl, FuncDecl, MethodDecl, NO_SPAN, P_TRUE,
-    Program, RFun, RInter, RType, SourceSpan, TVar, TypeAliasDecl,
-    type_subst, walk_stmts,
+    BArr, BVar, Body, ClassDecl, ECast, FieldDecl, FuncDecl, MethodDecl,
+    NO_SPAN, P_TRUE, Program, R_UNDEF, RBase, RExists, RFun, RInter, RType,
+    SourceSpan, TVar, TypeAliasDecl, pred_subst, type_subst, walk_stmts,
 )
 from .desugar import (hoist_stmts, lift_nested, merge_redeclarations, to_body, wrap_global_fn_refs)
 from .lexer import LexError
@@ -35,8 +35,6 @@ def parse_annotation_text(text: str, span: SourceSpan = NO_SPAN):
 
 def _collect_tyvars(sig: RFun) -> tuple:
     """Explicit type variables plus free base variables, in first-use order."""
-    from ..syntax import BArr, BVar, RBase, RExists, RFun as _RFun, RInter
-
     order: list[str] = list(sig.tyvars)
 
     def visit(t):
@@ -48,7 +46,7 @@ def _collect_tyvars(sig: RFun) -> tuple:
         elif isinstance(t, RExists):
             visit(t.bound)
             visit(t.body)
-        elif isinstance(t, _RFun):
+        elif isinstance(t, RFun):
             for _, pt in t.params:
                 visit(pt)
             visit(t.ret)
@@ -80,7 +78,6 @@ def _rename_sig(sig: RFun, names: list[str], span: SourceSpan) -> RFun:
     ret = type_subst(sig.ret, ren) if ren and sig.ret is not None else sig.ret
     precond = sig.precond
     if ren and precond != P_TRUE:
-        from ..syntax import pred_subst
         precond = pred_subst(precond, ren)
     return RFun(tuple(out_params), ret, sig.tyvars, precond)
 
@@ -118,7 +115,6 @@ def _with_tyvars(sig: RFun) -> RFun:
 
 def _resolve_casts(node, resolver: TypeResolver):
     from dataclasses import fields as dc_fields
-    from ..syntax import ECast
     if isinstance(node, list):
         for c in node:
             _resolve_casts(c, resolver)
@@ -244,7 +240,6 @@ def parse_program(text: str, fname: str = "<input>") -> Program:
             body = _finish_body(m.stmts, m.span,
                                 "this" if m.is_ctor else "undefined",
                                 params=tuple(p.name for p in m.params))
-            from ..syntax import R_UNDEF
             ret = sig.ret if sig.ret is not None else R_UNDEF
             methods.append(MethodDecl(m.name, list(sig.params), sig.precond,
                                       ret, body, sig.tyvars, m.span,

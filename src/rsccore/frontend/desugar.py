@@ -9,8 +9,8 @@ from dataclasses import fields as dc_fields
 from ..syntax import (
     BIte, BReturn, BSeq, Body, EClosure, EConst, EFuncCall, EThis, EVar,
     Expr, SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl,
-    SWhile, SourceSpan, Stmt, UNDEFINED, next_node_id, seq_stmts,
-    walk_stmts,
+    SWhile, SourceSpan, Stmt, UNDEFINED, expr_children, next_node_id,
+    seq_stmts, walk_stmts,
 )
 from .parser import ETernary, NestedFunc, ParseError, RawFunc, SReturn
 
@@ -105,7 +105,6 @@ def _contains_ternary(e: Expr) -> bool:
 def _expr_children(e) -> list:
     if isinstance(e, ETernary):
         return [e.cond, e.then_e, e.else_e]
-    from ..syntax import expr_children
     return expr_children(e)
 
 

@@ -44,7 +44,7 @@ def _ident_char(c: str) -> bool:
     return c.isalnum() or c in "_$#"
 
 
-def lex(src: str, fname: str = "<input>", keep_annots: bool = True) -> list[Token]:
+def lex(src: str, fname: str = "<input>") -> list[Token]:
     toks: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(src)
@@ -81,8 +81,7 @@ def lex(src: str, fname: str = "<input>", keep_annots: bool = True) -> list[Toke
                 else:
                     col += 1
             i = j + 2
-            if keep_annots:
-                toks.append(Token("annot", text, span_from(start, sl, sc, i)))
+            toks.append(Token("annot", text, span_from(start, sl, sc, i)))
             continue
         if src.startswith("/*", i):
             sl, sc, start = line, col, i

@@ -11,7 +11,7 @@ from ..syntax import (
     EConst, EFieldRead, EFuncCall, EMethodCall, ENew, EThis, EVar, ECast,
     EArgsLen, Expr, Node, NULL, P_TRUE, Pred, RType, SExprStmt,
     SFieldAssign, SAssign, SIte, SSkip, SVarDecl, SWhile, SourceSpan,
-    Stmt, UNDEFINED, next_node_id, seq_stmts,
+    Stmt, UNDEFINED, next_node_id, p_and, seq_stmts,
 )
 from .lexer import TokenStream, lex
 from .types_parser import (
@@ -183,7 +183,6 @@ class Parser:
         methods: list[RawFunc] = []
         invariant: Pred = P_TRUE
         pending: Optional[Annot] = None
-        from ..syntax import p_and
         while not ts.eat("}"):
             tok = ts.peek()
             if tok.kind == "eof":

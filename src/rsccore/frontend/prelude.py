@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..syntax import NO_SPAN, RType
+from ..syntax import NO_SPAN, RType, TypeAliasDecl
 from .lexer import TokenStream, lex
 from .types_parser import TypeParser
 
@@ -61,7 +61,6 @@ def _parse_sig(text: str) -> RType:
 @lru_cache(maxsize=1)
 def raw_prelude_aliases() -> dict:
     """Alias table with unresolved bodies, merged into every program."""
-    from ..syntax import TypeAliasDecl
     out = {}
     for name, (params, body) in PRELUDE_ALIASES.items():
         plist = [p.strip() for p in params.split(",") if p.strip()]

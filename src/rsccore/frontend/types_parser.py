@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..syntax import (
-    BArr, BClass, BVar, B_BOOL, B_NULL, B_NUM, B_STR, B_UNDEF, P_TRUE,
-    PAtom, Pred, RBase, RExists, RFun, RInter, RType, SourceSpan,
-    TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term,
+    BArr, BClass, BVar, B_BOOL, B_NULL, B_NUM, B_STR, B_UNDEF, NULL,
+    P_TRUE, PAtom, Pred, RBase, RExists, RFun, RInter, RType, SourceSpan,
+    TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term, UNDEFINED,
     base_subst, p_and, p_implies, p_not, p_or, type_subst,
     trivially_refine,
 )
@@ -159,11 +159,9 @@ class PredParser:
             return TConst(False)
         if tok.text == "undefined":
             ts.next()
-            from ..syntax import UNDEFINED
             return TConst(UNDEFINED)
         if tok.text == "null":
             ts.next()
-            from ..syntax import NULL
             return TConst(NULL)
         if tok.text == "this":
             ts.next()

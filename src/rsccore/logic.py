@@ -307,10 +307,10 @@ class TypeEnv:
 
     # -- embedding -------------------------------------------------------------
 
-    def embed(self, with_axioms: bool = True) -> Pred:
+    def embed(self) -> Pred:
         """Conjunction of all guards and of each binding's refinement with
-        the bound name substituted for the value variable (plus base-sort
-        axioms unless disabled)."""
+        the bound name substituted for the value variable, plus base-sort
+        axioms."""
         parts: list[Pred] = []
         for item in self.items:
             if isinstance(item, Guard):
@@ -322,8 +322,7 @@ class TypeEnv:
             w = TVar(item.name)
             if t.pred != P_TRUE:
                 parts.append(pred_subst(t.pred, {"v": w}))
-            if with_axioms:
-                parts.extend(self._axioms(t.base, w, item.raw_class))
+            parts.extend(self._axioms(t.base, w, item.raw_class))
         return p_and(*parts)
 
     def _axioms(self, b: Base, w: Term, raw_class: bool) -> list:

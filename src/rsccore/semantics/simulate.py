@@ -63,13 +63,11 @@ class ConfigTranslator:
 
     # -- expressions -------------------------------------------------------------
 
-    def expr(self, e: Expr, store: dict, bound: set,
-             ren: Optional[dict] = None) -> Expr:
+    def expr(self, e: Expr, store: dict, bound: set, ren: dict) -> Expr:
         """Rename a (possibly partially evaluated) source expression into
         its functional image: names whose binding is still pending stay
         symbolic (including names rerouted around a dispatched join by the
         rename map), executed ones become store values."""
-        ren = ren or {}
         v = val_of(e)
         if v is not MISSING:
             return mk_val(v)
@@ -128,12 +126,10 @@ class ConfigTranslator:
 
     # -- statements → contexts or expression wrappers -----------------------------
 
-    def stmts(self, s, store: dict, bound: set, cont_fn,
-              ren: Optional[dict] = None):
+    def stmts(self, s, store: dict, bound: set, cont_fn, ren: dict):
         """Translate a statement (tree) given a thunk producing the
         translated continuation under the names bound (and renames
         rerouted) so far; returns the full functional expression."""
-        ren = ren or {}
         if isinstance(s, SSkip):
             return cont_fn(bound, ren)
         if isinstance(s, SSeq):
@@ -141,8 +137,9 @@ class ConfigTranslator:
                 # mid-iteration residual of an unrolled loop
                 return self.stmts(
                     s.first, store, bound,
-                    lambda b2, r2: self._while_reentry(s.second, store, b2,
-                                                       cont_fn, r2), ren)
+                    lambda b2, r2: self._while_entry(s.second, store, b2,
+                                                     cont_fn, r2,
+                                                     reentry=True), ren)
             return self.stmts(s.first, store, bound,
                               lambda b2, r2: self.stmts(s.second, store, b2,
                                                         cont_fn, r2), ren)
@@ -187,10 +184,7 @@ class ConfigTranslator:
                      for p in phis]
             rights = [self._phi_slot(p, p.right, bound | b2, store, ren)
                       for p in phis]
-            ren2 = {k: v for k, v in ren.items()
-                    if k not in {p.src for p in phis}}
-            ren2.update({p.src: p.phi for p in phis})
-            rest = cont_fn(bound | {p.phi for p in phis}, ren2)
+            rest = cont_fn(*_phi_scope(phis, bound, ren))
             return mk_ctxapply(
                 KLetIf(phis, cond, k1, k2, KHole(nid=0), lefts, rights,
                        nid=0), rest)
@@ -199,14 +193,14 @@ class ConfigTranslator:
                                      reentry=False)
         raise TranslateGap(f"cannot translate {type(s).__name__}")
 
-    def _stmt_ctx(self, s, store, bound, ren=None):
+    def _stmt_ctx(self, s, store, bound, ren):
         """Translate an unstarted statement into a pure context."""
         result = self.stmts(s, store, bound,
                             lambda b, r: _CtxMark(b), ren)
         return _to_ctx(result)
 
     def _while_phis(self, w: SWhile):
-        if not isinstance(w.phis, list) or (w.phis is None):
+        if not isinstance(w.phis, list):
             raise TranslateGap("loop without SSA annotation")
         return w.phis
 
@@ -225,18 +219,12 @@ class ConfigTranslator:
                 if src not in store:
                     raise TranslateGap(f"loop input {src} missing")
                 inits.append(mk_val(store[src]))
-        inner = bound | {p.phi for p in phis}
-        ren2 = {k: v for k, v in ren.items()
-                if k not in {p.src for p in phis}}
-        ren2.update({p.src: p.phi for p in phis})
+        inner, ren2 = _phi_scope(phis, bound, ren)
         cond = self.expr(w.cond, store, inner, ren2)
         body = self._stmt_ctx(w.body, store, inner, ren2)
         rest = cont_fn(inner, ren2)
         return mk_ctxapply(
             KLetWhile(phis, cond, body, KHole(nid=0), inits, nid=0), rest)
-
-    def _while_reentry(self, w: SWhile, store, bound, cont_fn, ren):
-        return self._while_entry(w, store, bound, cont_fn, ren, reentry=True)
 
     def _while_running(self, s: SIte, store, bound, cont_fn, ren):
         # shape: SIte(cond_res, SSeq(body, while), SSkip) with nid == 0
@@ -252,10 +240,7 @@ class ConfigTranslator:
             if p.src not in store:
                 raise TranslateGap(f"loop value {p.src} missing")
             cur_vals.append(store[p.src])
-        inner = bound | {p.phi for p in phis}
-        ren2 = {k: v for k, v in ren.items()
-                if k not in {p.src for p in phis}}
-        ren2.update({p.src: p.phi for p in phis})
+        inner, ren2 = _phi_scope(phis, bound, ren)
         cond = self.expr(w.cond, store, inner, ren2)
         body = self._stmt_ctx(w.body, store, inner, ren2)
         cont = cont_fn(inner, ren2)
@@ -272,9 +257,7 @@ class ConfigTranslator:
             return mk_val(store[p.src])
         raise TranslateGap(f"phi input {name} unresolvable")
 
-    def body(self, b, store: dict, bound: set,
-             ren: Optional[dict] = None) -> Expr:
-        ren = ren or {}
+    def body(self, b, store: dict, bound: set, ren: dict) -> Expr:
         if isinstance(b, BReturn):
             return self.expr(b.expr, store, bound, ren)
         if isinstance(b, BSeq):
@@ -309,8 +292,15 @@ class ConfigTranslator:
 
     def _focus(self, focus, store) -> Expr:
         if isinstance(focus, (BReturn, BSeq, BIte)):
-            return self.body(focus, store, set())
-        return self.expr(focus, store, set())
+            return self.body(focus, store, set(), {})
+        return self.expr(focus, store, set(), {})
+
+
+def _phi_scope(phis, bound: set, ren: dict):
+    """The bound names and renames past a join or loop header: each phi
+    name is bound, and its source variable now reads the phi name."""
+    return bound | {p.phi for p in phis}, \
+        {**ren, **{p.src: p.phi for p in phis}}
 
 
 class _CtxMark:
@@ -339,7 +329,12 @@ def _to_ctx(e):
 def normalize(e):
     """Collapse administrative shapes: empty contexts, nested context
     applications, and the result-join wrapper produced by body
-    conditionals."""
+    conditionals.
+
+    The output is a fixed point of `normalize`, so no case walks its own
+    result again: a normalized context application has neither a hole
+    context nor a context application body, so composing a non-hole
+    context onto one creates no new redex."""
     if isinstance(e, ECtxApply):
         k = _norm_ctx(e.ctx)
         inner = normalize(e.expr)
@@ -347,10 +342,9 @@ def normalize(e):
             return inner
         if isinstance(k, KLetIn) and isinstance(k.rest, KHole) and \
                 isinstance(inner, EVar) and inner.name == k.name:
-            return normalize(k.expr)
+            return k.expr
         if isinstance(inner, ECtxApply):
-            return normalize(ECtxApply(ctx_compose(k, inner.ctx), inner.expr,
-                                       nid=0))
+            return ECtxApply(ctx_compose(k, inner.ctx), inner.expr, nid=0)
         return ECtxApply(k, inner, nid=0)
     if isinstance(e, EWhileRun):
         return EWhileRun(normalize(e.cond_focus), e.cur_vals, e.phis,
@@ -593,7 +587,7 @@ def simulate(ssa_prog: SsaProgram, theta: GlobalSsaEnv,
                 "divergence", fsteps, isteps,
                 detail="no corresponding source configuration within"
                        f" {catchup} steps; target focus:"
-                       f" {expr_str(normalize(fc.focus))[:400]}")
+                       f" {expr_str(target)[:400]}")
         if fsteps > isteps:
             return SimReport("divergence", fsteps, isteps,
                              detail="target machine took more steps than"

@@ -13,7 +13,7 @@ from .syntax import (
     ENew, EThis, EVar, Expr, FuncDecl, KHole, KLetIf, KLetIn, KLetWhile,
     MethodDecl, NO_SPAN, PhiIf, PhiWhile, Program, SAssign, SExprStmt,
     SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SourceSpan, Stmt,
-    assigned_names, next_node_id,
+    assigned_names, expr_children, next_node_id,
 )
 from .frontend.prelude import BUILTIN_NAMES
 
@@ -338,7 +338,6 @@ def ssa_program(p: Program) -> tuple[SsaProgram, GlobalSsaEnv]:
 
 def _binders_and_uses(e: Expr, bound: set, binders: list, errs: list,
                       globals_: frozenset = frozenset()):
-    from .syntax import expr_children
     if isinstance(e, EVar):
         if e.name not in bound and e.name not in globals_:
             errs.append(f"use of {e.name} not dominated by a binding")

@@ -72,6 +72,19 @@ def test_dump_ssa_deterministic():
     assert "letwhile" in outs.pop()
 
 
+def test_dump_ssa_reports_ssa_errors(tmp_path):
+    """An SSA error under --dump-ssa gives the diagnostics and exit code
+    of a plain check, not a traceback."""
+    src = tmp_path / "unbound.rsc"
+    src.write_text("function f(x) { return y; }\n")
+    plain = rsc("check", str(src))
+    r = rsc("check", "--dump-ssa", str(src))
+    assert r.returncode == plain.returncode == 1
+    assert r.stderr == plain.stderr == \
+        f"{src}:1:24: error[SSA]: unbound variable 'y'\nERRORS\n"
+    assert r.stdout == ""
+
+
 def test_run_entry_and_args():
     r = rsc("run", str(CORPUS / "minindex.rsc"), "--entry", "minIndex",
             "--args", "[9,4,6,2,8]")

@@ -2,6 +2,7 @@
 oracles, stuck states, fuel, lockstep simulation, and fault injection."""
 
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import CORPUS, parse, parse_text
 
 from rsccore.semantics import run, simulate
 from rsccore.ssa import ssa_program
+from rsccore.syntax import SIte, SWhile
 
 
 def _ssa(path):
@@ -96,21 +98,23 @@ function sumAll(a) { return $reduce(a, add3, 0); }
     assert r2.status == "terminal" and r2.value == 13
 
 
+# each case with its exact (frsc_steps, irsc_steps, value), so that a
+# change in how the two machines align shows as a changed step count
 SIM_CASES = [
-    ("minindex.rsc", "minIndex", [[3, 1, 2]]),
-    ("minindex.rsc", "minIndex", [[]]),
-    ("minindex.rsc", "minIndex", [[7, 7, 7, 1]]),
-    ("head.rsc", "head0", [[4, 5]]),
-    ("head.rsc", "head0", [[]]),
-    ("ssa_reduce.rsc", None, None),  # no top: skipped below
-    ("typeof.rsc", "addIfNum", [11]),
-    ("typeof.rsc", "addIfNum", ["hello"]),
-    ("field_ghost.rsc", None, None),
-    ("cast_flags.rsc", None, None),
+    (("minindex.rsc", "minIndex", [[3, 1, 2]]), (55, 131, "1")),
+    (("minindex.rsc", "minIndex", [[]]), (5, 6, "-1")),
+    (("minindex.rsc", "minIndex", [[7, 7, 7, 1]]), (69, 166, "3")),
+    (("head.rsc", "head0", [[4, 5]]), (7, 11, "4")),
+    (("head.rsc", "head0", [[]]), (5, 6, "0")),
+    (("ssa_reduce.rsc", None, None), None),  # no top: skipped below
+    (("typeof.rsc", "addIfNum", [11]), (7, 15, "12")),
+    (("typeof.rsc", "addIfNum", ["hello"]), (5, 10, "1")),
+    (("field_ghost.rsc", None, None), (31, 67, "undefined")),
+    (("cast_flags.rsc", None, None), (18, 38, "undefined")),
 ]
 
 
-@pytest.mark.parametrize("name,entry,args", SIM_CASES)
+@pytest.mark.parametrize("name,entry,args", [case for case, _ in SIM_CASES])
 def test_simulate_corpus(name, entry, args):
     p = parse(CORPUS / name)
     sp, theta = ssa_program(p)
@@ -119,6 +123,18 @@ def test_simulate_corpus(name, entry, args):
     rep = simulate(sp, theta, entry=entry, args=args)
     assert rep.status == "ok", rep.detail
     assert rep.frsc_steps <= rep.irsc_steps
+    expected = next(r for case, r in SIM_CASES if case == (name, entry, args))
+    assert (rep.frsc_steps, rep.irsc_steps, rep.value) == expected
+
+
+_JOIN = """
+/*@ (c: bool) => number */
+function f(c) {
+  var x = 0;
+  if (c) { x = 1; } else { x = 2; }
+  return x;
+}
+"""
 
 
 def test_simulate_detects_injected_fault(monkeypatch):
@@ -132,17 +148,99 @@ def test_simulate_detects_injected_fault(monkeypatch):
         return [(x, b, a) for (x, a, b) in real(d1, d2)]
 
     monkeypatch.setattr(ssa_mod, "env_diff", broken)
-    p = parse_text("""
-/*@ (c: bool) => number */
-function f(c) {
-  var x = 0;
-  if (c) { x = 1; } else { x = 2; }
-  return x;
-}
-""")
-    sp, theta = ssa_program(p)
+    sp, theta = ssa_program(parse_text(_JOIN))
     rep = simulate(sp, theta, entry="f", args=[True])
     assert rep.status in ("divergence", "stuck")
+
+
+_LOOP = """
+/*@ () => number */
+function f() {
+  var i = 0;
+  var s = 10;
+  while (i < 3) { s = s + i; i = i + 1; }
+  return s;
+}
+"""
+
+
+def _drop_last_phi(monkeypatch, ssa_mod):
+    real = ssa_mod.env_diff
+    monkeypatch.setattr(ssa_mod, "env_diff",
+                        lambda d1, d2: real(d1, d2)[:-1])
+
+
+def _broken_stmt(monkeypatch, ssa_mod, breaks):
+    real = ssa_mod.SsaTranslator.ssa_stmt
+
+    def broken(self, env, s):
+        k, out = real(self, env, s)
+        breaks(s, k)
+        return k, out
+
+    monkeypatch.setattr(ssa_mod.SsaTranslator, "ssa_stmt", broken)
+
+
+def _swap_letif_branches(monkeypatch, ssa_mod):
+    def swap(s, k):
+        if isinstance(s, SIte):
+            k.then_ctx, k.else_ctx = k.else_ctx, k.then_ctx
+    _broken_stmt(monkeypatch, ssa_mod, swap)
+
+
+def _swap_loop_inits(monkeypatch, ssa_mod):
+    def swap(s, k):
+        if isinstance(s, SWhile):
+            k.init_exprs = k.init_exprs[::-1]
+    _broken_stmt(monkeypatch, ssa_mod, swap)
+
+
+@pytest.mark.parametrize("inject,text,args", [
+    (_drop_last_phi, _JOIN, [True]),
+    (_swap_letif_branches, _JOIN, [True]),
+    (_swap_loop_inits, _LOOP, []),
+], ids=["dropped-phi", "swapped-letif-branches", "wrong-loop-init"])
+def test_simulate_detects_injected_ssa_faults(monkeypatch, inject, text,
+                                              args):
+    """Each SSA fault, injected into the translation, is reported; the
+    same program simulates cleanly without it."""
+    import rsccore.ssa as ssa_mod
+
+    sp, theta = ssa_program(parse_text(text))
+    assert simulate(sp, theta, entry="f", args=args).status == "ok"
+    inject(monkeypatch, ssa_mod)
+    sp, theta = ssa_program(parse_text(text))
+    rep = simulate(sp, theta, entry="f", args=args)
+    assert rep.status in ("divergence", "stuck"), rep
+
+
+def test_normalize_output_is_a_fixed_point(monkeypatch):
+    """The simulation never normalizes a normalized term again, so every
+    term normalize returns during a run must already be normal."""
+    sim = sys.modules["rsccore.semantics.simulate"]
+    real = sim.normalize
+    depth, outs = [0], []
+
+    def outermost(e):
+        depth[0] += 1
+        try:
+            r = real(e)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            outs.append(r)
+        return r
+
+    monkeypatch.setattr(sim, "normalize", outermost)
+    for sp, theta, entry, args in [
+            (*_ssa(CORPUS / "minindex.rsc"), "minIndex", [[3, 1, 2]]),
+            (*_ssa_text(_JOIN), "f", [False]),
+            (*_ssa_text(_LOOP), "f", [])]:
+        assert simulate(sp, theta, entry=entry, args=args).status == "ok"
+    monkeypatch.undo()
+    assert len(outs) > 100
+    for e in outs:
+        assert sim.terms_equal(real(e), e), e
 
 
 def test_straight_line_simulation_steps():
