@@ -6,11 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..frontend.desugar import _clone
 from ..frontend.prelude import load_prelude
 from ..syntax import (
     BClass, Body, EArgsLen, EConst, FuncDecl, P_TRUE, Program, RBase, RFun,
-    RInter, TThis, next_node_id,
+    RInter, TThis, clone_tree, next_node_id, replace_in_tree,
 )
 from .shapes import ShapeChecker
 
@@ -25,23 +24,6 @@ class OverloadClone:
     @property
     def name(self) -> str:
         return self.decl.name
-
-
-def _replace_argslen(node, arity: int):
-    from dataclasses import fields as dc_fields
-    for f in dc_fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, list):
-            for i, c in enumerate(v):
-                if isinstance(c, EArgsLen):
-                    v[i] = EConst(arity, span=c.span, nid=next_node_id())
-                elif hasattr(c, "nid"):
-                    _replace_argslen(c, arity)
-        elif isinstance(v, EArgsLen):
-            setattr(node, f.name, EConst(arity, span=v.span,
-                                         nid=next_node_id()))
-        elif hasattr(v, "nid"):
-            _replace_argslen(v, arity)
 
 
 def make_shape_checker(program: Program) -> ShapeChecker:
@@ -86,9 +68,11 @@ def two_phase_expand(fn: FuncDecl, program: Program) -> list:
         return []
     clones: list[OverloadClone] = []
     for i, conj in enumerate(sig.conjuncts, 1):
-        body: Body = _clone(fn.body)
+        body: Body = clone_tree(fn.body)
         arity = len(conj.params)
-        _replace_argslen(body, arity)
+        replace_in_tree(body, lambda node, field, c:
+                        EConst(arity, span=c.span, nid=next_node_id())
+                        if isinstance(c, EArgsLen) else None)
         checker = make_shape_checker(program)
         rigid = set(conj.tyvars)
         env = {}

@@ -8,6 +8,7 @@ from ..syntax import (
     BArr, BVar, Body, ClassDecl, ECast, FieldDecl, FuncDecl, MethodDecl,
     NO_SPAN, P_TRUE, Program, R_UNDEF, RBase, RExists, RFun, RInter, RType,
     SourceSpan, TVar, TypeAliasDecl, pred_subst, type_subst, walk_stmts,
+    walk_tree,
 )
 from .desugar import (hoist_stmts, lift_nested, merge_redeclarations, to_body, wrap_global_fn_refs)
 from .lexer import LexError
@@ -113,24 +114,6 @@ def _with_tyvars(sig: RFun) -> RFun:
     return RFun(sig.params, sig.ret, _collect_tyvars(sig), sig.precond)
 
 
-def _resolve_casts(node, resolver: TypeResolver):
-    from dataclasses import fields as dc_fields
-    if isinstance(node, list):
-        for c in node:
-            _resolve_casts(c, resolver)
-        return
-    if not hasattr(node, "nid"):
-        return
-    if isinstance(node, ECast):
-        node.rtype = resolver.resolve(node.rtype, node.span)
-    for f in dc_fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, list):
-            _resolve_casts(v, resolver)
-        elif hasattr(v, "nid"):
-            _resolve_casts(v, resolver)
-
-
 def _finish_body(stmts: list, span: SourceSpan, result: str = "undefined",
                  params: tuple = ()) -> Body:
     for s in stmts:
@@ -162,6 +145,11 @@ def parse_program(text: str, fname: str = "<input>") -> Program:
         seen_classes.add(c.name)
     resolver = TypeResolver(aliases, class_names)
 
+    def resolve_casts(stmts: list):
+        for n in walk_tree(stmts):
+            if isinstance(n, ECast):
+                n.rtype = resolver.resolve(n.rtype, n.span)
+
     # validate alias bodies eagerly (cycles, arity, unknown names)
     for a in raw.aliases:
         resolver.resolve(aliases[a.name].body, a.span,
@@ -191,7 +179,7 @@ def parse_program(text: str, fname: str = "<input>") -> Program:
             raise ResolveError(f"duplicate function {f.name!r}", f.span)
         seen_fns.add(f.name)
         sig = _build_signature(f, resolver, f.span)
-        _resolve_casts(f.stmts, resolver)
+        resolve_casts(f.stmts)
         body = _finish_body(f.stmts, f.span,
                             params=tuple(p.name for p in f.params))
         functions.append(FuncDecl(f.name, [p.name for p in f.params], sig,
@@ -236,7 +224,7 @@ def parse_program(text: str, fname: str = "<input>") -> Program:
                 raise ResolveError(
                     "intersection signatures are only supported on"
                     " functions", m.span)
-            _resolve_casts(m.stmts, resolver)
+            resolve_casts(m.stmts)
             body = _finish_body(m.stmts, m.span,
                                 "this" if m.is_ctor else "undefined",
                                 params=tuple(p.name for p in m.params))
@@ -247,7 +235,6 @@ def parse_program(text: str, fname: str = "<input>") -> Program:
         classes.append(ClassDecl(c.name, c.invariant, c.parent, fields,
                                  methods, c.span))
 
-    if raw.top:
-        _resolve_casts(raw.top, resolver)
+    resolve_casts(raw.top)
     top = _finish_body(raw.top, NO_SPAN) if raw.top else None
     return Program(aliases, classes, functions, top, fname)

@@ -4,15 +4,16 @@ nested-function lifting, and global-function-reference closure wrapping."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import fields as dc_fields
 
 from ..syntax import (
     BIte, BReturn, BSeq, Body, EClosure, EConst, EFuncCall, EThis, EVar,
     Expr, SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl,
-    SWhile, SourceSpan, Stmt, UNDEFINED, expr_children, next_node_id,
-    seq_stmts, walk_stmts,
+    SWhile, SourceSpan, Stmt, UNDEFINED, clone_tree, next_node_id,
+    replace_in_tree, seq_stmts, walk_stmts, walk_tree,
 )
-from .parser import ETernary, NestedFunc, ParseError, RawFunc, SReturn
+from .parser import (
+    ETernary, NestedFunc, ParseError, RawFunc, RawParam, SReturn,
+)
 
 _tmp_counter = itertools.count(0)
 
@@ -64,14 +65,14 @@ def hoist_stmt(s) -> list:
     if isinstance(s, SIte):
         pre, c = _hoist_expr(s.cond)
         s.cond = c
-        s.then_s = _reseq(hoist_stmt_tree(s.then_s), s.span)
-        s.else_s = _reseq(hoist_stmt_tree(s.else_s), s.span)
+        s.then_s = seq_stmts(hoist_stmt_tree(s.then_s), s.span)
+        s.else_s = seq_stmts(hoist_stmt_tree(s.else_s), s.span)
         return pre + [s]
     if isinstance(s, SWhile):
         if _contains_ternary(s.cond):
             raise ParseError("conditional expressions in loop conditions are"
                              " not supported", s.span)
-        s.body = _reseq(hoist_stmt_tree(s.body), s.span)
+        s.body = seq_stmts(hoist_stmt_tree(s.body), s.span)
         return [s]
     if isinstance(s, SSeq):
         return hoist_stmt_tree(s)
@@ -92,20 +93,8 @@ def _flatten(s: Stmt) -> list:
     return [s]
 
 
-def _reseq(stmts: list, span: SourceSpan) -> Stmt:
-    return seq_stmts(stmts, span)
-
-
 def _contains_ternary(e: Expr) -> bool:
-    if isinstance(e, ETernary):
-        return True
-    return any(_contains_ternary(c) for c in _expr_children(e))
-
-
-def _expr_children(e) -> list:
-    if isinstance(e, ETernary):
-        return [e.cond, e.then_e, e.else_e]
-    return expr_children(e)
+    return any(isinstance(n, ETernary) for n in walk_tree(e))
 
 
 def _hoist_expr(e: Expr) -> tuple[list, Expr]:
@@ -119,40 +108,23 @@ def _hoist_expr(e: Expr) -> tuple[list, Expr]:
         decl = SVarDecl(tmp, EConst(UNDEFINED, span=e.span,
                                     nid=next_node_id()),
                         span=e.span, nid=next_node_id())
-        then_s = _reseq(pre_t + [SAssign(tmp, te, span=e.span,
-                                         nid=next_node_id())], e.span)
-        else_s = _reseq(pre_e + [SAssign(tmp, ee, span=e.span,
-                                         nid=next_node_id())], e.span)
+        then_s = seq_stmts(pre_t + [SAssign(tmp, te, span=e.span,
+                                            nid=next_node_id())], e.span)
+        else_s = seq_stmts(pre_e + [SAssign(tmp, ee, span=e.span,
+                                            nid=next_node_id())], e.span)
         ite = SIte(cond, then_s, else_s, span=e.span, nid=next_node_id())
         return pre_c + [decl, ite], EVar(tmp, span=e.span, nid=next_node_id())
     pre: list = []
-    for name, child in _expr_fields(e):
-        if isinstance(child, list):
-            new_list = []
-            for c in child:
-                p, c2 = _hoist_expr(c)
-                pre.extend(p)
-                new_list.append(c2)
-            setattr(e, name, new_list)
-        else:
-            p, c2 = _hoist_expr(child)
-            pre.extend(p)
-            setattr(e, name, c2)
+
+    def hoist(node, field, c):
+        if not isinstance(c, ETernary):
+            return None
+        p, v = _hoist_expr(c)
+        pre.extend(p)
+        return v
+
+    replace_in_tree(e, hoist)
     return pre, e
-
-
-def _expr_fields(e) -> list:
-    out = []
-    for f in dc_fields(e):
-        if f.name in ("nid", "span", "fname", "mname", "cname", "name",
-                      "value", "rtype"):
-            continue
-        v = getattr(e, f.name)
-        if isinstance(v, list):
-            out.append((f.name, v))
-        elif hasattr(v, "nid"):
-            out.append((f.name, v))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +141,15 @@ def merge_redeclarations(stmts: list, declared: set) -> list:
                 declared.add(s.name)
                 out.append(s)
         elif isinstance(s, SIte):
-            s.then_s = _reseq(
+            s.then_s = seq_stmts(
                 merge_redeclarations(_flatten(s.then_s), set(declared)),
                 s.span)
-            s.else_s = _reseq(
+            s.else_s = seq_stmts(
                 merge_redeclarations(_flatten(s.else_s), set(declared)),
                 s.span)
             out.append(s)
         elif isinstance(s, SWhile):
-            s.body = _reseq(
+            s.body = seq_stmts(
                 merge_redeclarations(_flatten(s.body), set(declared)), s.span)
             out.append(s)
         elif isinstance(s, SSeq):
@@ -193,26 +165,6 @@ def merge_redeclarations(stmts: list, declared: set) -> list:
 
 def _contains_return(s) -> bool:
     return any(isinstance(n, SReturn) for n in walk_stmts(s))
-
-
-def _clone(node):
-    """Deep-copy a statement/expression tree with fresh node ids."""
-    if isinstance(node, list):
-        return [_clone(n) for n in node]
-    if not hasattr(node, "nid"):
-        return node
-    kwargs = {}
-    for f in dc_fields(node):
-        v = getattr(node, f.name)
-        if f.name == "nid":
-            kwargs[f.name] = next_node_id()
-        elif isinstance(v, list):
-            kwargs[f.name] = [_clone(x) for x in v]
-        elif hasattr(v, "nid"):
-            kwargs[f.name] = _clone(v)
-        else:
-            kwargs[f.name] = v
-    return type(node)(**kwargs)
 
 
 def to_body(stmts: list, span: SourceSpan, result: str = "undefined") -> Body:
@@ -237,7 +189,7 @@ def to_body(stmts: list, span: SourceSpan, result: str = "undefined") -> Body:
     if isinstance(s, SIte) and (_contains_return(s.then_s) or
                                 _contains_return(s.else_s)):
         then_list = _flatten(s.then_s) + rest
-        else_list = _flatten(s.else_s) + _clone(rest)
+        else_list = _flatten(s.else_s) + clone_tree(rest)
         return BIte(s.cond, to_body(then_list, s.span, result),
                     to_body(else_list, s.span, result),
                     span=s.span, nid=s.nid)
@@ -253,12 +205,8 @@ def to_body(stmts: list, span: SourceSpan, result: str = "undefined") -> Body:
 
 
 def _expr_free_vars(e, bound: set) -> set:
-    if isinstance(e, EVar):
-        return set() if e.name in bound else {e.name}
-    out: set = set()
-    for c in _expr_children(e):
-        out |= _expr_free_vars(c, bound)
-    return out
+    return {n.name for n in walk_tree(e)
+            if isinstance(n, EVar) and n.name not in bound}
 
 
 def _stmts_free_vars(stmts: list, bound: set) -> set:
@@ -309,23 +257,6 @@ def _stmts_free_vars(stmts: list, bound: set) -> set:
     return out
 
 
-def _replace_var(node, name: str, make_repl):
-    """Replace EVar(name) occurrences (any position) inside a stmt/expr
-    tree, in place."""
-    for f in dc_fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, list):
-            for i, c in enumerate(v):
-                if isinstance(c, EVar) and c.name == name:
-                    v[i] = make_repl(c)
-                elif hasattr(c, "nid"):
-                    _replace_var(c, name, make_repl)
-        elif isinstance(v, EVar) and v.name == name:
-            setattr(node, f.name, make_repl(v))
-        elif hasattr(v, "nid"):
-            _replace_var(v, name, make_repl)
-
-
 def lift_nested(fn: RawFunc, globals_: set, out_funcs: list):
     """Lift nested function declarations out of fn.stmts (in place),
     appending the lifted RawFuncs (annotated with captures) to out_funcs.
@@ -358,28 +289,29 @@ def lift_nested(fn: RawFunc, globals_: set, out_funcs: list):
                 raise ParseError(
                     f"captured variable {c!r} is reassigned in the enclosing"
                     " function; closures capture values", marker.span)
-        from .parser import RawParam
         inner.params = [RawParam(c, None, marker.span) for c in captures] + \
             inner.params
         inner.captures = captures  # type: ignore[attr-defined]
         globals_.add(inner.name)
 
-        def mk(var, fname=inner.name, caps=tuple(captures)):
+        def mk(node, field, var, fname=inner.name, caps=tuple(captures)):
+            if not (isinstance(var, EVar) and var.name == fname):
+                return None
             return EClosure(fname,
                             [EVar(c, span=var.span, nid=next_node_id())
                              for c in caps],
                             span=var.span, nid=next_node_id())
 
         for t in fn.stmts:
-            _replace_var(t, inner.name, mk)
+            replace_in_tree(t, mk)
         for u in inner.stmts:
             if not isinstance(u, NestedFunc):
-                _replace_var(u, inner.name, mk)
+                replace_in_tree(u, mk)
         for other in nested:
             if other is not marker:
                 for u in other.fn.stmts:
                     if not isinstance(u, NestedFunc):
-                        _replace_var(u, inner.name, mk)
+                        replace_in_tree(u, mk)
         lift_nested(inner, globals_, out_funcs)
         out_funcs.append(inner)
 
@@ -387,24 +319,11 @@ def lift_nested(fn: RawFunc, globals_: set, out_funcs: list):
 def wrap_global_fn_refs(stmts: list, fn_names: set):
     """Rewrite references to top-level functions in value position into
     closure constructors (calls keep the bare name)."""
+    def wrap(node, field, v):
+        if isinstance(v, EVar) and v.name in fn_names and \
+                not (isinstance(node, EFuncCall) and field == "callee"):
+            return EClosure(v.name, [], span=v.span, nid=next_node_id())
+        return None
+
     for s in stmts:
-        _wrap_node(s, fn_names)
-
-
-def _wrap_node(node, fn_names: set):
-    for f in dc_fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, list):
-            for i, c in enumerate(v):
-                if isinstance(c, EVar) and c.name in fn_names:
-                    v[i] = EClosure(c.name, [], span=c.span,
-                                    nid=next_node_id())
-                elif hasattr(c, "nid"):
-                    _wrap_node(c, fn_names)
-        elif hasattr(v, "nid"):
-            if isinstance(v, EVar) and v.name in fn_names and \
-                    not (isinstance(node, EFuncCall) and f.name == "callee"):
-                setattr(node, f.name, EClosure(v.name, [], span=v.span,
-                                               nid=next_node_id()))
-            else:
-                _wrap_node(v, fn_names)
+        replace_in_tree(s, wrap)

@@ -117,15 +117,15 @@ def subst_ctx(k: Ctx, m: dict):
         b2 = ctx_binders(k.else_ctx)
         ml = {n: v for n, v in m.items() if n not in b1}
         mr = {n: v for n, v in m.items() if n not in b2}
-        lefts = [subst_expr(x, ml) for x in k.lefts()]
-        rights = [subst_expr(x, mr) for x in k.rights()]
+        lefts = [subst_expr(x, ml) for x in k.left_exprs]
+        rights = [subst_expr(x, mr) for x in k.right_exprs]
         m2 = {n: v for n, v in m.items()
               if n not in {p.phi for p in k.phis}}
         rest, m3 = subst_ctx(k.rest, m2)
         return KLetIf(k.phis, cond, k1, k2, rest, lefts, rights,
                       nid=k.nid, span=k.span), m3
     if isinstance(k, KLetWhile):
-        inits = [subst_expr(i, m) for i in k.inits()]
+        inits = [subst_expr(i, m) for i in k.init_exprs]
         m2 = {n: v for n, v in m.items()
               if n not in {p.phi for p in k.phis}}
         cond = subst_expr(k.cond, m2)
@@ -353,17 +353,17 @@ class FrscMachine:
                     span=e.span))
             if v is True:
                 branch = k.then_ctx
-                names = {p.phi: x for p, x in zip(k.phis, k.lefts())}
+                names = {p.phi: x for p, x in zip(k.phis, k.left_exprs)}
             elif v is False:
                 branch = k.else_ctx
-                names = {p.phi: x for p, x in zip(k.phis, k.rights())}
+                names = {p.phi: x for p, x in zip(k.phis, k.right_exprs)}
             else:
                 raise StuckError("conditional on a non-boolean")
             cont = subst_expr(mk_ctxapply(k.rest, e.expr), names)
             return ("new", mk_ctxapply(branch, cont))
         if isinstance(k, KLetWhile):
             vals = []
-            for i in k.inits():
+            for i in k.init_exprs:
                 v = val_of(i)
                 if v is MISSING:
                     raise StuckError("loop entered before its inputs were"

@@ -8,13 +8,14 @@ runtime (loop unrollings, value statements) carry node id 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+import copy
+from dataclasses import dataclass
 
 from ..syntax import (
     BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, EConst, EFieldRead,
     EFuncCall, EMethodCall, ENew, EThis, EVal, EVar, Expr, SAssign,
     SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, Stmt,
-    UNDEFINED,
+    UNDEFINED, subtree_fields,
 )
 from .tables import RuntimeTables
 from .values import (
@@ -68,26 +69,27 @@ class IrscConfig:
 
 
 def plug(tree, filling):
-    """Replace the EHole in tree by `filling` (pure rebuild); a hole-free
-    subtree comes back as the same object."""
+    """Replace the EHole in tree by `filling`, rebuilding only the path to
+    it: a hole-free subtree comes back as the same object."""
     if isinstance(tree, EHole):
         return filling
     if not hasattr(tree, "nid"):
         return tree
-    changed = False
-    kwargs = {}
-    for f in dc_fields(tree):
-        v = getattr(tree, f.name)
+    new = None
+    for name in subtree_fields(type(tree)):
+        v = getattr(tree, name)
         if isinstance(v, list):
             nv = [plug(c, filling) for c in v]
-            changed = changed or any(a is not b for a, b in zip(nv, v))
+            if all(a is b for a, b in zip(nv, v)):
+                continue
         else:
             nv = plug(v, filling)
-            changed = changed or nv is not v
-        kwargs[f.name] = nv
-    if not changed:
-        return tree
-    return type(tree)(**kwargs)
+            if nv is v:
+                continue
+        if new is None:
+            new = copy.copy(tree)
+        setattr(new, name, nv)
+    return tree if new is None else new
 
 
 class IrscMachine:

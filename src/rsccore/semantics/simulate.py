@@ -383,12 +383,12 @@ def _norm_ctx(k):
     if isinstance(k, KLetIf):
         return KLetIf(k.phis, normalize(k.cond), _norm_ctx(k.then_ctx),
                       _norm_ctx(k.else_ctx), _norm_ctx(k.rest),
-                      [normalize(x) for x in k.lefts()],
-                      [normalize(x) for x in k.rights()], nid=0)
+                      [normalize(x) for x in k.left_exprs],
+                      [normalize(x) for x in k.right_exprs], nid=0)
     if isinstance(k, KLetWhile):
         return KLetWhile(k.phis, normalize(k.cond), _norm_ctx(k.body_ctx),
                          _norm_ctx(k.rest),
-                         [normalize(i) for i in k.inits()], nid=0)
+                         [normalize(i) for i in k.init_exprs], nid=0)
     raise TypeError(k)
 
 
@@ -444,13 +444,13 @@ def ctxs_equal(a, b) -> bool:
                 ctxs_equal(a.then_ctx, b.then_ctx) and
                 ctxs_equal(a.else_ctx, b.else_ctx) and
                 ctxs_equal(a.rest, b.rest) and
-                _list_eq(a.lefts(), b.lefts()) and
-                _list_eq(a.rights(), b.rights()))
+                _list_eq(a.left_exprs, b.left_exprs) and
+                _list_eq(a.right_exprs, b.right_exprs))
     if isinstance(a, KLetWhile):
         return (_phis_eq(a.phis, b.phis) and terms_equal(a.cond, b.cond) and
                 ctxs_equal(a.body_ctx, b.body_ctx) and
                 ctxs_equal(a.rest, b.rest) and
-                _list_eq(a.inits(), b.inits()))
+                _list_eq(a.init_exprs, b.init_exprs))
     return False
 
 

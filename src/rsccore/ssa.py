@@ -223,8 +223,13 @@ class SsaTranslator:
                 out[x] = phi
                 phis.append(PhiIf(x, phi, n1, n2))
             self.theta.stmt_phis[s.nid] = phis
+            lefts = [EVar(p.left, span=s.span, nid=next_node_id())
+                     for p in phis]
+            rights = [EVar(p.right, span=s.span, nid=next_node_id())
+                      for p in phis]
             return KLetIf(phis, cond, k1, k2, KHole(nid=next_node_id()),
-                          span=s.span, nid=next_node_id()), out
+                          lefts, rights, span=s.span,
+                          nid=next_node_id()), out
         if isinstance(s, SWhile):
             updated = assigned_names(s.body, set(env))
             updated = [x for x in env if x in updated]
@@ -277,8 +282,10 @@ class SsaTranslator:
                               span=b.span, nid=next_node_id()),
                        KLetIn(r2, e2, KHole(nid=next_node_id()),
                               span=b.span, nid=next_node_id()),
-                       KHole(nid=next_node_id()), span=b.span,
-                       nid=next_node_id())
+                       KHole(nid=next_node_id()),
+                       [EVar(r1, span=b.span, nid=next_node_id())],
+                       [EVar(r2, span=b.span, nid=next_node_id())],
+                       span=b.span, nid=next_node_id())
             return ECtxApply(k, EVar(r, span=b.span, nid=next_node_id()),
                              span=b.span, nid=next_node_id())
         raise TypeError(b)

@@ -13,8 +13,10 @@ mutable dataclasses carrying a node id and a source span.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 
@@ -626,20 +628,8 @@ class KLetIf(Node):
     # expression slots for the branch values a phi selects; names bound
     # inside a branch stay symbolic until that branch's lets fire, names
     # bound outside are rewritten to values by enclosing substitutions
-    left_exprs: Optional[list] = None
-    right_exprs: Optional[list] = None
-
-    def lefts(self) -> list:
-        if self.left_exprs is None:
-            self.left_exprs = [EVar(p.left, nid=next_node_id())
-                               for p in self.phis]
-        return self.left_exprs
-
-    def rights(self) -> list:
-        if self.right_exprs is None:
-            self.right_exprs = [EVar(p.right, nid=next_node_id())
-                                for p in self.phis]
-        return self.right_exprs
+    left_exprs: list
+    right_exprs: list
 
 
 @dataclass
@@ -650,13 +640,7 @@ class KLetWhile(Node):
     rest: "Ctx"
     # current values flowing into the phi names; starts as [EVar(p.init)]
     # and is rewritten by substitution as enclosing bindings reduce
-    init_exprs: Optional[list] = None
-
-    def inits(self) -> list:
-        if self.init_exprs is None:
-            self.init_exprs = [EVar(p.init, nid=next_node_id())
-                               for p in self.phis]
-        return self.init_exprs
+    init_exprs: list
 
 
 Ctx = Union[KHole, KLetIn, KLetIf, KLetWhile]
@@ -1006,6 +990,65 @@ def body_str(b: Body, ind: str = "") -> str:
 
 # ---------------------------------------------------------------------------
 # Generic traversal helpers
+
+
+@functools.cache
+def subtree_fields(cls: type) -> tuple:
+    """The names of the fields of node class `cls` that can hold a subtree,
+    in declaration order: every field but the `nid` and `span` each node
+    carries.  Computed once per class.
+
+    A subtree is a value with a `nid` (a node) or a list of such values.
+    The rule is applied to each value, not to the field: a field can hold
+    a subtree or a leaf (an `SReturn`'s expression is a node or None, an
+    `EVar`'s name a string, a `KLetIf`'s phis a list of records).
+    """
+    return tuple(f.name for f in fields(cls) if f.name not in ("nid", "span"))
+
+
+def walk_tree(tree) -> Iterator:
+    """Every node of `tree` (a node or a list of nodes), in pre-order."""
+    if isinstance(tree, list):
+        for x in tree:
+            yield from walk_tree(x)
+    elif hasattr(tree, "nid"):
+        yield tree
+        for name in subtree_fields(type(tree)):
+            yield from walk_tree(getattr(tree, name))
+
+
+def clone_tree(tree):
+    """A deep copy of `tree` with fresh node ids, allocated in pre-order."""
+    if isinstance(tree, list):
+        return [clone_tree(x) for x in tree]
+    if not hasattr(tree, "nid"):
+        return tree
+    new = copy.copy(tree)
+    new.nid = next_node_id()
+    for name in subtree_fields(type(tree)):
+        setattr(new, name, clone_tree(getattr(tree, name)))
+    return new
+
+
+def replace_in_tree(tree, repl) -> None:
+    """Rewrite `tree` in place: the child `c` held in field `name` of node
+    `n` becomes `repl(n, name, c)` unless that is None, in which case the
+    walk goes on inside `c`.  Replacements are not walked."""
+    for name in subtree_fields(type(tree)):
+        v = getattr(tree, name)
+        if isinstance(v, list):
+            for i, c in enumerate(v):
+                r = repl(tree, name, c)
+                if r is not None:
+                    v[i] = r
+                elif hasattr(c, "nid"):
+                    replace_in_tree(c, repl)
+        elif hasattr(v, "nid"):
+            r = repl(tree, name, v)
+            if r is not None:
+                setattr(tree, name, r)
+            else:
+                replace_in_tree(v, repl)
 
 
 def expr_children(e: Expr) -> list:

@@ -10,7 +10,7 @@ from conftest import CORPUS, check, check_text, parse
 from rsccore.checker import check_program
 from rsccore.checker.ctor import CtorError, ctor_rewrite
 from rsccore.logic import ClassTable
-from rsccore.syntax import body_str, pred_str, type_str
+from rsccore.syntax import body_str, pred_str, type_str, walk_body
 
 
 # -- rule-level shapes ---------------------------------------------------------
@@ -190,9 +190,17 @@ def test_two_phase_reduce_clones():
     b1 = body_str(clones[0].decl.body)
     b2 = body_str(clones[1].decl.body)
     # conjunct 1 (arity 2): the three-arg path is dead code
-    assert "assert(false)" in b1 and "(2 === 3)" in b1
+    assert b1 == ("if ((2 === 3)) {\n  return assert(false);\n} else {\n"
+                  "  return reduce(slice(a, 1), f, get(a, 0));\n}")
     # conjunct 2 (arity 3): the slice path is dead code
-    assert "assert(false)" in b2 and "(3 === 3)" in b2
+    assert b2 == ("if ((3 === 3)) {\n  return reduce(a, f, x);\n} else {\n"
+                  "  return assert(false);\n}")
+    # each clone is a copy: the original keeps arguments.length and shares
+    # no statement or body node with either clone
+    assert "(arguments.length === 3)" in body_str(fn.body)
+    orig = {id(n) for n in walk_body(fn.body)}
+    for c in clones:
+        assert not orig & {id(n) for n in walk_body(c.decl.body)}
 
 
 def test_two_phase_verifies_overload():

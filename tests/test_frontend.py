@@ -10,10 +10,11 @@ from conftest import CORPUS, parse, parse_text
 from rsccore.frontend import load_prelude, parse_annotation_text
 from rsccore.frontend.lexer import LexError
 from rsccore.frontend.parser import ParseError
-from rsccore.frontend.types_parser import ParseErrorBase
+from rsccore.frontend.types_parser import ParseErrorBase, ResolveError
 from rsccore.syntax import (
-    EFuncCall, EVar, RFun, RInter, body_str, pred_str, type_str, walk_body,
-    walk_expr, BReturn, BSeq, BIte, stmt_exprs,
+    ECast, EClosure, EFuncCall, EVar, R_NUM, RFun, RInter, body_str,
+    expr_str, pred_str, type_str, walk_body, walk_expr, BReturn, BSeq, BIte,
+    stmt_exprs,
 )
 
 
@@ -211,3 +212,87 @@ def test_duplicate_function_rejected():
 def test_duplicate_alias_rejected():
     with pytest.raises(ParseErrorBase):
         parse_text("type nat = {v:number | v >= 0}\n")
+
+
+_REWRITES = """
+/*@ (x: number) => number */
+function inc(x) { return x + 1; }
+
+/*@ (n: number) => number */
+function outer(n) {
+  var k = n > 0 ? n : 0 - n;
+  function addK(y) { return y + k; }
+  function twice(z) { return addK(addK(z)); }
+  return twice(k);
+}
+
+/*@ (f: (number) => number, x: number) => number */
+function apply(f, x) { return f(x); }
+
+/*@ (m: number) => number */
+function user(m) {
+  return apply(inc, inc(<number> m));
+}
+"""
+
+
+def _closures(body):
+    return [(e.fname, [c.name for c in e.captures])
+            for e in _body_exprs(body) if isinstance(e, EClosure)]
+
+
+def test_surface_rewrites_pinned():
+    """Ternary hoisting, nested-function lifting with a captured local,
+    a lifted function calling another, a global function passed as a
+    value, and a cast inside a call, each rendered exactly."""
+    fns = {f.name: f for f in parse_text(_REWRITES, "<rewrites>").functions}
+    assert list(fns) == ["inc", "outer", "apply", "user", "addK", "twice"]
+    assert body_str(fns["outer"].body) == (
+        "var $t0 = undefined;\nif ((n > 0)) {\n  $t0 = n;\n} else {\n"
+        "  $t0 = (0 - n);\n}\nvar k = $t0;\nreturn twice(k);")
+    # the lifted functions take the captured local first
+    assert (fns["addK"].params, fns["addK"].captures) == (["k", "y"], ["k"])
+    assert (fns["twice"].params, fns["twice"].captures) == (["k", "z"], ["k"])
+    assert body_str(fns["addK"].body) == "return (y + k);"
+    assert body_str(fns["twice"].body) == "return addK(addK(z));"
+    # every reference to a nested function, callee or not, becomes a
+    # closure carrying the captures; a global function becomes one only as
+    # a value: `inc` as an argument is a closure, `inc` as a callee is not
+    assert _closures(fns["outer"].body) == [("twice", ["k"])]
+    assert _closures(fns["twice"].body) == [("addK", ["k"]), ("addK", ["k"])]
+    assert _closures(fns["user"].body) == [("inc", [])]
+    ret = fns["user"].body
+    assert isinstance(ret, BReturn) and isinstance(ret.expr.callee, EVar)
+    assert isinstance(ret.expr.args[1].callee, EVar)
+    cast = ret.expr.args[1].args[0]
+    assert isinstance(cast, ECast) and cast.rtype == R_NUM
+    assert expr_str(ret.expr) == "apply(inc, inc(<number> m))"
+
+
+def test_captured_variable_reassigned_rejected():
+    with pytest.raises(ParseError) as ei:
+        parse_text("""
+/*@ (n: number) => number */
+function f(n) {
+  var k = 1;
+  k = 2;
+  function g(y) { return y + k; }
+  return g(n);
+}
+""", "<t>")
+    assert str(ei.value) == ("<t>:6:3: captured variable 'k' is reassigned"
+                             " in the enclosing function; closures capture"
+                             " values")
+
+
+def test_first_bad_cast_reported():
+    """Casts resolve in source order, so the first unknown name wins."""
+    with pytest.raises(ResolveError) as ei:
+        parse_text("""
+/*@ (n: number) => number */
+function f(n) {
+  if (g(<Foo> n)) { return h(<Bar> n); }
+  return n;
+}
+""", "<t>")
+    assert str(ei.value) == "<t>:4:9: unknown type name 'Foo'"

@@ -316,6 +316,76 @@ def test_simulate_random_programs_small():
         assert rep.frsc_steps <= rep.irsc_steps
 
 
+def _holes(x) -> int:
+    from rsccore.semantics.irsc import EHole
+    if isinstance(x, EHole):
+        return 1
+    if isinstance(x, list):
+        return sum(_holes(c) for c in x)
+    if not hasattr(x, "nid"):
+        return 0
+    return sum(_holes(v) for v in vars(x).values())
+
+
+def _check_plugged(old, new, filling) -> int:
+    """Walks the tree before and after `plug` side by side and returns the
+    number of holes replaced; everything off the path to a hole must come
+    back as the same object."""
+    from rsccore.semantics.irsc import EHole
+    if isinstance(old, EHole):
+        assert new is filling
+        return 1
+    if isinstance(old, list):
+        assert isinstance(new, list) and len(new) == len(old)
+        return sum(_check_plugged(a, b, filling) for a, b in zip(old, new))
+    if not _holes(old):
+        assert new is old
+        return 0
+    assert new is not old and type(new) is type(old)
+    assert (new.nid, new.span) == (old.nid, old.span)
+    assert vars(new).keys() == vars(old).keys()
+    return sum(_check_plugged(v, getattr(new, k), filling)
+               for k, v in vars(old).items())
+
+
+def test_plug_rebuilds_only_the_path_to_the_hole(monkeypatch):
+    """Every context the IRSC machine plugs during a run, and one built by
+    hand with the hole inside an argument list: exactly one hole is
+    replaced, the context itself is left as it was, and every hole-free
+    subtree and list element comes back as the same object."""
+    from rsccore.semantics import irsc
+    from rsccore.syntax import (
+        BReturn, BSeq, EConst, EFuncCall, EVal, EVar, SVarDecl,
+    )
+    plug = irsc.plug
+    seen = []
+
+    def recording(tree, filling):
+        out = plug(tree, filling)
+        seen.append((tree, _holes(tree), filling, out))
+        return out
+
+    monkeypatch.setattr(irsc, "plug", recording)
+    sp, _ = _ssa(CORPUS / "minindex.rsc")
+    r = run(sp, entry="minIndex", args=[[3, 1, 2]], machine="irsc")
+    assert (r.status, r.value) == ("terminal", 1)
+    monkeypatch.undo()
+    call = EFuncCall(EVar("g", nid=5), [EConst(1, nid=6), irsc.EHole(),
+                                        EVar("y", nid=7)], nid=4)
+    tree = BSeq(SVarDecl("x", call, nid=3),
+                BReturn(EVar("x", nid=9), nid=8), nid=2)
+    fill = EVal(0, nid=0)
+    seen.append((tree, 1, fill, plug(tree, fill)))
+    assert sum(1 for _, holes, _, _ in seen if holes) > 10
+    for tree, holes, filling, out in seen:
+        assert holes <= 1 and _holes(tree) == holes
+        assert _check_plugged(tree, out, filling) == holes
+    out = seen[-1][3]
+    assert out.rest is tree.rest and out.stmt.expr.callee is call.callee
+    assert out.stmt.expr.args[0] is call.args[0]
+    assert out.stmt.expr.args[2] is call.args[2]
+
+
 def test_skip_sequencing_step():
     """A leading empty statement steps away without touching state."""
     from rsccore.semantics.tables import RuntimeTables

@@ -6,12 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CORPUS, parse, parse_text
+from conftest import CORPUS, ROOT, parse, parse_text
 
 from rsccore.syntax import (
     BArr, BClass, BPrim, B_BOOL, B_NUM, PAtom, P_TRUE, RBase, RExists,
-    TBuiltin, TConst, TUF, TValueVar, TVar, body_str, free_type_vars,
-    p_and, p_eq, pred_str, trivially_refine, type_str, type_subst,
+    TBuiltin, TConst, TUF, TValueVar, TVar, body_str, clone_tree,
+    free_type_vars, p_and, p_eq, pred_str, trivially_refine, type_str,
+    type_subst, walk_tree,
 )
 
 
@@ -132,3 +133,40 @@ def test_round_trip_method_bodies():
         p2 = parse_text(wrapped)
         m2 = next(x for x in p2.classes[0].methods if x.name == m.name)
         assert body_str(m2.body) == printed
+
+
+def test_only_syntax_reads_dataclass_fields():
+    """The rule for what counts as a subtree has one owner: no module but
+    syntax.py walks a node's dataclass fields itself."""
+    import ast
+    src = ROOT / "src" / "rsccore"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path == src / "syntax.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "dataclasses" and \
+                    any(a.name == "fields" for a in node.names):
+                offenders.append(path.relative_to(src))
+            if isinstance(node, ast.Attribute) and node.attr == "fields" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "dataclasses":
+                offenders.append(path.relative_to(src))
+    assert offenders == []
+
+
+def test_clone_tree_fresh_ids_in_preorder():
+    p = parse(CORPUS / "minindex.rsc")
+    body = p.functions[0].body
+    before = [(type(n), n.nid) for n in walk_tree(body)]
+    copy = clone_tree(body)
+    nodes = list(walk_tree(copy))
+    assert [type(n) for n in nodes] == [t for t, _ in before]
+    assert body_str(copy) == body_str(body)
+    # fresh ids, allocated in pre-order, and the original is untouched
+    ids = [n.nid for n in nodes]
+    assert ids == sorted(ids) and len(set(ids)) == len(ids)
+    assert ids[0] > max(nid for _, nid in before)
+    assert [(type(n), n.nid) for n in walk_tree(body)] == before
+    assert not {id(n) for n in nodes} & {id(n) for n in walk_tree(body)}
