@@ -14,8 +14,7 @@ from ..solver import SolverConfig
 from ..ssa import SsaErrors, ssa_program
 from ..syntax import (
     BClass, ClassDecl, EConst, FuncDecl, P_TRUE, Program, RBase, RExists,
-    RFun, RInter, RType, SourceSpan, trivially_refine, walk_body, stmt_exprs,
-    walk_expr, BReturn, BSeq, BIte,
+    RFun, RInter, RType, SourceSpan, trivially_refine, walk_tree,
 )
 from .constraints import Constraint, Diagnostic
 from .core import CheckAbort, Checker
@@ -46,31 +45,13 @@ class CheckResult:
 
 
 def _collect_strings(program: Program) -> list:
+    bodies = [f.body for f in program.functions] + \
+        [m.body for c in program.classes for m in c.methods] + [program.top]
     out: list = []
-
-    def from_body(b):
-        if b is None:
-            return
-        for node in walk_body(b):
-            exprs = []
-            if isinstance(node, (BReturn,)):
-                exprs = [node.expr]
-            elif isinstance(node, BIte):
-                exprs = [node.cond]
-            elif hasattr(node, "span") and not isinstance(node, (BSeq,)):
-                exprs = stmt_exprs(node)
-            for e in exprs:
-                for sub in walk_expr(e):
-                    if isinstance(sub, EConst) and isinstance(sub.value, str):
-                        if sub.value not in out:
-                            out.append(sub.value)
-
-    for f in program.functions:
-        from_body(f.body)
-    for c in program.classes:
-        for m in c.methods:
-            from_body(m.body)
-    from_body(program.top)
+    for node in walk_tree([b for b in bodies if b is not None]):
+        if isinstance(node, EConst) and isinstance(node.value, str) and \
+                node.value not in out:
+            out.append(node.value)
     return out
 
 

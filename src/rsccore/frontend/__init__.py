@@ -12,7 +12,9 @@ from ..syntax import (
 )
 from .desugar import (hoist_stmts, lift_nested, merge_redeclarations, to_body, wrap_global_fn_refs)
 from .lexer import LexError
-from .parser import NestedFunc, ParseError, Parser, RawFunc
+from .parser import (
+    NestedFunc, ParseError, Parser, RawFunc, reset_tmp_counter,
+)
 from .prelude import BUILTIN_NAMES, load_prelude, raw_prelude_aliases
 from .types_parser import ResolveError, TypeParseError, TypeResolver
 
@@ -128,7 +130,6 @@ def _finish_body(stmts: list, span: SourceSpan, result: str = "undefined",
 
 def parse_program(text: str, fname: str = "<input>") -> Program:
     """Parse, desugar and resolve one source file."""
-    from .desugar import reset_tmp_counter
     reset_tmp_counter()
     raw = Parser(text, fname).parse_program()
 

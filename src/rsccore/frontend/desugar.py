@@ -3,8 +3,6 @@ nested-function lifting, and global-function-reference closure wrapping."""
 
 from __future__ import annotations
 
-import itertools
-
 from ..syntax import (
     BIte, BReturn, BSeq, Body, EClosure, EConst, EFuncCall, EThis, EVar,
     Expr, SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl,
@@ -12,19 +10,8 @@ from ..syntax import (
     replace_in_tree, seq_stmts, walk_stmts, walk_tree,
 )
 from .parser import (
-    ETernary, NestedFunc, ParseError, RawFunc, RawParam, SReturn,
+    ETernary, NestedFunc, ParseError, RawFunc, RawParam, SReturn, fresh_tmp,
 )
-
-_tmp_counter = itertools.count(0)
-
-
-def reset_tmp_counter():
-    global _tmp_counter
-    _tmp_counter = itertools.count(0)
-
-
-def _fresh_tmp() -> str:
-    return f"$t{next(_tmp_counter)}"
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +89,7 @@ def _hoist_expr(e: Expr) -> tuple[list, Expr]:
     plus the rewritten expression."""
     if isinstance(e, ETernary):
         pre_c, cond = _hoist_expr(e.cond)
-        tmp = _fresh_tmp()
+        tmp = fresh_tmp()
         pre_t, te = _hoist_expr(e.then_e)
         pre_e, ee = _hoist_expr(e.else_e)
         decl = SVarDecl(tmp, EConst(UNDEFINED, span=e.span,

@@ -4,6 +4,7 @@ name applications (see types_parser.TypeResolver)."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +22,19 @@ from .types_parser import (
 
 class ParseError(ParseErrorBase):
     pass
+
+
+_tmp_counter = itertools.count(0)
+
+
+def reset_tmp_counter():
+    global _tmp_counter
+    _tmp_counter = itertools.count(0)
+
+
+def fresh_tmp() -> str:
+    """A variable name no source program can write."""
+    return f"$t{next(_tmp_counter)}"
 
 
 # Frontend-only forms, eliminated by the desugar pass.
@@ -104,6 +118,12 @@ class RawProgram:
 
 
 _ASSIGN_OPS = {"=", "+=", "-=", "++", "--"}
+
+
+def _is_element(e: Expr) -> bool:
+    """An array element `a[i]`, which the parser reads as `get(a, i)`."""
+    return isinstance(e, EFuncCall) and isinstance(e.callee, EVar) and \
+        e.callee.name == "get"
 
 
 class Parser:
@@ -321,7 +341,7 @@ class Parser:
             # nested function: kept as a marker statement, lifted by desugar
             fn = self._function(None)
             return [NestedFunc(fn, span=fn.span, nid=next_node_id())]
-        return [self._simple_stmt()]
+        return self._simple_stmt()
 
     def _var_decl(self) -> list:
         ts = self.ts
@@ -371,7 +391,7 @@ class Parser:
             if ts.at("var"):
                 init = self._var_decl()
             else:
-                init = [self._assign_no_semi()]
+                init = self._assign_no_semi()
                 ts.expect(";", "after for-init")
         else:
             ts.next()
@@ -382,7 +402,7 @@ class Parser:
         ts.expect(";", "after for-condition")
         upd: list = []
         if not ts.at(")"):
-            upd = [self._assign_no_semi()]
+            upd = self._assign_no_semi()
         ts.expect(")")
         body_stmts = self._stmt_or_block()
         body = seq_stmts(body_stmts + upd, start)
@@ -393,33 +413,54 @@ class Parser:
             return self._block()
         return self._stmt()
 
-    def _simple_stmt(self) -> Stmt:
+    def _simple_stmt(self) -> list:
         s = self._assign_no_semi()
         self.ts.expect(";", "after statement")
         return s
 
-    def _assign_no_semi(self) -> Stmt:
+    def _assign_no_semi(self) -> list:
         ts = self.ts
         start = ts.peek().span
         lhs = self.parse_expr()
         tok = ts.peek()
         if tok.kind == "sym" and tok.text in _ASSIGN_OPS:
             op = ts.next().text
+            if op == "=":
+                return [self._make_assign(lhs, self.parse_expr(), start)]
+            pre = self._bind_target(lhs, start)
             if op in ("++", "--"):
                 rhs = EFuncCall(
                     EVar("+" if op == "++" else "-", span=start,
                          nid=next_node_id()),
                     [lhs, EConst(1, span=start, nid=next_node_id())],
                     span=start, nid=next_node_id())
-            elif op in ("+=", "-="):
+            else:
                 r = self.parse_expr()
                 rhs = EFuncCall(
                     EVar(op[0], span=start, nid=next_node_id()),
                     [lhs, r], span=start, nid=next_node_id())
-            else:
-                rhs = self.parse_expr()
-            return self._make_assign(lhs, rhs, start)
-        return SExprStmt(lhs, span=start, nid=next_node_id())
+            return pre + [self._make_assign(lhs, rhs, start)]
+        return [SExprStmt(lhs, span=start, nid=next_node_id())]
+
+    def _bind_target(self, lhs: Expr, span: SourceSpan) -> list:
+        """Make a compound assignment, which reads its target and then
+        writes it, evaluate the target once: each operand of a field or
+        element target that is not a variable, `this` or a constant moves
+        into a fresh temporary, declared by the returned statements."""
+        pre: list = []
+
+        def once(e: Expr) -> Expr:
+            if isinstance(e, (EVar, EThis, EConst)):
+                return e
+            tmp = fresh_tmp()
+            pre.append(SVarDecl(tmp, e, span=span, nid=next_node_id()))
+            return EVar(tmp, span=span, nid=next_node_id())
+
+        if isinstance(lhs, EFieldRead):
+            lhs.obj = once(lhs.obj)
+        elif _is_element(lhs):
+            lhs.args = [once(a) for a in lhs.args]
+        return pre
 
     def _make_assign(self, lhs: Expr, rhs: Expr, span: SourceSpan) -> Stmt:
         if isinstance(lhs, EVar):
@@ -427,8 +468,7 @@ class Parser:
         if isinstance(lhs, EFieldRead):
             return SFieldAssign(lhs.obj, lhs.fname, rhs, span=span,
                                 nid=next_node_id())
-        if isinstance(lhs, EFuncCall) and isinstance(lhs.callee, EVar) and \
-                lhs.callee.name == "get":
+        if _is_element(lhs):
             arr, idx = lhs.args
             call = EFuncCall(EVar("set", span=span, nid=next_node_id()),
                              [arr, idx, rhs], span=span, nid=next_node_id())

@@ -10,7 +10,7 @@ from ..syntax import (
     TValueVar, TVar, Term,
 )
 from .values import (
-    ARITH, COMPARE, HArr, HObj, Heap, StuckError, VLoc, Value, type_tag,
+    ARITH, COMPARE, HArr, HObj, Heap, StuckError, Value, deref, type_tag,
     values_equal,
 )
 
@@ -31,32 +31,29 @@ def eval_term(t: Term, env: dict, heap: Heap, parents: dict) -> Value:
             raise StuckError("this unbound in predicate")
         return env["this"]
     if isinstance(t, TField):
-        base = eval_term(t.base, env, heap, parents)
-        if not isinstance(base, VLoc) or base.loc not in heap or \
-                not isinstance(heap[base.loc], HObj):
+        obj = deref(heap, eval_term(t.base, env, heap, parents), HObj)
+        if obj is None:
             raise StuckError("field path on a non-object")
-        obj = heap[base.loc]
         if t.fname not in obj.fields:
             raise StuckError(f"unknown field {t.fname!r} in predicate")
         return obj.fields[t.fname]
     if isinstance(t, TUF):
         args = [eval_term(a, env, heap, parents) for a in t.args]
         if t.fname == "len":
-            v = args[0]
-            if not isinstance(v, VLoc) or v.loc not in heap or \
-                    not isinstance(heap[v.loc], HArr):
+            arr = deref(heap, args[0], HArr)
+            if arr is None:
                 raise StuckError("len of a non-array")
-            return len(heap[v.loc].elems)
+            return len(arr.elems)
         if t.fname == "ttag":
             return type_tag(args[0])
         if t.fname == "instanceof":
             v, cname = args
             if not isinstance(cname, str):
                 raise StuckError("instanceof needs a class name")
-            if not isinstance(v, VLoc) or v.loc not in heap or \
-                    not isinstance(heap[v.loc], HObj):
+            obj = deref(heap, v, HObj)
+            if obj is None:
                 return False
-            cur = heap[v.loc].cname
+            cur = obj.cname
             while cur is not None:
                 if cur == cname:
                     return True

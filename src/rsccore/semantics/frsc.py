@@ -12,14 +12,14 @@ from ..syntax import (
     BArr, BClass, BPrim, Ctx, EArgsLen, ECast, EClosure, EConst,
     ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew,
     EThis, EVal, EVar, Expr, KHole, KLetIf, KLetIn, KLetWhile, Node,
-    P_TRUE, RBase, RExists, RType, UNDEFINED,
+    P_TRUE, RBase, RExists, RType,
 )
 from .evalpred import eval_pred
-from .irsc import EHole, MISSING, mk_val, val_of
+from .stepper import ExprStepper
 from .tables import RuntimeTables
 from .values import (
-    HArr, HObj, Heap, StuckError, VClosure, VLoc, Value, apply_builtin,
-    inject_value, type_tag,
+    HArr, HObj, Heap, MISSING, StuckError, Value, deref, mk_val, type_tag,
+    val_of,
 )
 
 
@@ -51,8 +51,6 @@ class FrscConfig:
 
 def subst_expr(e, m: dict):
     if not m:
-        return e
-    if isinstance(e, EHole):
         return e
     if isinstance(e, EVar):
         return m.get(e.name, e)
@@ -165,25 +163,18 @@ def mk_ctxapply(k: Ctx, e: Expr) -> Expr:
 # The machine
 
 
-class FrscMachine:
+class FrscMachine(ExprStepper):
     def __init__(self, tables: RuntimeTables):
-        self.t = tables
+        super().__init__(tables)
         self.parents = tables.parent_map()
 
     def initial_top(self) -> FrscConfig:
         if self.t.ssa.top is None:
             raise ValueError("program has no top-level body")
-        heap = Heap()
-        self.t.prealloc_class_objects(heap)
-        return FrscConfig(heap, self.t.ssa.top)
+        return FrscConfig(self.t.initial_heap(), self.t.ssa.top)
 
     def initial_call(self, fname: str, args: list) -> FrscConfig:
-        heap = Heap()
-        self.t.prealloc_class_objects(heap)
-        call = EFuncCall(EVar(fname, nid=0),
-                         [mk_val(inject_value(a, heap)) for a in args],
-                         nid=0)
-        return FrscConfig(heap, call)
+        return FrscConfig(*self.t.entry_call(fname, args))
 
     def step(self, c: FrscConfig):
         try:
@@ -198,109 +189,11 @@ class FrscMachine:
 
     # -- expression stepping ----------------------------------------------------
 
-    def _step_children(self, c, children, rebuild):
-        vals = []
-        for i, ch in enumerate(children):
-            v = val_of(ch)
-            if v is MISSING:
-                r = self._step_expr(c, ch)
-                return ("new", rebuild(children[:i] + [r[1]] +
-                                       children[i + 1:]))
-            vals.append(v)
-        return ("vals", vals)
-
     def _step_expr(self, c: FrscConfig, e: Expr):
         if isinstance(e, ECtxApply):
             return self._step_ctxapply(c, e)
         if isinstance(e, EWhileRun):
             return self._step_whilerun(c, e)
-        if isinstance(e, EFieldRead):
-            r = self._step_children(c, [e.obj], lambda ch: EFieldRead(
-                ch[0], e.fname, nid=e.nid, span=e.span))
-            if r[0] != "vals":
-                return r
-            (vo,) = r[1]
-            if not isinstance(vo, VLoc) or vo.loc not in c.heap or \
-                    not isinstance(c.heap[vo.loc], HObj):
-                raise StuckError("field read on a non-object")
-            obj = c.heap[vo.loc]
-            if e.fname not in obj.fields:
-                raise StuckError(f"unknown field {e.fname!r} on {obj.cname}")
-            return ("new", mk_val(obj.fields[e.fname]))
-        if isinstance(e, EFieldAssign):
-            r = self._step_children(c, [e.obj, e.rhs], lambda ch:
-                                    EFieldAssign(ch[0], e.fname, ch[1],
-                                                 nid=e.nid, span=e.span))
-            if r[0] != "vals":
-                return r
-            vo, vr = r[1]
-            if not isinstance(vo, VLoc) or vo.loc not in c.heap or \
-                    not isinstance(c.heap[vo.loc], HObj):
-                raise StuckError("field write on a non-object")
-            obj = c.heap[vo.loc]
-            if e.fname not in obj.fields:
-                raise StuckError(f"unknown field {e.fname!r} on {obj.cname}")
-            obj.fields[e.fname] = vr
-            return ("new", mk_val(vr))
-        if isinstance(e, EMethodCall):
-            r = self._step_children(c, [e.obj, *e.args], lambda ch:
-                                    EMethodCall(ch[0], e.mname, ch[1:],
-                                                nid=e.nid, span=e.span))
-            if r[0] != "vals":
-                return r
-            vo, *argv = r[1]
-            sm = self.t.resolve_method(c.heap, vo, e.mname, ssa=True)
-            m = {n: mk_val(v) for n, v in zip(sm.params, argv)}
-            for n in sm.params[len(argv):]:
-                m[n] = mk_val(UNDEFINED)
-            m["this"] = mk_val(vo)
-            m["#argc"] = mk_val(len(argv))
-            if sm.decl.precond is not None and \
-                    not self._precond_holds(c, sm, vo, argv):
-                raise StuckError(
-                    f"precondition of {e.mname} does not hold at call")
-            return ("new", subst_expr(sm.body, m))
-        if isinstance(e, EFuncCall):
-            callee = e.callee
-            if isinstance(callee, EVar) and \
-                    self.t.is_global_callee(callee.name):
-                r = self._step_children(c, list(e.args), lambda ch:
-                                        EFuncCall(callee, ch, nid=e.nid,
-                                                  span=e.span))
-                if r[0] != "vals":
-                    return r
-                return self._dispatch_call(c, callee.name, r[1],
-                                           argc=len(r[1]))
-            r = self._step_children(c, [callee, *e.args], lambda ch:
-                                    EFuncCall(ch[0], ch[1:], nid=e.nid,
-                                              span=e.span))
-            if r[0] != "vals":
-                return r
-            vf, *argv = r[1]
-            if not isinstance(vf, VClosure):
-                raise StuckError("call of a non-function value")
-            return self._dispatch_call(c, vf.fname, list(vf.caps) + argv,
-                                       argc=len(vf.caps) + len(argv))
-        if isinstance(e, ENew):
-            r = self._step_children(c, list(e.args), lambda ch: ENew(
-                e.cname, ch, nid=e.nid, span=e.span))
-            if r[0] != "vals":
-                return r
-            argv = r[1]
-            loc = self.t.allocate_object(c.heap, e.cname)
-            sc = self.t.constructor_of(e.cname, ssa=True)
-            if sc is None:
-                if argv:
-                    raise StuckError(
-                        f"class {e.cname} has no constructor but arguments"
-                        " were supplied")
-                return ("new", mk_val(loc))
-            m = {n: mk_val(v) for n, v in zip(sc.params, argv)}
-            for n in sc.params[len(argv):]:
-                m[n] = mk_val(UNDEFINED)
-            m["this"] = mk_val(loc)
-            m["#argc"] = mk_val(len(argv))
-            return ("new", subst_expr(sc.body, m))
         if isinstance(e, ECast):
             r = self._step_children(c, [e.expr], lambda ch: ECast(
                 e.rtype, ch[0], nid=e.nid, span=e.span))
@@ -311,21 +204,17 @@ class FrscMachine:
             return ("new", mk_val(v))
         if isinstance(e, EVar):
             raise StuckError(f"free variable {e.name!r} in focus")
-        raise StuckError(f"cannot evaluate {type(e).__name__}")
+        return self._step_shared(c, e)
 
-    def _dispatch_call(self, c, fname, argv, argc):
-        if self.t.is_builtin(fname):
-            return ("new", mk_val(apply_builtin(fname, argv, c.heap)))
-        fn = self.t.funcs.get(fname)
-        if fn is None:
-            raise StuckError(f"unknown function {fname!r}")
-        if fn.decl.is_ghost:
-            return ("new", mk_val(True))
-        m = {p: mk_val(v) for p, v in zip(fn.params, argv)}
-        for p in fn.params[len(argv):]:
-            m[p] = mk_val(UNDEFINED)
-        m["#argc"] = mk_val(argc)
-        return ("new", subst_expr(fn.body, m))
+    def _enter(self, c, code, frame):
+        return ("new", subst_expr(code.body, {n: mk_val(v)
+                                              for n, v in frame.items()}))
+
+    def _invoke(self, c, sm, vo, argv):
+        if not self._precond_holds(c, sm, vo, argv):
+            raise StuckError(
+                f"precondition of {sm.name} does not hold at call")
+        return super()._invoke(c, sm, vo, argv)
 
     # -- contexts ------------------------------------------------------------
 
@@ -405,10 +294,9 @@ class FrscMachine:
             raise StuckError("cast to a non-base type")
         base = t.base
         if isinstance(base, BClass):
-            if not isinstance(v, VLoc) or v.loc not in c.heap or \
-                    not isinstance(c.heap[v.loc], HObj):
+            obj = deref(c.heap, v, HObj)
+            if obj is None:
                 raise StuckError(f"cast to {base.name} of a non-object")
-            obj = c.heap[v.loc]
             if not self.t.is_subclass(obj.cname, base.name):
                 raise StuckError(
                     f"cast failure: {obj.cname} is not a subclass of"
@@ -429,8 +317,7 @@ class FrscMachine:
             if type_tag(v) != tag:
                 raise StuckError(f"cast failure: value is not {base.name}")
         elif isinstance(base, BArr):
-            if not isinstance(v, VLoc) or v.loc not in c.heap or \
-                    not isinstance(c.heap[v.loc], HArr):
+            if deref(c.heap, v, HArr) is None:
                 raise StuckError("cast failure: value is not an array")
         if t.pred is not None:
             if not eval_pred(t.pred, {"v": v}, c.heap, self.parents):

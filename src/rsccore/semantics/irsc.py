@@ -12,18 +12,12 @@ import copy
 from dataclasses import dataclass
 
 from ..syntax import (
-    BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, EConst, EFieldRead,
-    EFuncCall, EMethodCall, ENew, EThis, EVal, EVar, Expr, SAssign,
-    SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, Stmt,
-    UNDEFINED, subtree_fields,
+    BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, EThis, EVar, Expr,
+    SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile,
+    Stmt, subtree_fields,
 )
-from .tables import RuntimeTables
-from .values import (
-    HObj, Heap, StuckError, VClosure, VLoc, Value, apply_builtin,
-    inject_value,
-)
-
-MISSING = object()
+from .stepper import ExprStepper, field_object
+from .values import Heap, MISSING, StuckError, VClosure, mk_val, val_of
 
 
 @dataclass
@@ -31,26 +25,6 @@ class EHole:
     """Runtime hole marking a call site inside a saved evaluation context."""
 
     nid: int = 0
-
-
-def val_of(e) -> object:
-    if isinstance(e, EVal):
-        return e.value
-    if isinstance(e, EConst):
-        return e.value
-    if isinstance(e, EClosure):
-        caps = []
-        for c in e.captures:
-            v = val_of(c)
-            if v is MISSING:
-                return MISSING
-            caps.append(v)
-        return VClosure(e.fname, tuple(caps))
-    return MISSING
-
-
-def mk_val(v: Value):
-    return EVal(v, nid=0)
 
 
 @dataclass
@@ -92,11 +66,8 @@ def plug(tree, filling):
     return tree if new is None else new
 
 
-class IrscMachine:
+class IrscMachine(ExprStepper):
     """One reduction step per call; deterministic."""
-
-    def __init__(self, tables: RuntimeTables):
-        self.t = tables
 
     # -- public --------------------------------------------------------------
 
@@ -110,16 +81,10 @@ class IrscMachine:
     def initial_top(self) -> IrscConfig:
         if self.t.program.top is None:
             raise ValueError("program has no top-level body")
-        heap = Heap()
-        self.t.prealloc_class_objects(heap)
-        return IrscConfig({}, [], heap, self.t.program.top)
+        return IrscConfig({}, [], self.t.initial_heap(), self.t.program.top)
 
     def initial_call(self, fname: str, args: list) -> IrscConfig:
-        heap = Heap()
-        self.t.prealloc_class_objects(heap)
-        call = EFuncCall(EVar(fname, nid=0),
-                         [mk_val(inject_value(a, heap)) for a in args],
-                         nid=0)
+        heap, call = self.t.entry_call(fname, args)
         return IrscConfig({}, [], heap, call)
 
     # -- dispatch -------------------------------------------------------------
@@ -131,13 +96,15 @@ class IrscMachine:
         # expression focus
         v = val_of(f)
         if v is not MISSING:
-            if not c.stack:
-                return ("terminal", v)
-            fr = c.stack[-1]
-            return self._ok(c, plug(fr.ectx, mk_val(v)), store=fr.store,
-                            stack=c.stack[:-1])
-        r = self._step_expr(c, f)
-        return self._finish(c, r)
+            return self._return(c, v)
+        return self._finish(c, self._step_expr(c, f))
+
+    def _return(self, c, v):
+        if not c.stack:
+            return ("terminal", v)
+        fr = c.stack[-1]
+        return self._ok(c, plug(fr.ectx, mk_val(v)), store=fr.store,
+                        stack=c.stack[:-1])
 
     def _ok(self, c, focus, store=None, stack=None):
         return ("ok", IrscConfig(c.store if store is None else store,
@@ -160,11 +127,7 @@ class IrscMachine:
         if isinstance(b, BReturn):
             v = val_of(b.expr)
             if v is not MISSING:
-                if not c.stack:
-                    return ("terminal", v)
-                fr = c.stack[-1]
-                return self._ok(c, plug(fr.ectx, mk_val(v)), store=fr.store,
-                                stack=c.stack[:-1])
+                return self._return(c, v)
             r = self._step_expr(c, b.expr)
             return self._finish(c, self._wrap(
                 r, lambda e: BReturn(e, nid=b.nid, span=b.span)))
@@ -216,19 +179,13 @@ class IrscMachine:
             return self._wrap(
                 r, lambda e: SAssign(s.name, e, nid=s.nid, span=s.span))
         if isinstance(s, SFieldAssign):
-            vo = val_of(s.obj)
-            if vo is MISSING:
-                r = self._step_expr(c, s.obj)
-                return self._wrap(
-                    r, lambda e: SFieldAssign(e, s.fname, s.rhs, nid=s.nid,
-                                              span=s.span))
-            vr = val_of(s.rhs)
-            if vr is MISSING:
-                r = self._step_expr(c, s.rhs)
-                return self._wrap(
-                    r, lambda e: SFieldAssign(s.obj, s.fname, e, nid=s.nid,
-                                              span=s.span))
-            self._field_write(c, vo, s.fname, vr)
+            r = self._step_children(c, [s.obj, s.rhs], lambda ch:
+                                    SFieldAssign(ch[0], s.fname, ch[1],
+                                                 nid=s.nid, span=s.span))
+            if r[0] != "vals":
+                return r
+            vo, vr = r[1]
+            field_object(c.heap, vo, s.fname, "write").fields[s.fname] = vr
             return ("new", SExprStmt(mk_val(vr), nid=s.nid))
         if isinstance(s, SExprStmt):
             v = val_of(s.expr)
@@ -258,36 +215,7 @@ class IrscMachine:
             raise AssertionError("skip handled by sequencing")
         raise StuckError(f"cannot execute {type(s).__name__}")
 
-    def _field_write(self, c, vo, fname, vr):
-        if not isinstance(vo, VLoc) or vo.loc not in c.heap or \
-                not isinstance(c.heap[vo.loc], HObj):
-            raise StuckError("field write on a non-object")
-        obj = c.heap[vo.loc]
-        if fname not in obj.fields:
-            raise StuckError(f"unknown field {fname!r} on {obj.cname}")
-        obj.fields[fname] = vr
-
     # -- expressions ----------------------------------------------------------
-
-    def _wrap(self, r, rebuild):
-        if r[0] == "new":
-            return ("new", rebuild(r[1]))
-        if r[0] == "call":
-            _, store, body, holed = r
-            return ("call", store, body, rebuild(holed))
-        raise AssertionError(r)
-
-    def _step_children(self, c, children, rebuild):
-        vals = []
-        for i, ch in enumerate(children):
-            v = val_of(ch)
-            if v is MISSING:
-                r = self._step_expr(c, ch)
-                def reb(x, i=i):
-                    return rebuild(children[:i] + [x] + children[i + 1:])
-                return self._wrap(r, reb)
-            vals.append(v)
-        return ("vals", vals)
 
     def _step_expr(self, c: IrscConfig, e: Expr):
         if isinstance(e, EVar):
@@ -302,66 +230,6 @@ class IrscMachine:
             if "#argc" not in c.store:
                 raise StuckError("arguments.length outside a function")
             return ("new", mk_val(c.store["#argc"]))
-        if isinstance(e, EFieldRead):
-            r = self._step_children(c, [e.obj], lambda ch: EFieldRead(
-                ch[0], e.fname, nid=e.nid, span=e.span))
-            if r[0] != "vals":
-                return r
-            (vo,) = r[1]
-            return ("new", mk_val(self._field_read(c, vo, e.fname)))
-        if isinstance(e, EMethodCall):
-            r = self._step_children(c, [e.obj, *e.args], lambda ch:
-                                    EMethodCall(ch[0], e.mname, ch[1:],
-                                                nid=e.nid, span=e.span))
-            if r[0] != "vals":
-                return r
-            vo, *argv = r[1]
-            mdecl = self.t.resolve_method(c.heap, vo, e.mname)
-            store = {n: v for (n, _), v in zip(mdecl.params, argv)}
-            for (n, _) in mdecl.params[len(argv):]:
-                store[n] = UNDEFINED
-            store["this"] = vo
-            store["#argc"] = len(argv)
-            holed = EHole()
-            return ("call", store, mdecl.body, holed)
-        if isinstance(e, EFuncCall):
-            callee = e.callee
-            if isinstance(callee, EVar) and self.t.is_global_callee(callee.name):
-                r = self._step_children(c, list(e.args), lambda ch: EFuncCall(
-                    callee, ch, nid=e.nid, span=e.span))
-                if r[0] != "vals":
-                    return r
-                return self._dispatch_call(c, callee.name, r[1], e)
-            r = self._step_children(c, [callee, *e.args], lambda ch:
-                                    EFuncCall(ch[0], ch[1:], nid=e.nid,
-                                              span=e.span))
-            if r[0] != "vals":
-                return r
-            vf, *argv = r[1]
-            if not isinstance(vf, VClosure):
-                raise StuckError("call of a non-function value")
-            return self._dispatch_call(c, vf.fname, list(vf.caps) + argv, e,
-                                       argc=len(vf.caps) + len(argv))
-        if isinstance(e, ENew):
-            r = self._step_children(c, list(e.args), lambda ch: ENew(
-                e.cname, ch, nid=e.nid, span=e.span))
-            if r[0] != "vals":
-                return r
-            argv = r[1]
-            loc = self.t.allocate_object(c.heap, e.cname)
-            ctor = self.t.constructor_of(e.cname)
-            if ctor is None:
-                if argv:
-                    raise StuckError(
-                        f"class {e.cname} has no constructor but arguments"
-                        " were supplied")
-                return ("new", mk_val(loc))
-            store = {n: v for (n, _), v in zip(ctor.params, argv)}
-            for (n, _) in ctor.params[len(argv):]:
-                store[n] = UNDEFINED
-            store["this"] = loc
-            store["#argc"] = len(argv)
-            return ("call", store, ctor.body, EHole())
         if isinstance(e, ECast):
             r = self._step_children(c, [e.expr], lambda ch: ECast(
                 e.rtype, ch[0], nid=e.nid, span=e.span))
@@ -375,26 +243,7 @@ class IrscMachine:
             if r[0] != "vals":
                 return r
             return ("new", mk_val(VClosure(e.fname, tuple(r[1]))))
-        raise StuckError(f"cannot evaluate {type(e).__name__}")
+        return self._step_shared(c, e)
 
-    def _field_read(self, c, vo, fname) -> Value:
-        if not isinstance(vo, VLoc) or vo.loc not in c.heap:
-            raise StuckError("field read on a non-object")
-        obj = c.heap[vo.loc]
-        if not isinstance(obj, HObj) or fname not in obj.fields:
-            raise StuckError(f"unknown field {fname!r}")
-        return obj.fields[fname]
-
-    def _dispatch_call(self, c, fname: str, argv: list, e, argc=None):
-        if self.t.is_builtin(fname):
-            return ("new", mk_val(apply_builtin(fname, argv, c.heap)))
-        fn = self.t.funcs.get(fname)
-        if fn is None:
-            raise StuckError(f"unknown function {fname!r}")
-        if fn.decl.is_ghost:
-            return ("new", mk_val(True))
-        store = {p: v for p, v in zip(fn.decl.params, argv)}
-        for p in fn.decl.params[len(argv):]:
-            store[p] = UNDEFINED
-        store["#argc"] = len(argv) if argc is None else argc
-        return ("call", store, fn.decl.body, EHole())
+    def _enter(self, c, code, frame):
+        return ("call", frame, code.decl.body, EHole())

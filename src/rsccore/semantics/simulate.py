@@ -30,11 +30,12 @@ from ..syntax import (
     expr_str,
 )
 from .frsc import EWhileRun, FrscMachine, ctx_binders, mk_ctxapply
-from .irsc import (
-    EHole, IrscConfig, IrscMachine, MISSING, mk_val, plug, val_of,
-)
+from .irsc import EHole, IrscConfig, IrscMachine, plug
 from .tables import RuntimeTables
-from .values import HArr, HObj, Heap, VClosure, value_str, values_equal
+from .values import (
+    HArr, HObj, Heap, MISSING, VClosure, mk_val, val_of, value_str,
+    values_equal,
+)
 
 
 class TranslateGap(Exception):

@@ -7,8 +7,13 @@ from typing import Optional
 
 from ..frontend.prelude import BUILTIN_NAMES
 from ..ssa import SsaProgram
-from ..syntax import ClassDecl, FieldDecl, MethodDecl, UNDEFINED
-from .values import HClassObj, HObj, Heap, StuckError, VLoc, Value
+from ..syntax import (
+    ClassDecl, EFuncCall, EVar, Expr, FieldDecl, MethodDecl, UNDEFINED,
+)
+from .values import (
+    HClassObj, HObj, Heap, StuckError, VLoc, Value, deref, inject_value,
+    mk_val,
+)
 
 
 @dataclass
@@ -16,7 +21,7 @@ class ClassInfo:
     decl: ClassDecl
     parent: Optional[str]
     fields: list  # FieldDecls, root-to-leaf order
-    methods: dict  # name -> (MethodDecl, owner class name)
+    methods: dict  # name -> the class that defines it
     ctor: Optional[MethodDecl]
 
 
@@ -49,7 +54,7 @@ class RuntimeTables:
             if m.is_ctor:
                 ctor = m
             else:
-                methods[m.name] = (m, name)
+                methods[m.name] = name
         fields = fields + list(c.fields)
         info = ClassInfo(c, c.parent, fields, methods, ctor)
         self.classes[name] = info
@@ -74,29 +79,25 @@ class RuntimeTables:
             cur = info.parent if info else None
         return False
 
-    def resolve_method(self, heap: Heap, v: Value, mname: str,
-                       ssa: bool = False):
-        if not isinstance(v, VLoc) or v.loc not in heap or \
-                not isinstance(heap[v.loc], HObj):
-            raise StuckError(f"method call {mname!r} on a non-object")
-        cname = heap[v.loc].cname
-        info = self.classes.get(cname)
-        if info is None or mname not in info.methods:
-            raise StuckError(f"unknown method {mname!r} on {cname}")
-        mdecl, owner = info.methods[mname]
-        if ssa:
-            return self.ssa.methods[(owner, mname)]
-        return mdecl
+    # The code lookups return the SsaFunc / SsaMethod: its `params` serve
+    # both machines, its `body` the functional one, `decl.body` the source.
 
-    def constructor_of(self, cname: str, ssa: bool = False):
+    def resolve_method(self, heap: Heap, v: Value, mname: str):
+        obj = deref(heap, v, HObj)
+        if obj is None:
+            raise StuckError(f"method call {mname!r} on a non-object")
+        info = self.classes.get(obj.cname)
+        if info is None or mname not in info.methods:
+            raise StuckError(f"unknown method {mname!r} on {obj.cname}")
+        return self.ssa.methods[(info.methods[mname], mname)]
+
+    def constructor_of(self, cname: str):
         info = self.classes.get(cname)
         if info is None:
             raise StuckError(f"unknown class {cname!r}")
         if info.ctor is None:
             return None
-        if ssa:
-            return self.ssa.methods[(cname, "constructor")]
-        return info.ctor
+        return self.ssa.methods[(cname, "constructor")]
 
     def allocate_object(self, heap: Heap, cname: str) -> VLoc:
         info = self.classes.get(cname)
@@ -105,13 +106,26 @@ class RuntimeTables:
         return heap.alloc(HObj(cname, {f.name: UNDEFINED
                                        for f in info.fields}))
 
-    def prealloc_class_objects(self, heap: Heap):
+    def initial_heap(self) -> Heap:
+        """A heap holding one class object per class, in declaration
+        order."""
+        heap = Heap()
         locs: dict[str, int] = {}
         for c in self.program.classes:
             parent_loc = locs.get(c.parent) if c.parent else None
             v = heap.alloc(HClassObj(c.name, parent_loc,
                                      [m.name for m in c.methods]))
             locs[c.name] = v.loc
+        return heap
+
+    def entry_call(self, fname: str, args: list) -> tuple[Heap, Expr]:
+        """The initial heap and the call of `fname` on host values `args`
+        (arrays are allocated on that heap)."""
+        heap = self.initial_heap()
+        call = EFuncCall(EVar(fname, nid=0),
+                         [mk_val(inject_value(a, heap)) for a in args],
+                         nid=0)
+        return heap, call
 
     def parent_map(self) -> dict:
         return {name: info.parent for name, info in self.classes.items()}

@@ -1,7 +1,8 @@
-"""Runtime values, heaps, and the primitive operations shared by both
-interpreters (so the two machines cannot drift on builtin behavior).  The
-integer operators and strict equality defined here are also the meaning
-the predicate evaluator, the constant folder and the solver give them."""
+"""Runtime values, heaps, call frames, and the primitive operations shared
+by both interpreters (so the two machines cannot drift on builtin
+behavior).  The integer operators and strict equality defined here are
+also the meaning the predicate evaluator, the constant folder and the
+solver give them."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..syntax import NULL, UNDEFINED, literal_str
+from ..syntax import EClosure, EConst, EVal, NULL, UNDEFINED, literal_str
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,58 @@ class Heap:
         return loc in self.cells
 
 
+def deref(heap: Heap, v: Value, kind: type):
+    """The heap cell of class `kind` that `v` points at, or None."""
+    if isinstance(v, VLoc):
+        obj = heap.cells.get(v.loc)
+        if isinstance(obj, kind):
+            return obj
+    return None
+
+
 class StuckError(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+MISSING = object()
+
+
+def val_of(e) -> object:
+    """The value expression node `e` denotes, or MISSING if it still has
+    to be evaluated."""
+    if isinstance(e, EVal):
+        return e.value
+    if isinstance(e, EConst):
+        return e.value
+    if isinstance(e, EClosure):
+        caps = []
+        for c in e.captures:
+            v = val_of(c)
+            if v is MISSING:
+                return MISSING
+            caps.append(v)
+        return VClosure(e.fname, tuple(caps))
+    return MISSING
+
+
+def mk_val(v: Value) -> EVal:
+    return EVal(v, nid=0)
+
+
+def call_frame(params: list, argv: list,
+               this: Optional[Value] = None) -> dict:
+    """A callee's variables: each parameter bound to its argument, or to
+    undefined when the call supplies too few; then `this` for a method or
+    constructor, and the argument count."""
+    frame = dict(zip(params, argv))
+    for p in params[len(argv):]:
+        frame[p] = UNDEFINED
+    if this is not None:
+        frame["this"] = this
+    frame["#argc"] = len(argv)
+    return frame
 
 
 def inject_value(a, heap: Heap) -> Value:
@@ -219,7 +268,7 @@ def apply_builtin(name: str, args: list, heap: Heap) -> Value:
 
 
 def _array(v: Value, heap: Heap, what: str) -> HArr:
-    if not isinstance(v, VLoc) or v.loc not in heap or \
-            not isinstance(heap[v.loc], HArr):
+    arr = deref(heap, v, HArr)
+    if arr is None:
         raise StuckError(f"{what} on non-array {value_str(v)}")
-    return heap[v.loc]
+    return arr

@@ -127,14 +127,12 @@ def _branches(f):
             yield from _branches(sub)
         return
     if kind == "and":
-        def product(parts):
-            if not parts:
-                yield []
-                return
-            for head in _branches(parts[0]):
-                for tail in product(parts[1:]):
-                    yield head + tail
-        yield from product(f[1])
+        # the first _MAX_BRANCHES + 1 combinations, all the caller takes,
+        # use no conjunct branch past that index
+        parts = [list(itertools.islice(_branches(sub), _MAX_BRANCHES + 1))
+                 for sub in f[1]]
+        for combo in itertools.product(*parts):
+            yield [lit for branch in combo for lit in branch]
         return
     raise AssertionError(kind)
 

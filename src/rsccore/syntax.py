@@ -1073,26 +1073,6 @@ def expr_children(e: Expr) -> list:
     raise TypeError(e)
 
 
-def walk_expr(e: Expr) -> Iterator[Expr]:
-    yield e
-    for c in expr_children(e):
-        yield from walk_expr(c)
-
-
-def stmt_exprs(s: Stmt) -> list:
-    if isinstance(s, (SVarDecl, SAssign)):
-        return [s.expr]
-    if isinstance(s, SFieldAssign):
-        return [s.obj, s.rhs]
-    if isinstance(s, SExprStmt):
-        return [s.expr]
-    if isinstance(s, SIte):
-        return [s.cond]
-    if isinstance(s, SWhile):
-        return [s.cond]
-    return []
-
-
 def walk_stmts(s: Stmt) -> Iterator[Stmt]:
     yield s
     if isinstance(s, SIte):
@@ -1103,16 +1083,6 @@ def walk_stmts(s: Stmt) -> Iterator[Stmt]:
     elif isinstance(s, SSeq):
         yield from walk_stmts(s.first)
         yield from walk_stmts(s.second)
-
-
-def walk_body(b: Body) -> Iterator[Union[Stmt, Body]]:
-    yield b
-    if isinstance(b, BSeq):
-        yield from walk_stmts(b.stmt)
-        yield from walk_body(b.rest)
-    elif isinstance(b, BIte):
-        yield from walk_body(b.then_b)
-        yield from walk_body(b.else_b)
 
 
 def assigned_names(s: Stmt, outer: set[str]) -> list[str]:

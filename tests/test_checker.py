@@ -10,7 +10,7 @@ from conftest import CORPUS, check, check_text, parse
 from rsccore.checker import check_program
 from rsccore.checker.ctor import CtorError, ctor_rewrite
 from rsccore.logic import ClassTable
-from rsccore.syntax import body_str, pred_str, type_str, walk_body
+from rsccore.syntax import body_str, pred_str, type_str, walk_tree
 
 
 # -- rule-level shapes ---------------------------------------------------------
@@ -198,9 +198,9 @@ def test_two_phase_reduce_clones():
     # each clone is a copy: the original keeps arguments.length and shares
     # no statement or body node with either clone
     assert "(arguments.length === 3)" in body_str(fn.body)
-    orig = {id(n) for n in walk_body(fn.body)}
+    orig = {id(n) for n in walk_tree(fn.body)}
     for c in clones:
-        assert not orig & {id(n) for n in walk_body(c.decl.body)}
+        assert not orig & {id(n) for n in walk_tree(c.decl.body)}
 
 
 def test_two_phase_verifies_overload():

@@ -13,20 +13,8 @@ from rsccore.frontend.parser import ParseError
 from rsccore.frontend.types_parser import ParseErrorBase, ResolveError
 from rsccore.syntax import (
     ECast, EClosure, EFuncCall, EVar, R_NUM, RFun, RInter, body_str,
-    expr_str, pred_str, type_str, walk_body, walk_expr, BReturn, BSeq, BIte,
-    stmt_exprs,
+    expr_str, pred_str, type_str, walk_tree, BReturn,
 )
-
-
-def _body_exprs(b):
-    for node in walk_body(b):
-        if isinstance(node, BReturn):
-            yield from walk_expr(node.expr)
-        elif isinstance(node, BIte):
-            yield from walk_expr(node.cond)
-        elif not isinstance(node, BSeq):
-            for e in stmt_exprs(node):
-                yield from walk_expr(e)
 
 
 def test_fig1_reduce_minindex_parses():
@@ -110,7 +98,7 @@ function f(a, i, e) {
 }
 """)
     fn = p.functions[0]
-    calls = [e.callee.name for e in _body_exprs(fn.body)
+    calls = [e.callee.name for e in walk_tree(fn.body)
              if isinstance(e, EFuncCall) and isinstance(e.callee, EVar)]
     assert "set" in calls and "length" in calls and "slice" in calls \
         and "get" in calls
@@ -127,6 +115,26 @@ function f(x) {
 """)
     s = body_str(p.functions[0].body)
     assert "(x + 2)" in s and "(x + 1)" in s
+    # a target operand other than a variable, `this` or a constant is
+    # evaluated once, into a temporary
+    p = parse_text("""
+class C {
+  n : number;
+  constructor() { this.n = 0; this.n += 1; }
+}
+/*@ (a: number[], c: C) => number */
+function g(a, c) {
+  a[c.n] += 2;
+  a[0]++;
+  c.n -= 1;
+  return 0;
+}
+""")
+    assert body_str(p.functions[0].body) == (
+        "var $t0 = c.n;\nset(a, $t0, (get(a, $t0) + 2));\n"
+        "set(a, 0, (get(a, 0) + 1));\nc.n = (c.n - 1);\nreturn 0;")
+    assert body_str(p.classes[0].methods[0].body) == (
+        "this.n = 0;\nthis.n = (this.n + 1);\nreturn this;")
 
 
 def test_parse_error_has_span():
@@ -238,7 +246,7 @@ function user(m) {
 
 def _closures(body):
     return [(e.fname, [c.name for c in e.captures])
-            for e in _body_exprs(body) if isinstance(e, EClosure)]
+            for e in walk_tree(body) if isinstance(e, EClosure)]
 
 
 def test_surface_rewrites_pinned():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import CORPUS, parse, parse_text
 
-from rsccore.semantics import run, simulate
+from rsccore.semantics import VClosure, run, simulate
 from rsccore.ssa import ssa_program
 from rsccore.syntax import SIte, SWhile
 
@@ -478,3 +478,109 @@ var bad = d.half(0);
     r2 = run(sp2, machine="frsc")
     assert r2.status == "stuck"
     assert "precondition" in r2.reason
+
+
+# ---------------------------------------------------------------------------
+# the runtime both machines share
+
+_CLASSES = """
+class P {
+  f : number;
+  constructor(f: number) { this.f = f; }
+  /*@ () => number */
+  get_f() { return this.f; }
+}
+class Q {
+  g : number;
+}
+"""
+
+
+@pytest.mark.parametrize("body,args,reason", [
+    ("function t(x) { return x.f; }", [5], "field read on a non-object"),
+    ("function t(x) { return x.f; }", [[1]], "field read on a non-object"),
+    ("function t(x) { x.f = 1; return 0; }", [5],
+     "field write on a non-object"),
+    ("function t(x) { var p = new P(1); return p.h; }", [0],
+     "unknown field 'h' on P"),
+    ("function t(x) { var p = new P(1); p.h = 2; return 0; }", [0],
+     "unknown field 'h' on P"),
+    ("function t(x) { return x(1); }", [VClosure("nope", ())],
+     "unknown function 'nope'"),
+    ("function t(x) { var p = new P(1); return p.m(); }", [0],
+     "unknown method 'm' on P"),
+    ("function t(x) { return x(1); }", [5], "call of a non-function value"),
+    ("function t(x) { var q = new Q(1); return 0; }", [0],
+     "class Q has no constructor but arguments were supplied"),
+], ids=["read-number", "read-array", "write-number", "read-unknown-field",
+        "write-unknown-field", "unknown-function", "unknown-method",
+        "call-non-function", "new-args-without-constructor"])
+def test_shared_failures_stick_alike(body, args, reason):
+    """The forms both machines share fail with one reason on both."""
+    sp, _ = _ssa_text(_CLASSES + "/*@ (x: number) => number */\n" + body)
+    for machine in ("frsc", "irsc"):
+        r = run(sp, entry="t", args=args, machine=machine)
+        assert (r.status, r.reason) == ("stuck", reason), machine
+
+
+_COMPOUND = """
+class Ctr {
+  n : number;
+  v : number;
+  constructor() { this.n = 0; this.v = 10; }
+}
+
+/*@ (c: Ctr) => number */
+function bump(c) { c.n = c.n + 1; return 0; }
+
+/*@ (c: Ctr, d: Ctr) => Ctr */
+function pick(c, d) { c.n = c.n + 1; return d; }
+
+/*@ () => number */
+function element() {
+  var c = new Ctr();
+  var a = [1, 2];
+  a[bump(c)] += 5;
+  a[bump(c)]++;
+  return c.n * 100 + a[0];
+}
+
+/*@ () => number */
+function field() {
+  var c = new Ctr();
+  var d = new Ctr();
+  pick(c, d).v += 5;
+  pick(c, d).v--;
+  return c.n * 100 + d.v;
+}
+"""
+
+
+@pytest.mark.parametrize("entry,expected", [("element", 207),
+                                            ("field", 214)])
+def test_compound_assignment_evaluates_target_once(entry, expected):
+    """`a[i] op= e`, `a[i]++` and `o.f op= e` evaluate the array, index and
+    object once each: two compound assignments bump the counter twice."""
+    sp, theta = _ssa_text(_COMPOUND)
+    for machine in ("frsc", "irsc"):
+        r = run(sp, entry=entry, machine=machine)
+        assert (r.status, r.value) == ("terminal", expected), machine
+    assert simulate(sp, theta, entry=entry).status == "ok"
+
+
+def test_machines_do_not_import_each_other():
+    """Each machine is its own implementation of what the SSA translation
+    changes; what they share comes from the shared runtime modules."""
+    import ast
+    from pathlib import Path
+    sem = Path(__file__).resolve().parent.parent / "src" / "rsccore" / \
+        "semantics"
+    for mine, other in (("frsc", "irsc"), ("irsc", "frsc")):
+        tree = ast.parse((sem / f"{mine}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[-1] != other, mine
+                assert other not in {a.name for a in node.names}, mine
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[-1] == other
+                               for a in node.names), mine
