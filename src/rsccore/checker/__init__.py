@@ -21,7 +21,8 @@ from .core import CheckAbort, Checker
 from .ctor import CtorError, ctor_init_signature, ctor_rewrite
 from .twophase import OverloadClone, two_phase_expand
 
-__all__ = ["check_program", "CheckResult", "Diagnostic", "Constraint"]
+__all__ = ["check_program", "class_diagnostic", "CheckResult", "Diagnostic",
+           "Constraint"]
 
 
 @dataclass
@@ -55,6 +56,12 @@ def _collect_strings(program: Program) -> list:
     return out
 
 
+def class_diagnostic(program: Program, e: WfViolation) -> Diagnostic:
+    """The diagnostic for a class hierarchy that `ClassTable` rejects."""
+    return Diagnostic("error", SourceSpan(program.file, 0, 0, 1, 1), "CLASS",
+                      e.reason)
+
+
 def check_program(program: Program, config: Optional[SolverConfig] = None,
                   qualifiers: Optional[list] = None,
                   strict_unknown: bool = False) -> CheckResult:
@@ -70,8 +77,7 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
     try:
         classes = ClassTable(program)
     except WfViolation as e:
-        diags.append(Diagnostic("error", SourceSpan(program.file, 0, 0, 1, 1),
-                                "CLASS", e.reason))
+        diags.append(class_diagnostic(program, e))
         return fail()
 
     # class declarations: field types, invariants, constructor rewriting

@@ -6,7 +6,6 @@ instantiations and join types."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from ..frontend.prelude import load_prelude
@@ -35,12 +34,6 @@ class CheckAbort(Exception):
     def __init__(self, diag: Diagnostic):
         super().__init__(diag.message)
         self.diag = diag
-
-
-@dataclass
-class UnitOutcome:
-    name: str
-    ok: bool
 
 
 class Checker:
@@ -393,14 +386,14 @@ class Checker:
             name = callee.name
             if name == "ctor_init":
                 return self._check_ctor_init(env, e)
+            if name == "arraylit#":
+                return self._check_array_lit(env, e)
             sig = self.prelude.get(name)
             if sig is None and name in self.fn_sigs:
                 sig = self._signature_for(name, len(args), e.span)
             if sig is None:
                 self.abort(e.span, "LQ-CHK-CALL",
                            f"unknown function {name!r}")
-            if name == "arraylit#":
-                return self._check_array_lit(env, e)
             result, _ = self._check_call(env, sig, args, e.span,
                                          "LQ-CHK-CALL")
             return result

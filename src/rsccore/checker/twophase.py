@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..frontend.prelude import load_prelude
+from ..logic import ClassTable
 from ..syntax import (
     BClass, Body, EArgsLen, EConst, FuncDecl, P_TRUE, Program, RBase, RFun,
     RInter, TThis, clone_tree, next_node_id, replace_in_tree,
@@ -37,7 +38,6 @@ def make_shape_checker(program: Program) -> ShapeChecker:
     class_fields: dict = {}
     class_methods: dict = {}
     checker = ShapeChecker(fn_shapes, class_fields, class_methods, prelude)
-    from ..logic import ClassTable
     ct = ClassTable(program)
     for c in program.classes:
         fields = {}
@@ -46,16 +46,11 @@ def make_shape_checker(program: Program) -> ShapeChecker:
             fields[name] = checker.shape_of_type(ft, set())
         class_fields[c.name] = fields
         methods = {}
-        cur = c
-        seen = set()
-        while cur is not None:
-            for m in cur.methods:
-                if not m.is_ctor and m.name not in seen:
-                    seen.add(m.name)
+        for decl in ct.chain(c.name):
+            for m in decl.methods:
+                if not m.is_ctor:
                     methods[m.name] = RFun(tuple(m.params), m.ret, m.tyvars,
                                            m.precond)
-            cur = next((d for d in program.classes if d.name == cur.parent),
-                       None)
         class_methods[c.name] = methods
     return checker
 

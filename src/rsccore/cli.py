@@ -12,12 +12,13 @@ import json
 import os
 import sys
 
-from .checker import check_program
+from .checker import check_program, class_diagnostic
 from .frontend import FrontendError, parse_program
 from .frontend.lexer import LexError
 from .frontend.parser import ParseError
 from .frontend.types_parser import ParseErrorBase
 from .infer import FixpointBoundError, load_qualifier_file
+from .logic import WfViolation
 from .semantics import run as run_machine, simulate
 from .solver import SolverConfig
 from .ssa import SsaErrors, ssa_program
@@ -194,25 +195,26 @@ def _print_ssa(sp) -> None:
 
 
 def _cmd_run(ns) -> int:
-    program = _parse(ns.files)
-    try:
-        sp, _ = ssa_program(program)
-    except SsaErrors as e:
-        print(str(e), file=sys.stderr)
-        return 1
-    if ns.entry is None and program.top is None:
-        print("rsc: program has no top-level body; use --entry",
-              file=sys.stderr)
-        return 2
-    r = run_machine(sp, entry=ns.entry, args=_parse_args_list(ns.args),
-                    fuel=ns.fuel, machine=ns.machine)
-    print(r.render())
-    if r.status == "terminal":
-        return 0
-    return 1
+    def go(sp, theta, args) -> int:
+        r = run_machine(sp, entry=ns.entry, args=args, fuel=ns.fuel,
+                        machine=ns.machine)
+        print(r.render())
+        return 0 if r.status == "terminal" else 1
+    return _execute(ns, go)
 
 
 def _cmd_simulate(ns) -> int:
+    def go(sp, theta, args) -> int:
+        rep = simulate(sp, theta, entry=ns.entry, args=args, fuel=ns.fuel)
+        print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
+        return 0 if rep.status == "ok" else 1
+    return _execute(ns, go)
+
+
+def _execute(ns, go) -> int:
+    """Translate the program, check that it can start as asked, and hand
+    it to `go`; a class hierarchy the class table rejects gets the
+    diagnostic `check` gives it."""
     program = _parse(ns.files)
     try:
         sp, theta = ssa_program(program)
@@ -223,10 +225,14 @@ def _cmd_simulate(ns) -> int:
         print("rsc: program has no top-level body; use --entry",
               file=sys.stderr)
         return 2
-    rep = simulate(sp, theta, entry=ns.entry,
-                   args=_parse_args_list(ns.args), fuel=ns.fuel)
-    print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
-    return 0 if rep.status == "ok" else 1
+    if ns.entry is not None and ns.entry not in sp.functions:
+        print(f"rsc: no function {ns.entry!r}", file=sys.stderr)
+        return 2
+    try:
+        return go(sp, theta, _parse_args_list(ns.args))
+    except WfViolation as e:
+        print(class_diagnostic(program, e).render(), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

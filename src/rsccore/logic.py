@@ -73,11 +73,9 @@ class ClassTable:
                     raise WfViolation(f"duplicate class {c.name}")
                 self.decls[c.name] = c
             for c in program.classes:
-                self.chain(c.name)  # force cycle detection
                 seen_methods: set = set()
-                cur = c
-                while cur is not None:
-                    for m in cur.methods:
+                for decl in reversed(self.chain(c.name)):
+                    for m in decl.methods:
                         if m.is_ctor:
                             continue
                         if m.name in seen_methods:
@@ -85,7 +83,6 @@ class ClassTable:
                                 f"method {m.name} of {c.name} overrides an"
                                 " inherited method")
                         seen_methods.add(m.name)
-                    cur = self.decls.get(cur.parent) if cur.parent else None
         # the solver's sort of each field path `%field:<name>`; the first
         # class declaring the name wins
         self.field_sorts: dict[str, Sort] = {}

@@ -1,10 +1,11 @@
 """Concrete evaluator for logical predicates over runtime values, used by
 method preconditions and checked casts. Total on closed predicates whose
 uninterpreted symbols (len, ttag, instanceof, field paths) are given
-meaning by the heap."""
+meaning by the heap and, for instanceof, the class table."""
 
 from __future__ import annotations
 
+from ..logic import ClassTable
 from ..syntax import (
     PAnd, PAtom, PKvar, PNot, Pred, TBuiltin, TConst, TField, TThis, TUF,
     TValueVar, TVar, Term,
@@ -15,7 +16,7 @@ from .values import (
 )
 
 
-def eval_term(t: Term, env: dict, heap: Heap, parents: dict) -> Value:
+def eval_term(t: Term, env: dict, heap: Heap, classes: ClassTable) -> Value:
     if isinstance(t, TVar):
         if t.name not in env:
             raise StuckError(f"unbound symbol {t.name!r} in predicate")
@@ -31,14 +32,14 @@ def eval_term(t: Term, env: dict, heap: Heap, parents: dict) -> Value:
             raise StuckError("this unbound in predicate")
         return env["this"]
     if isinstance(t, TField):
-        obj = deref(heap, eval_term(t.base, env, heap, parents), HObj)
+        obj = deref(heap, eval_term(t.base, env, heap, classes), HObj)
         if obj is None:
             raise StuckError("field path on a non-object")
         if t.fname not in obj.fields:
             raise StuckError(f"unknown field {t.fname!r} in predicate")
         return obj.fields[t.fname]
     if isinstance(t, TUF):
-        args = [eval_term(a, env, heap, parents) for a in t.args]
+        args = [eval_term(a, env, heap, classes) for a in t.args]
         if t.fname == "len":
             arr = deref(heap, args[0], HArr)
             if arr is None:
@@ -51,23 +52,16 @@ def eval_term(t: Term, env: dict, heap: Heap, parents: dict) -> Value:
             if not isinstance(cname, str):
                 raise StuckError("instanceof needs a class name")
             obj = deref(heap, v, HObj)
-            if obj is None:
-                return False
-            cur = obj.cname
-            while cur is not None:
-                if cur == cname:
-                    return True
-                cur = parents.get(cur)
-            return cname == "Object"
+            return obj is not None and classes.is_subclass(obj.cname, cname)
         raise StuckError(f"uninterpreted function {t.fname!r} has no"
                          " runtime meaning")
     if isinstance(t, TBuiltin):
         if t.op == "implies":
-            a = _as_bool(eval_term(t.args[0], env, heap, parents))
+            a = _as_bool(eval_term(t.args[0], env, heap, classes))
             if not a:
                 return True
-            return _as_bool(eval_term(t.args[1], env, heap, parents))
-        args = [eval_term(a, env, heap, parents) for a in t.args]
+            return _as_bool(eval_term(t.args[1], env, heap, classes))
+        args = [eval_term(a, env, heap, classes) for a in t.args]
         op = t.op
         if op in ARITH:
             return ARITH[op](_as_num(args[0]), _as_num(args[1]))
@@ -99,13 +93,13 @@ def _as_bool(v: Value) -> bool:
     return v
 
 
-def eval_pred(p: Pred, env: dict, heap: Heap, parents: dict) -> bool:
+def eval_pred(p: Pred, env: dict, heap: Heap, classes: ClassTable) -> bool:
     if isinstance(p, PAnd):
-        return all(eval_pred(c, env, heap, parents) for c in p.conjuncts)
+        return all(eval_pred(c, env, heap, classes) for c in p.conjuncts)
     if isinstance(p, PNot):
-        return not eval_pred(p.pred, env, heap, parents)
+        return not eval_pred(p.pred, env, heap, classes)
     if isinstance(p, PAtom):
-        return _as_bool(eval_term(p.term, env, heap, parents))
+        return _as_bool(eval_term(p.term, env, heap, classes))
     if isinstance(p, PKvar):
         raise StuckError("refinement variable in a runtime predicate")
     raise TypeError(p)

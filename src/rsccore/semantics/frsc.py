@@ -6,7 +6,6 @@ loop form's enter/iterate/exit rules."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..syntax import (
     BArr, BClass, BPrim, Ctx, EArgsLen, ECast, EClosure, EConst,
@@ -16,7 +15,6 @@ from ..syntax import (
 )
 from .evalpred import eval_pred
 from .stepper import ExprStepper
-from .tables import RuntimeTables
 from .values import (
     HArr, HObj, Heap, MISSING, StuckError, Value, deref, mk_val, type_tag,
     val_of,
@@ -164,10 +162,6 @@ def mk_ctxapply(k: Ctx, e: Expr) -> Expr:
 
 
 class FrscMachine(ExprStepper):
-    def __init__(self, tables: RuntimeTables):
-        super().__init__(tables)
-        self.parents = tables.parent_map()
-
     def initial_top(self) -> FrscConfig:
         if self.t.ssa.top is None:
             raise ValueError("program has no top-level body")
@@ -297,20 +291,16 @@ class FrscMachine(ExprStepper):
             obj = deref(c.heap, v, HObj)
             if obj is None:
                 raise StuckError(f"cast to {base.name} of a non-object")
-            if not self.t.is_subclass(obj.cname, base.name):
+            if not self.t.classes.is_subclass(obj.cname, base.name):
                 raise StuckError(
                     f"cast failure: {obj.cname} is not a subclass of"
                     f" {base.name}")
-            cur: Optional[str] = base.name
-            while cur is not None and cur != "Object":
-                info = self.t.classes.get(cur)
-                if info is None:
-                    break
-                inv = info.decl.invariant
-                if not eval_pred(inv, {"this": v}, c.heap, self.parents):
+            for decl in reversed(self.t.classes.chain(base.name)):
+                if not eval_pred(decl.invariant, {"this": v}, c.heap,
+                                 self.t.classes):
                     raise StuckError(
-                        f"cast failure: invariant of {cur} does not hold")
-                cur = info.parent
+                        f"cast failure: invariant of {decl.name} does not"
+                        " hold")
         elif isinstance(base, BPrim):
             tag = {"number": "number", "bool": "boolean", "string": "string",
                    "undefined": "undefined", "null": "object"}[base.name]
@@ -320,7 +310,7 @@ class FrscMachine(ExprStepper):
             if deref(c.heap, v, HArr) is None:
                 raise StuckError("cast failure: value is not an array")
         if t.pred is not None:
-            if not eval_pred(t.pred, {"v": v}, c.heap, self.parents):
+            if not eval_pred(t.pred, {"v": v}, c.heap, self.t.classes):
                 raise StuckError("cast failure: refinement does not hold")
         return
 
@@ -330,4 +320,4 @@ class FrscMachine(ExprStepper):
             return True
         env = {n: v for n, v in zip(sm.params, argv)}
         env["this"] = vo
-        return eval_pred(p, env, c.heap, self.parents)
+        return eval_pred(p, env, c.heap, self.t.classes)

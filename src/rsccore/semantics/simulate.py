@@ -145,10 +145,9 @@ class ConfigTranslator:
                               lambda b2, r2: self.stmts(s.second, store, b2,
                                                         cont_fn, r2), ren)
         if isinstance(s, (SVarDecl, SAssign)):
-            post = self.theta.stmt_post.get(s.nid)
-            if post is None:
+            name = self.theta.stmt_aux.get(s.nid)
+            if name is None:
                 raise TranslateGap("untracked assignment")
-            name = post[s.name]
             rhs = self.expr(s.expr, store, bound, ren)
             rest = cont_fn(bound | {name}, {**ren, s.name: name})
             return mk_ctxapply(KLetIn(name, rhs, KHole(nid=0), nid=0), rest)

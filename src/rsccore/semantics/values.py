@@ -41,8 +41,6 @@ class HArr:
 @dataclass
 class HClassObj:
     cname: str
-    parent_loc: Optional[int]
-    methods: list
 
 
 HeapObject = Union[HObj, HArr, HClassObj]

@@ -41,13 +41,10 @@ def env_diff(d1: SsaEnv, d2: SsaEnv) -> list[tuple[str, str, str]]:
 
 @dataclass
 class GlobalSsaEnv:
-    """Per-node SSA environments: one per expression node, a pre/post pair
-    per statement, and one per body node."""
+    """Per-node SSA facts: the environment of each expression node, and
+    the names the translation of each statement and body introduced."""
 
     exprs: dict = field(default_factory=dict)
-    stmt_pre: dict = field(default_factory=dict)
-    stmt_post: dict = field(default_factory=dict)
-    body_env: dict = field(default_factory=dict)
     # statement node id -> the let-binder name its translation introduced
     stmt_aux: dict = field(default_factory=dict)
     # if-statement node id -> list[PhiIf]
@@ -165,12 +162,6 @@ class SsaTranslator:
     # -- statements ----------------------------------------------------------
 
     def ssa_stmt(self, env: SsaEnv, s: Stmt) -> tuple[Ctx, SsaEnv]:
-        self.theta.stmt_pre[s.nid] = dict(env)
-        ctx, out = self._ssa_stmt(env, s)
-        self.theta.stmt_post[s.nid] = dict(out)
-        return ctx, out
-
-    def _ssa_stmt(self, env: SsaEnv, s: Stmt) -> tuple[Ctx, SsaEnv]:
         if isinstance(s, SVarDecl):
             e = self.ssa_expr(env, s.expr)
             if s.name in env:
@@ -257,7 +248,6 @@ class SsaTranslator:
     # -- bodies ---------------------------------------------------------------
 
     def ssa_body(self, env: SsaEnv, b: Body) -> Expr:
-        self.theta.body_env[b.nid] = dict(env)
         if isinstance(b, BReturn):
             return self.ssa_expr(env, b.expr)
         if isinstance(b, BSeq):

@@ -249,6 +249,33 @@ def test_compat_subtype_rejects_unguarded_downcast():
     assert any(d.rule == "LQ-CHK-CAST" for d in r.errors())
 
 
+def test_array_literal_length_verifies():
+    r = check_text("""
+/*@ () => number */
+function f() {
+  var a = [1, 2];
+  return a.length;
+}
+""")
+    assert r.verdict == "verified", [d.render() for d in r.diagnostics]
+
+
+def test_array_literal_length_is_exact():
+    """The literal's type pins its length, so a wrong length claim fails
+    at the return with that length in the counterexample."""
+    r = check_text("""
+/*@ () => {v:number | v = 3} */
+function f() {
+  var a = [1, 2];
+  return a.length;
+}
+""")
+    assert r.verdict == "errors"
+    [d] = r.errors()
+    assert d.rule == "RET"
+    assert "len(a!" in d.message and ") = 2" in d.message
+
+
 def test_cast_base_mismatch():
     r = check_text("""
 /*@ (x: number) => bool */

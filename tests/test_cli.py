@@ -145,3 +145,38 @@ def test_limits_are_one_line_diagnostics(tmp_path, capsys, monkeypatch):
     assert cli.main(["check", str(CORPUS / "head.rsc")]) == 2
     assert capsys.readouterr().err == \
         "rsc: fixpoint iteration bound exceeded\n"
+
+
+_BAD_HIERARCHIES = {
+    "cycle": ("class A extends B { }\nclass B extends A { }\nvar x = 1;\n",
+              "inheritance cycle through A"),
+    "unknown-parent": ("class A extends Zed { }\nvar x = 1;\n",
+                       "unknown class Zed"),
+    "override": ("class A {\n  f(): number { return 1; }\n}\n"
+                 "class B extends A {\n  f(): number { return 2; }\n}\n"
+                 "var b = new B();\nvar r = b.f();\n",
+                 "method f of B overrides an inherited method"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["check", "run", "simulate"])
+@pytest.mark.parametrize("kind", sorted(_BAD_HIERARCHIES))
+def test_class_table_errors_on_every_subcommand(tmp_path, cmd, kind):
+    """The machines reject the class tables the checker rejects, with the
+    checker's one-line diagnostic."""
+    text, reason = _BAD_HIERARCHIES[kind]
+    src = tmp_path / "bad.rsc"
+    src.write_text(text)
+    r = rsc(cmd, str(src))
+    assert r.returncode == 1
+    assert r.stderr.splitlines()[0] == f"{src}:1:1: error[CLASS]: {reason}"
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("cmd", ["run", "simulate"])
+def test_unknown_entry_is_a_usage_error(cmd):
+    r = rsc(cmd, str(CORPUS / "head.rsc"), "--entry", "nope")
+    assert r.returncode == 2
+    assert r.stderr == "rsc: no function 'nope'\n"
+    assert r.stdout == ""

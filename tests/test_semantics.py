@@ -584,3 +584,79 @@ def test_machines_do_not_import_each_other():
             elif isinstance(node, ast.Import):
                 assert not any(a.name.split(".")[-1] == other
                                for a in node.names), mine
+
+
+_THREE_LEVELS = """
+class A {
+  /*@ invariant this.a >= 0 */
+  a : number;
+  constructor(a: number) { this.a = a; }
+  base() : number { return this.a + 100; }
+}
+
+class B extends A {
+  b : number;
+  constructor(a: number, b: number) { this.b = b; this.a = a; }
+}
+
+class C extends B {
+  /*@ invariant this.c > this.b */
+  c : number;
+  constructor(a: number, b: number, c: number) {
+    this.c = c; this.b = b; this.a = a;
+  }
+}
+
+/*@ () => C */
+function make() { return new C(1, 2, 3); }
+
+/*@ () => number */
+function inherited() { var x = new C(1, 2, 3); return x.base(); }
+
+/*@ () => number */
+function badCast() {
+  var x = new C(-1, 5, 3);
+  var y = <C> x;
+  return y.c;
+}
+"""
+
+
+def test_three_level_hierarchy():
+    """Fields are laid out root first, whatever order the constructor
+    writes them in; a method is found on the grandparent; a cast checks
+    the invariants leaf first, so C's fails before A's is looked at."""
+    sp, theta = _ssa_text(_THREE_LEVELS)
+    for machine in ("frsc", "irsc"):
+        r = run(sp, entry="make", machine=machine)
+        assert r.render() == "C {a: 1, b: 2, c: 3}", machine
+        r = run(sp, entry="inherited", machine=machine)
+        assert (r.status, r.value) == ("terminal", 101), machine
+    for entry, value in (("make", "C {a: 1, b: 2, c: 3}"),
+                         ("inherited", "101")):
+        rep = simulate(sp, theta, entry=entry)
+        assert (rep.status, rep.value) == ("ok", value), rep.detail
+    reason = "cast failure: invariant of C does not hold"
+    r = run(sp, entry="badCast", machine="frsc")
+    assert (r.status, r.reason) == ("stuck", reason)
+    # the source machine does not check casts
+    r = run(sp, entry="badCast", machine="irsc")
+    assert (r.status, r.value) == ("terminal", 3)
+    rep = simulate(sp, theta, entry="badCast")
+    assert (rep.status, rep.detail) == ("stuck",
+                                        f"target machine stuck: {reason}")
+
+
+def test_only_the_class_table_follows_parents():
+    """The machines and the shape pass resolve the class hierarchy through
+    `ClassTable`; none of them reads a `ClassDecl.parent` itself."""
+    import ast
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src" / "rsccore"
+    files = sorted((src / "semantics").glob("*.py")) + \
+        [src / "checker" / "twophase.py"]
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute) and
+                        node.attr == "parent"), \
+                f"{path.name}:{node.lineno} reads .parent"

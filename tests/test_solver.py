@@ -15,7 +15,7 @@ import pytest
 
 from conftest import CORPUS, ROOT, external_solver_cmd
 
-from rsccore.logic import S_ARR, S_BOOL, S_INT, S_STR, Sort
+from rsccore.logic import S_ARR, S_BOOL, S_INT, S_STR, ClassTable, Sort
 from rsccore.semantics.evalpred import eval_term
 from rsccore.semantics.values import Heap, StuckError, apply_builtin
 from rsccore.solver import (
@@ -269,7 +269,7 @@ def test_const_fold_agrees_with_evaluation(t):
     from rsccore.semantics.values import Heap
     folded = const_fold(t)
     assert isinstance(folded, TConst)
-    assert folded.value == eval_term(t, {}, Heap(), {})
+    assert folded.value == eval_term(t, {}, Heap(), ClassTable())
 
 
 _small_rows = st.lists(
@@ -495,14 +495,14 @@ def test_division_folding_matches_runtime(a, b):
             with pytest.raises(StuckError):
                 apply_builtin(src, [a, b], heap)
             with pytest.raises(StuckError):
-                eval_term(ground, {}, heap, {})
+                eval_term(ground, {}, heap, ClassTable())
             assert const_fold(ground) == ground
             for c in (0, 1):
                 goal = p_eq(symbolic, TConst(c))
                 assert not check_valid(_q(sorts, pinned, goal)).is_valid
             continue
         r = apply_builtin(src, [a, b], heap)
-        assert eval_term(ground, {}, heap, {}) == r
+        assert eval_term(ground, {}, heap, ClassTable()) == r
         assert const_fold(ground) == TConst(r)
         goal = p_eq(symbolic, TConst(r))
         assert check_valid(_q(sorts, pinned, goal)).is_valid
@@ -516,7 +516,7 @@ def test_division_folding_matches_runtime(a, b):
     for n, flag in ((1, True), (0, False)):
         eq = TBuiltin("eq", (TConst(n), TConst(flag)))
         assert apply_builtin("===", [n, flag], heap) is False
-        assert eval_term(eq, {}, heap, {}) is False
+        assert eval_term(eq, {}, heap, ClassTable()) is False
         assert const_fold(eq) == TConst(False)
 
 

@@ -8,7 +8,8 @@ from conftest import CORPUS, parse, parse_text
 from rsccore.frontend.prelude import BUILTIN_NAMES
 from rsccore.ssa import SsaError, SsaErrors, env_diff, ssa_program, validate_ssa
 from rsccore.syntax import (
-    ECtxApply, EFuncCall, EVar, KLetIf, KLetIn, KLetWhile, expr_str,
+    ECtxApply, EFuncCall, EVar, KLetIf, KLetIn, KLetWhile, SAssign, SVarDecl,
+    expr_str, walk_tree,
 )
 
 
@@ -148,8 +149,16 @@ def test_translation_deterministic():
 
 
 def test_theta_covers_expression_nodes():
-    p = parse(CORPUS / "head.rsc")
-    sp, theta = ssa_program(p)
-    assert theta.exprs and theta.stmt_pre is not None
-    # every recorded statement has both a pre and a post environment
-    assert set(theta.stmt_pre) == set(theta.stmt_post)
+    # every declaration and assignment records the SSA name it binds
+    # (head.rsc has none, so minindex.rsc supplies them)
+    decls = []
+    for name in ("head.rsc", "minindex.rsc"):
+        p = parse(CORPUS / name)
+        _, theta = ssa_program(p)
+        assert theta.exprs
+        bodies = [f.body for f in p.functions if f.body is not None]
+        for s in walk_tree(bodies):
+            if isinstance(s, (SVarDecl, SAssign)):
+                assert theta.stmt_aux[s.nid].split("#")[0] == s.name
+                decls.append(s)
+    assert len(decls) >= 3
