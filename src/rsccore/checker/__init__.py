@@ -11,7 +11,7 @@ from ..infer import (
 )
 from ..logic import ClassTable, NameSupply, TypeEnv, WfViolation, wf_pred, wf_type
 from ..solver import SolverConfig
-from ..ssa import SsaErrors, ssa_program
+from ..ssa import SsaErrors, ssa_program, subst_expr
 from ..syntax import (
     BClass, ClassDecl, EConst, FuncDecl, P_TRUE, Program, RBase, RExists,
     RFun, RInter, RType, SourceSpan, trivially_refine, walk_tree,
@@ -148,8 +148,6 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
     clone_names = {cl.name: cl for cl in clones}
 
     # -- functions ---------------------------------------------------------
-    from ..semantics.frsc import subst_expr
-
     for f in check_funcs:
         if f.body is None or f.signature is None:
             continue

@@ -15,6 +15,7 @@ from ..logic import (
     strengthen, wf_type,
 )
 from ..solver import Query, SolverConfig, check_valid
+from ..ssa import subst_expr
 from ..syntax import (
     BArr, BBot, BClass, BPrim, BVar, Base, EArgsLen, ECast, EClosure,
     EConst, ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall,
@@ -599,7 +600,6 @@ class Checker:
             env2, _ = self.open_and_bind(env2, fresh, pt_i)
             ren[pname] = fresh
             dep[en] = TVar(fresh)
-        from ..semantics.frsc import subst_expr
         body = subst_expr(ssa.body, {k: EVar(v, nid=0)
                                      for k, v in ren.items()})
         self._closure_stack.append(fname)

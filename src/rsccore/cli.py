@@ -91,13 +91,35 @@ def _parse(files: list):
 
 
 def _parse_args_list(items: list) -> list:
+    """The entry arguments: JSON literals, bare words as strings.  A value
+    the machines have no form for, a float (`1.5`, `NaN`, `Infinity`) or
+    an object at any depth, is a usage error, exit 2."""
     out = []
     for a in items:
         try:
-            out.append(json.loads(a))
+            v = json.loads(a)
         except json.JSONDecodeError:
-            out.append(a)  # bare words are strings
+            v = a  # bare words are strings
+        bad = _outside_domain(v)
+        if bad is not None:
+            print(f"rsc: --args value {json.dumps(bad)} is not an integer,"
+                  " boolean, string, null or array of these",
+                  file=sys.stderr)
+            raise SystemExit(2)
+        out.append(v)
     return out
+
+
+def _outside_domain(v):
+    """The first part of the JSON value `v` that is a float or an object,
+    or None if there is none."""
+    if isinstance(v, list):
+        for x in v:
+            bad = _outside_domain(x)
+            if bad is not None:
+                return bad
+        return None
+    return v if isinstance(v, (float, dict)) else None
 
 
 def main(argv=None) -> int:
@@ -215,6 +237,7 @@ def _execute(ns, go) -> int:
     """Translate the program, check that it can start as asked, and hand
     it to `go`; a class hierarchy the class table rejects gets the
     diagnostic `check` gives it."""
+    args = _parse_args_list(ns.args)
     program = _parse(ns.files)
     try:
         sp, theta = ssa_program(program)
@@ -229,7 +252,7 @@ def _execute(ns, go) -> int:
         print(f"rsc: no function {ns.entry!r}", file=sys.stderr)
         return 2
     try:
-        return go(sp, theta, _parse_args_list(ns.args))
+        return go(sp, theta, args)
     except WfViolation as e:
         print(class_diagnostic(program, e).render(), file=sys.stderr)
         return 1

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..ssa import mk_ctxapply, subst_ctx, subst_expr
 from ..syntax import (
-    BArr, BClass, BPrim, Ctx, EArgsLen, ECast, EClosure, EConst,
-    ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew,
-    EThis, EVal, EVar, Expr, KHole, KLetIf, KLetIn, KLetWhile, Node,
-    P_TRUE, RBase, RExists, RType,
+    BArr, BClass, BPrim, ECast, ECtxApply, EVar, EWhileRun, Expr, KHole,
+    KLetIf, KLetIn, KLetWhile, P_TRUE, RBase, RExists, RType,
 )
 from .evalpred import eval_pred
 from .stepper import ExprStepper
@@ -22,143 +21,10 @@ from .values import (
 
 
 @dataclass
-class EWhileRun(Node):
-    """Runtime state of an executing loop: the condition instance under
-    evaluation, the phi values saved at iteration entry, and the pieces
-    needed to unroll once more."""
-
-    cond_focus: Expr
-    cur_vals: list
-    phis: list
-    cond_orig: Expr
-    body_ctx: Ctx
-    cont: Expr
-
-
-@dataclass
 class FrscConfig:
     heap: Heap
     focus: Expr
     steps: int = 0
-
-
-# ---------------------------------------------------------------------------
-# Capture-avoiding substitution (names are unique per translation, but loop
-# bodies re-instantiate their binders on each unrolling)
-
-
-def subst_expr(e, m: dict):
-    if not m:
-        return e
-    if isinstance(e, EVar):
-        return m.get(e.name, e)
-    if isinstance(e, EThis):
-        return m.get("this", e)
-    if isinstance(e, EArgsLen):
-        return m.get("#argc", e)
-    if isinstance(e, (EConst, EVal)):
-        return e
-    if isinstance(e, EFieldRead):
-        return EFieldRead(subst_expr(e.obj, m), e.fname, nid=e.nid,
-                          span=e.span)
-    if isinstance(e, EMethodCall):
-        return EMethodCall(subst_expr(e.obj, m), e.mname,
-                           [subst_expr(a, m) for a in e.args], nid=e.nid,
-                           span=e.span)
-    if isinstance(e, EFuncCall):
-        return EFuncCall(subst_expr(e.callee, m),
-                         [subst_expr(a, m) for a in e.args], nid=e.nid,
-                         span=e.span)
-    if isinstance(e, ENew):
-        return ENew(e.cname, [subst_expr(a, m) for a in e.args], nid=e.nid,
-                    span=e.span)
-    if isinstance(e, ECast):
-        return ECast(e.rtype, subst_expr(e.expr, m), nid=e.nid, span=e.span)
-    if isinstance(e, EClosure):
-        return EClosure(e.fname, [subst_expr(c, m) for c in e.captures],
-                        nid=e.nid, span=e.span)
-    if isinstance(e, EFieldAssign):
-        return EFieldAssign(subst_expr(e.obj, m), e.fname,
-                            subst_expr(e.rhs, m), nid=e.nid, span=e.span)
-    if isinstance(e, ECtxApply):
-        k, m2 = subst_ctx(e.ctx, m)
-        return ECtxApply(k, subst_expr(e.expr, m2), nid=e.nid, span=e.span)
-    if isinstance(e, EWhileRun):
-        m2 = {k: v for k, v in m.items()
-              if k not in {p.phi for p in e.phis}}
-        return EWhileRun(subst_expr(e.cond_focus, m2), list(e.cur_vals),
-                         e.phis, subst_expr(e.cond_orig, m2),
-                         subst_ctx(e.body_ctx, m2)[0],
-                         subst_expr(e.cont, m2), nid=e.nid)
-    raise TypeError(e)
-
-
-def subst_ctx(k: Ctx, m: dict):
-    """Substitute into a context; returns the new context and the map still
-    live at its hole (binders shadow)."""
-    if isinstance(k, KHole):
-        return k, m
-    if isinstance(k, KLetIn):
-        e = subst_expr(k.expr, m)
-        m2 = {n: v for n, v in m.items() if n != k.name}
-        rest, m3 = subst_ctx(k.rest, m2)
-        return KLetIn(k.name, e, rest, nid=k.nid, span=k.span), m3
-    if isinstance(k, KLetIf):
-        cond = subst_expr(k.cond, m)
-        k1, _ = subst_ctx(k.then_ctx, m)
-        k2, _ = subst_ctx(k.else_ctx, m)
-        # a phi slot reads a name at its branch's end scope: names the
-        # branch rebinds shadow the enclosing substitution
-        b1 = ctx_binders(k.then_ctx)
-        b2 = ctx_binders(k.else_ctx)
-        ml = {n: v for n, v in m.items() if n not in b1}
-        mr = {n: v for n, v in m.items() if n not in b2}
-        lefts = [subst_expr(x, ml) for x in k.left_exprs]
-        rights = [subst_expr(x, mr) for x in k.right_exprs]
-        m2 = {n: v for n, v in m.items()
-              if n not in {p.phi for p in k.phis}}
-        rest, m3 = subst_ctx(k.rest, m2)
-        return KLetIf(k.phis, cond, k1, k2, rest, lefts, rights,
-                      nid=k.nid, span=k.span), m3
-    if isinstance(k, KLetWhile):
-        inits = [subst_expr(i, m) for i in k.init_exprs]
-        m2 = {n: v for n, v in m.items()
-              if n not in {p.phi for p in k.phis}}
-        cond = subst_expr(k.cond, m2)
-        body, _ = subst_ctx(k.body_ctx, m2)
-        rest, m3 = subst_ctx(k.rest, m2)
-        return KLetWhile(k.phis, cond, body, rest, inits, nid=k.nid,
-                         span=k.span), m3
-    raise TypeError(k)
-
-
-def ctx_binders(k: Ctx) -> set:
-    out: set = set()
-    stack = [k]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, KHole):
-            continue
-        if isinstance(c, KLetIn):
-            out.add(c.name)
-            stack.append(c.rest)
-        elif isinstance(c, KLetIf):
-            out |= {p.phi for p in c.phis}
-            stack.extend([c.then_ctx, c.else_ctx, c.rest])
-        elif isinstance(c, KLetWhile):
-            out |= {p.phi for p in c.phis}
-            stack.extend([c.body_ctx, c.rest])
-    return out
-
-
-def mk_ctxapply(k: Ctx, e: Expr) -> Expr:
-    if isinstance(k, KHole):
-        return e
-    return ECtxApply(k, e, nid=0)
-
-
-# ---------------------------------------------------------------------------
-# The machine
 
 
 class FrscMachine(ExprStepper):
@@ -214,8 +80,6 @@ class FrscMachine(ExprStepper):
 
     def _step_ctxapply(self, c: FrscConfig, e: ECtxApply):
         k = e.ctx
-        if isinstance(k, KHole):
-            return ("new", e.expr)
         if isinstance(k, KLetIn):
             v = val_of(k.expr)
             if v is MISSING:
@@ -268,11 +132,11 @@ class FrscMachine(ExprStepper):
         phim = {p.phi: mk_val(val) for p, val in zip(e.phis, e.cur_vals)}
         if v is True:
             body, _ = subst_ctx(e.body_ctx, phim)
-            inner = ECtxApply(
+            inner = mk_ctxapply(
                 KLetWhile(e.phis, e.cond_orig, e.body_ctx,
                           KHole(nid=0),
                           [EVar(p.next, nid=0) for p in e.phis], nid=0),
-                e.cont, nid=0)
+                e.cont)
             return ("new", mk_ctxapply(body, inner))
         if v is False:
             return ("new", subst_expr(e.cont, phim))

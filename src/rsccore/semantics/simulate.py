@@ -14,6 +14,14 @@ become enclosing evaluation contexts.  SSA names still awaiting their
 binding are left symbolic; free ones are replaced by store values.
 Allocation order is deterministic in both machines, so heap locations are
 matched identically rather than up to bijection.
+
+Both sides are canonical by construction: the static translation, this
+one and the functional machine build every context application through
+`ssa.mk_ctxapply`, so the raw terms are compared as they are.  The
+comparison sees through only what the two sides write differently: a node
+that denotes a value is that value, and the one-frame result join
+`let r = x in r` the functional machine leaves after a body conditional
+is `x`, as the source machine has already returned into the branch.
 """
 
 from __future__ import annotations
@@ -21,15 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..ssa import GlobalSsaEnv, SsaProgram, ctx_compose
+from ..ssa import GlobalSsaEnv, SsaProgram, ctx_binders, mk_ctxapply
 from ..syntax import (
-    BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, EConst, ECtxApply,
+    BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, ECtxApply,
     EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew, EThis, EVal,
-    EVar, Expr, KHole, KLetIf, KLetIn, KLetWhile, PhiIf, SAssign,
-    SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile,
+    EVar, EWhileRun, Expr, KHole, KLetIf, KLetIn, KLetWhile, PhiIf,
+    SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile,
     expr_str,
 )
-from .frsc import EWhileRun, FrscMachine, ctx_binders, mk_ctxapply
+from .frsc import FrscMachine
 from .irsc import EHole, IrscConfig, IrscMachine, plug
 from .tables import RuntimeTables
 from .values import (
@@ -288,7 +296,7 @@ class ConfigTranslator:
         for fr in reversed(c.stack):
             ectx = self._focus(fr.ectx, fr.store)
             cur = plug(ectx, cur)
-        return normalize(cur)
+        return cur
 
     def _focus(self, focus, store) -> Expr:
         if isinstance(focus, (BReturn, BSeq, BIte)):
@@ -312,87 +320,33 @@ class _CtxMark:
 
 
 def _to_ctx(e):
-    """Convert an expression ending in a _CtxMark into a pure context."""
+    """The context of an expression ending in a _CtxMark."""
     if isinstance(e, _CtxMark):
         return KHole(nid=0)
-    if isinstance(e, ECtxApply):
-        return ctx_compose(e.ctx, _to_ctx(e.expr))
-    if isinstance(e, EWhileRun):
-        raise TranslateGap("running loop inside an unstarted branch")
+    if isinstance(e, ECtxApply) and isinstance(e.expr, _CtxMark):
+        return e.ctx
     raise TranslateGap("branch translation did not end in a hole")
 
 
 # ---------------------------------------------------------------------------
-# Normalization and structural comparison
+# Structural comparison
 
 
 def normalize(e):
-    """Collapse administrative shapes: empty contexts, nested context
-    applications, and the result-join wrapper produced by body
-    conditionals.
-
-    The output is a fixed point of `normalize`, so no case walks its own
-    result again: a normalized context application has neither a hole
-    context nor a context application body, so composing a non-hole
-    context onto one creates no new redex."""
-    if isinstance(e, ECtxApply):
-        k = _norm_ctx(e.ctx)
-        inner = normalize(e.expr)
-        if isinstance(k, KHole):
-            return inner
-        if isinstance(k, KLetIn) and isinstance(k.rest, KHole) and \
-                isinstance(inner, EVar) and inner.name == k.name:
-            return k.expr
-        if isinstance(inner, ECtxApply):
-            return ECtxApply(ctx_compose(k, inner.ctx), inner.expr, nid=0)
-        return ECtxApply(k, inner, nid=0)
-    if isinstance(e, EWhileRun):
-        return EWhileRun(normalize(e.cond_focus), e.cur_vals, e.phis,
-                         normalize(e.cond_orig), _norm_ctx(e.body_ctx),
-                         normalize(e.cont), nid=0)
-    if isinstance(e, EFieldRead):
-        return EFieldRead(normalize(e.obj), e.fname, nid=0)
-    if isinstance(e, EMethodCall):
-        return EMethodCall(normalize(e.obj), e.mname,
-                           [normalize(a) for a in e.args], nid=0)
-    if isinstance(e, EFuncCall):
-        return EFuncCall(normalize(e.callee), [normalize(a) for a in e.args],
-                         nid=0)
-    if isinstance(e, ENew):
-        return ENew(e.cname, [normalize(a) for a in e.args], nid=0)
-    if isinstance(e, ECast):
-        return ECast(e.rtype, normalize(e.expr), nid=0)
-    if isinstance(e, EClosure):
-        v = val_of(e)
-        if v is not MISSING:
-            return mk_val(v)
-        return EClosure(e.fname, [normalize(x) for x in e.captures], nid=0)
-    if isinstance(e, EFieldAssign):
-        return EFieldAssign(normalize(e.obj), e.fname, normalize(e.rhs),
-                            nid=0)
-    if isinstance(e, EConst):
-        return mk_val(e.value)
-    return e
-
-
-def _norm_ctx(k):
-    if isinstance(k, KHole):
-        return k
-    if isinstance(k, KLetIn):
-        return KLetIn(k.name, normalize(k.expr), _norm_ctx(k.rest), nid=0)
-    if isinstance(k, KLetIf):
-        return KLetIf(k.phis, normalize(k.cond), _norm_ctx(k.then_ctx),
-                      _norm_ctx(k.else_ctx), _norm_ctx(k.rest),
-                      [normalize(x) for x in k.left_exprs],
-                      [normalize(x) for x in k.right_exprs], nid=0)
-    if isinstance(k, KLetWhile):
-        return KLetWhile(k.phis, normalize(k.cond), _norm_ctx(k.body_ctx),
-                         _norm_ctx(k.rest),
-                         [normalize(i) for i in k.init_exprs], nid=0)
-    raise TypeError(k)
+    """The node `e` stands for in a comparison: a node that denotes a value
+    is that value, and a one-frame result join `let r = x in r` is `x`.
+    Shallow: the comparison views each child as it reaches it."""
+    while isinstance(e, ECtxApply) and isinstance(e.ctx, KLetIn) and \
+            isinstance(e.ctx.rest, KHole) and isinstance(e.expr, EVar) and \
+            e.expr.name == e.ctx.name:
+        e = e.ctx.expr
+    v = val_of(e)
+    return e if v is MISSING or isinstance(e, EVal) else mk_val(v)
 
 
 def terms_equal(a, b) -> bool:
+    a = normalize(a)
+    b = normalize(b)
     if isinstance(a, EVal) and isinstance(b, EVal):
         return _values_eq(a.value, b.value)
     if type(a) is not type(b):
@@ -533,7 +487,7 @@ def simulate(ssa_prog: SsaProgram, theta: GlobalSsaEnv,
         return terms_equal(image, target) and \
             heaps_equal(ic.heap, fc.heap)
 
-    if not aligned(normalize(fc.focus)):
+    if not aligned(fc.focus):
         return SimReport("divergence", 0, 0,
                          detail="initial configurations do not correspond")
 
@@ -568,9 +522,8 @@ def simulate(ssa_prog: SsaProgram, theta: GlobalSsaEnv,
         fc = r[1]
         fsteps += 1
         ok = False
-        target = normalize(fc.focus)
         for _ in range(catchup):
-            if aligned(target):
+            if aligned(fc.focus):
                 ok = True
                 break
             ri = irsc.step(ic)
@@ -587,7 +540,7 @@ def simulate(ssa_prog: SsaProgram, theta: GlobalSsaEnv,
                 "divergence", fsteps, isteps,
                 detail="no corresponding source configuration within"
                        f" {catchup} steps; target focus:"
-                       f" {expr_str(target)[:400]}")
+                       f" {expr_str(fc.focus)[:400]}")
         if fsteps > isteps:
             return SimReport("divergence", fsteps, isteps,
                              detail="target machine took more steps than"

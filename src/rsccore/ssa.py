@@ -10,7 +10,8 @@ from typing import Optional
 from .syntax import (
     BIte, BReturn, BSeq, Body, ClassDecl, Ctx, EArgsLen, ECast, EClosure,
     EConst, ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall,
-    ENew, EThis, EVar, Expr, FuncDecl, KHole, KLetIf, KLetIn, KLetWhile,
+    ENew, EThis, EVal, EVar, EWhileRun, Expr, FuncDecl, KHole, KLetIf,
+    KLetIn, KLetWhile,
     MethodDecl, NO_SPAN, PhiIf, PhiWhile, Program, SAssign, SExprStmt,
     SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SourceSpan, Stmt,
     assigned_names, expr_children, next_node_id,
@@ -93,6 +94,129 @@ def ctx_compose(k1: Ctx, k2: Ctx) -> Ctx:
                          ctx_compose(k1.rest, k2), k1.init_exprs,
                          span=k1.span, nid=k1.nid)
     raise TypeError(k1)
+
+
+def mk_ctxapply(k: Ctx, e: Expr, span: SourceSpan = NO_SPAN,
+                nid: int = 0) -> Expr:
+    """The application `k[e]` in its one canonical shape: no application
+    has a hole context or an application as its body.  An empty `k`
+    leaves `e` as it is, and `k` applied to `k2[e2]` is `(k ; k2)[e2]`.
+    Every new application is built here, so the translation and both
+    machines agree on how context applications nest."""
+    if isinstance(k, KHole):
+        return e
+    if isinstance(e, ECtxApply):
+        return ECtxApply(ctx_compose(k, e.ctx), e.expr, span=span, nid=nid)
+    return ECtxApply(k, e, span=span, nid=nid)
+
+
+# ---------------------------------------------------------------------------
+# Capture-avoiding substitution (names are unique per translation, but loop
+# bodies re-instantiate their binders on each unrolling)
+
+
+def subst_expr(e, m: dict):
+    if not m:
+        return e
+    if isinstance(e, EVar):
+        return m.get(e.name, e)
+    if isinstance(e, EThis):
+        return m.get("this", e)
+    if isinstance(e, EArgsLen):
+        return m.get("#argc", e)
+    if isinstance(e, (EConst, EVal)):
+        return e
+    if isinstance(e, EFieldRead):
+        return EFieldRead(subst_expr(e.obj, m), e.fname, nid=e.nid,
+                          span=e.span)
+    if isinstance(e, EMethodCall):
+        return EMethodCall(subst_expr(e.obj, m), e.mname,
+                           [subst_expr(a, m) for a in e.args], nid=e.nid,
+                           span=e.span)
+    if isinstance(e, EFuncCall):
+        return EFuncCall(subst_expr(e.callee, m),
+                         [subst_expr(a, m) for a in e.args], nid=e.nid,
+                         span=e.span)
+    if isinstance(e, ENew):
+        return ENew(e.cname, [subst_expr(a, m) for a in e.args], nid=e.nid,
+                    span=e.span)
+    if isinstance(e, ECast):
+        return ECast(e.rtype, subst_expr(e.expr, m), nid=e.nid, span=e.span)
+    if isinstance(e, EClosure):
+        return EClosure(e.fname, [subst_expr(c, m) for c in e.captures],
+                        nid=e.nid, span=e.span)
+    if isinstance(e, EFieldAssign):
+        return EFieldAssign(subst_expr(e.obj, m), e.fname,
+                            subst_expr(e.rhs, m), nid=e.nid, span=e.span)
+    if isinstance(e, ECtxApply):
+        k, m2 = subst_ctx(e.ctx, m)
+        return ECtxApply(k, subst_expr(e.expr, m2), nid=e.nid, span=e.span)
+    if isinstance(e, EWhileRun):
+        m2 = {k: v for k, v in m.items()
+              if k not in {p.phi for p in e.phis}}
+        return EWhileRun(subst_expr(e.cond_focus, m2), list(e.cur_vals),
+                         e.phis, subst_expr(e.cond_orig, m2),
+                         subst_ctx(e.body_ctx, m2)[0],
+                         subst_expr(e.cont, m2), nid=e.nid)
+    raise TypeError(e)
+
+
+def subst_ctx(k: Ctx, m: dict):
+    """Substitute into a context; returns the new context and the map still
+    live at its hole (binders shadow)."""
+    if isinstance(k, KHole):
+        return k, m
+    if isinstance(k, KLetIn):
+        e = subst_expr(k.expr, m)
+        m2 = {n: v for n, v in m.items() if n != k.name}
+        rest, m3 = subst_ctx(k.rest, m2)
+        return KLetIn(k.name, e, rest, nid=k.nid, span=k.span), m3
+    if isinstance(k, KLetIf):
+        cond = subst_expr(k.cond, m)
+        k1, _ = subst_ctx(k.then_ctx, m)
+        k2, _ = subst_ctx(k.else_ctx, m)
+        # a phi slot reads a name at its branch's end scope: names the
+        # branch rebinds shadow the enclosing substitution
+        b1 = ctx_binders(k.then_ctx)
+        b2 = ctx_binders(k.else_ctx)
+        ml = {n: v for n, v in m.items() if n not in b1}
+        mr = {n: v for n, v in m.items() if n not in b2}
+        lefts = [subst_expr(x, ml) for x in k.left_exprs]
+        rights = [subst_expr(x, mr) for x in k.right_exprs]
+        m2 = {n: v for n, v in m.items()
+              if n not in {p.phi for p in k.phis}}
+        rest, m3 = subst_ctx(k.rest, m2)
+        return KLetIf(k.phis, cond, k1, k2, rest, lefts, rights,
+                      nid=k.nid, span=k.span), m3
+    if isinstance(k, KLetWhile):
+        inits = [subst_expr(i, m) for i in k.init_exprs]
+        m2 = {n: v for n, v in m.items()
+              if n not in {p.phi for p in k.phis}}
+        cond = subst_expr(k.cond, m2)
+        body, _ = subst_ctx(k.body_ctx, m2)
+        rest, m3 = subst_ctx(k.rest, m2)
+        return KLetWhile(k.phis, cond, body, rest, inits, nid=k.nid,
+                         span=k.span), m3
+    raise TypeError(k)
+
+
+def ctx_binders(k: Ctx) -> set:
+    out: set = set()
+    stack = [k]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, KHole):
+            continue
+        if isinstance(c, KLetIn):
+            out.add(c.name)
+            stack.append(c.rest)
+        elif isinstance(c, KLetIf):
+            out |= {p.phi for p in c.phis}
+            stack.extend([c.then_ctx, c.else_ctx, c.rest])
+        elif isinstance(c, KLetWhile):
+            out |= {p.phi for p in c.phis}
+            stack.extend([c.body_ctx, c.rest])
+    return out
 
 
 class SsaTranslator:
@@ -252,13 +376,8 @@ class SsaTranslator:
             return self.ssa_expr(env, b.expr)
         if isinstance(b, BSeq):
             ctx, env1 = self.ssa_stmt(env, b.stmt)
-            e = self.ssa_body(env1, b.rest)
-            if isinstance(ctx, KHole):
-                return e
-            if isinstance(e, ECtxApply):
-                return ECtxApply(ctx_compose(ctx, e.ctx), e.expr,
-                                 span=b.span, nid=next_node_id())
-            return ECtxApply(ctx, e, span=b.span, nid=next_node_id())
+            return mk_ctxapply(ctx, self.ssa_body(env1, b.rest),
+                               span=b.span, nid=next_node_id())
         if isinstance(b, BIte):
             cond = self.ssa_expr(env, b.cond)
             e1 = self.ssa_body(env, b.then_b)
@@ -276,8 +395,8 @@ class SsaTranslator:
                        [EVar(r1, span=b.span, nid=next_node_id())],
                        [EVar(r2, span=b.span, nid=next_node_id())],
                        span=b.span, nid=next_node_id())
-            return ECtxApply(k, EVar(r, span=b.span, nid=next_node_id()),
-                             span=b.span, nid=next_node_id())
+            return mk_ctxapply(k, EVar(r, span=b.span, nid=next_node_id()),
+                               span=b.span, nid=next_node_id())
         raise TypeError(b)
 
     # -- declarations ----------------------------------------------------------

@@ -562,6 +562,20 @@ class EVal(Node):
 
 
 @dataclass
+class EWhileRun(Node):
+    """Runtime-only state of an executing FRSC loop: the condition instance
+    under evaluation, the phi values saved at iteration entry, and the
+    pieces needed to unroll once more."""
+
+    cond_focus: "Expr"
+    cur_vals: list
+    phis: list  # list[PhiWhile]
+    cond_orig: "Expr"
+    body_ctx: "Ctx"
+    cont: "Expr"
+
+
+@dataclass
 class EFieldAssign(Node):
     """FRSC-only expression form e1.f = e2 (statement in the source)."""
 
@@ -579,7 +593,8 @@ class ECtxApply(Node):
 
 
 Expr = Union[EVar, EConst, EThis, EFieldRead, EMethodCall, EFuncCall, ENew,
-             ECast, EClosure, EArgsLen, EVal, EFieldAssign, ECtxApply]
+             ECast, EClosure, EArgsLen, EVal, EWhileRun, EFieldAssign,
+             ECtxApply]
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +946,11 @@ def expr_str(e: Expr) -> str:
         v = e.value
         return literal_str(v) if isinstance(v, (int, bool, str)) or v in (
             UNDEFINED, NULL) else f"#{v!r}"
+    if isinstance(e, EWhileRun):
+        phis = ", ".join(f"{p.phi}={expr_str(EVal(v))}"
+                         for p, v in zip(e.phis, e.cur_vals))
+        return (f"whilerun [{phis}] ({expr_str(e.cond_focus)})"
+                f" {{ {ctx_str(e.body_ctx, 'o')} }} in\n{expr_str(e.cont)}")
     if isinstance(e, EFieldAssign):
         return f"{expr_str(e.obj)}.{e.fname} = {expr_str(e.rhs)}"
     if isinstance(e, ECtxApply):

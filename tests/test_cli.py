@@ -180,3 +180,39 @@ def test_unknown_entry_is_a_usage_error(cmd):
     assert r.returncode == 2
     assert r.stderr == "rsc: no function 'nope'\n"
     assert r.stdout == ""
+
+
+_OUTSIDE = "is not an integer, boolean, string, null or array of these"
+
+
+@pytest.mark.parametrize("cmd", ["run", "simulate"])
+@pytest.mark.parametrize("arg,shown", [
+    ("1.5", "1.5"), ("NaN", "NaN"), ("Infinity", "Infinity"),
+    ('{"a":1}', '{"a": 1}'), ("[1, 2.0]", "2.0"),
+    ('[1, [2, {"a": 1}]]', '{"a": 1}'),
+], ids=["float", "nan", "infinity", "object", "float-in-array",
+        "object-in-nested-array"])
+def test_args_outside_the_value_domain_are_usage_errors(cmd, arg, shown):
+    """A float or an object, at any depth, never reaches a machine."""
+    r = rsc(cmd, str(CORPUS / "head.rsc"), "--entry", "head0",
+            "--args", arg)
+    assert r.returncode == 2
+    assert r.stderr == f"rsc: --args value {shown} {_OUTSIDE}\n"
+    assert r.stdout == ""
+
+
+def test_null_arg_is_undefined():
+    r = rsc("run", str(CORPUS / "head.rsc"), "--entry", "head0",
+            "--args", "[null]")
+    assert (r.returncode, r.stdout) == (0, "undefined\n")
+
+
+def test_simulate_return_after_statements_exits_zero(tmp_path):
+    src = tmp_path / "f.rsc"
+    src.write_text("/*@ (a: number) => number */\n"
+                   "function f(a) { var y = a + 1; var x = y + 2;"
+                   " return x; }\n")
+    r = rsc("simulate", str(src), "--entry", "f", "--args", "3")
+    assert r.returncode == 0, r.stdout
+    data = json.loads(r.stdout)
+    assert (data["status"], data["value"]) == ("ok", "6")

@@ -214,33 +214,105 @@ def test_simulate_detects_injected_ssa_faults(monkeypatch, inject, text,
     assert rep.status in ("divergence", "stuck"), rep
 
 
-def test_normalize_output_is_a_fixed_point(monkeypatch):
-    """The simulation never normalizes a normalized term again, so every
-    term normalize returns during a run must already be normal."""
+def test_context_applications_are_canonical(monkeypatch):
+    """The translation and both machines build every context application
+    in one shape, so the simulation compares raw terms: after every FRSC
+    step, and in every translated source configuration, no application
+    has an empty context or an application as its body."""
+    from rsccore.semantics.frsc import FrscMachine
+    from rsccore.syntax import ECtxApply, KHole, walk_tree
     sim = sys.modules["rsccore.semantics.simulate"]
-    real = sim.normalize
-    depth, outs = [0], []
+    terms = []
+    step, config = FrscMachine.step, sim.ConfigTranslator.config
 
-    def outermost(e):
-        depth[0] += 1
-        try:
-            r = real(e)
-        finally:
-            depth[0] -= 1
-        if depth[0] == 0:
-            outs.append(r)
+    def recording_step(self, c):
+        r = step(self, c)
+        if r[0] == "ok":
+            terms.append(r[1].focus)
         return r
 
-    monkeypatch.setattr(sim, "normalize", outermost)
+    def recording_config(self, c):
+        image = config(self, c)
+        terms.append(image)
+        return image
+
+    monkeypatch.setattr(FrscMachine, "step", recording_step)
+    monkeypatch.setattr(sim.ConfigTranslator, "config", recording_config)
     for sp, theta, entry, args in [
             (*_ssa(CORPUS / "minindex.rsc"), "minIndex", [[3, 1, 2]]),
             (*_ssa_text(_JOIN), "f", [False]),
             (*_ssa_text(_LOOP), "f", [])]:
         assert simulate(sp, theta, entry=entry, args=args).status == "ok"
-    monkeypatch.undo()
-    assert len(outs) > 100
-    for e in outs:
-        assert sim.terms_equal(real(e), e), e
+    assert len(terms) > 100
+    for term in terms:
+        for node in walk_tree(term):
+            if isinstance(node, ECtxApply):
+                assert not isinstance(node.ctx, KHole), node
+                assert not isinstance(node.expr, ECtxApply), node
+
+
+_G = """
+/*@ (a: number) => number */
+function g(a) { var y = a + 1; var x = y + 2; return x; }
+"""
+
+_P = """
+class P {
+  f : number;
+  constructor(f: number) { this.f = f; }
+}
+"""
+
+_F = "/*@ (a: number) => number */\nfunction f(a) "
+
+# bodies that end `return x` after two or more statements, with their
+# exact (frsc_steps, irsc_steps, value); the one-`var` body is the control
+RETURN_AFTER_STATEMENTS = [
+    (_F + "{ var y = a + 1; var x = y + 2; return x; }", [3], (5, 11, "6")),
+    (_F + "{ var x = a; x = x * 2; return x; }", [2], (4, 11, "4")),
+    (_G + _F + "{ return g(a); }", [6], (6, 14, "9")),
+    (_F + "{ if (a > 0) { var y = a + 1; var x = y + 2; return x; }"
+     " return 0; }", [2], (8, 14, "5")),
+    (_P + _F + "{ var p = new P(a); var x = p.f; return x; }", [3],
+     (7, 18, "3")),
+    (_F + "{ var i = 0; while (i < a) { i = i + 1; } var x = i;"
+     " return x; }", [3], (21, 44, "3")),
+    (_G + _F + "{ var i = 0; while (g(i) < a) { i = i + 1; } return i; }",
+     [6], (40, 85, "3")),
+    (_F + "{ var x = a + 1; return x; }", [3], (3, 7, "4")),
+]
+
+
+@pytest.mark.parametrize("text,args,expected", RETURN_AFTER_STATEMENTS,
+                         ids=["two-vars", "var-then-assign", "callee",
+                              "if-branch", "field-read", "after-while",
+                              "loop-condition-call", "one-var"])
+def test_simulate_return_after_statements(text, args, expected):
+    """A body ending `var x = e; return x;` after another statement used
+    to diverge: the translation nested the lets that FRSC composes."""
+    sp, theta = _ssa_text(text)
+    rep = simulate(sp, theta, entry="f", args=args)
+    assert rep.status == "ok", rep.detail
+    assert (rep.frsc_steps, rep.irsc_steps, rep.value) == expected
+
+
+def test_divergence_in_a_loop_condition_is_reported(monkeypatch):
+    """A fault that diverges while FRSC evaluates a loop condition is a
+    divergence report naming the running loop, not an exception."""
+    import rsccore.ssa as ssa_mod
+    from rsccore.syntax import EVar, SVarDecl
+
+    def stale_read(s, k):
+        # `var x = y + 2` in g reads the parameter instead of y
+        if isinstance(s, SVarDecl) and s.name == "x":
+            k.expr.args[0] = EVar("a", nid=0)
+    _broken_stmt(monkeypatch, ssa_mod, stale_read)
+    sp, theta = _ssa_text(RETURN_AFTER_STATEMENTS[6][0])
+    rep = simulate(sp, theta, entry="f", args=[1000])
+    assert rep.status == "divergence"
+    assert rep.detail.startswith(
+        "no corresponding source configuration within 200 steps;"
+        " target focus: whilerun [i#")
 
 
 def test_straight_line_simulation_steps():
@@ -584,6 +656,26 @@ def test_machines_do_not_import_each_other():
             elif isinstance(node, ast.Import):
                 assert not any(a.name.split(".")[-1] == other
                                for a in node.names), mine
+
+
+def test_translation_and_checker_do_not_import_the_machines():
+    """The SSA translation and the checker own what they use of the
+    functional language (substitution, context application); neither
+    imports a machine or the simulation harness."""
+    import ast
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src" / "rsccore"
+    machines = {"frsc", "irsc", "simulate"}
+    for path in [src / "ssa.py", *sorted((src / "checker").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + \
+                    [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [n for a in node.names for n in a.name.split(".")]
+            else:
+                continue
+            assert not machines & set(names), f"{path.name}:{node.lineno}"
 
 
 _THREE_LEVELS = """
