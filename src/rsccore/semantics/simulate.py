@@ -22,6 +22,15 @@ comparison sees through only what the two sides write differently: a node
 that denotes a value is that value, and the one-frame result join
 `let r = x in r` the functional machine leaves after a body conditional
 is `x`, as the source machine has already returned into the branch.
+
+A term `k1;...;kn[e]` is read as its spine: the frames k1 ... kn in
+evaluation order, a running loop as one more frame whose continuation
+follows, then the final expression.  The source configuration is
+translated head first, one spine element at a time, and compared with the
+target's spine element by element; the comparison stops at the first
+element that differs, so a failed alignment attempt translates little
+more than the statement under evaluation.  The whole image of a
+configuration is the fold of its spine (`ConfigTranslator.config`).
 """
 
 from __future__ import annotations
@@ -29,7 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..ssa import GlobalSsaEnv, SsaProgram, ctx_binders, mk_ctxapply
+from ..ssa import (
+    GlobalSsaEnv, SsaProgram, ctx_binders, mk_ctxapply, with_rest,
+)
 from ..syntax import (
     BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, ECtxApply,
     EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew, EThis, EVal,
@@ -37,7 +48,7 @@ from ..syntax import (
     SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile,
     expr_str,
 )
-from .frsc import FrscMachine
+from .frsc import FrscConfig, FrscMachine
 from .irsc import EHole, IrscConfig, IrscMachine, plug
 from .tables import RuntimeTables
 from .values import (
@@ -133,87 +144,112 @@ class ConfigTranslator:
                                       for x in e.captures], nid=0)
         raise TranslateGap(f"cannot translate {type(e).__name__}")
 
-    # -- statements → contexts or expression wrappers -----------------------------
+    # -- source foci, head first -------------------------------------------
 
-    def stmts(self, s, store: dict, bound: set, cont_fn, ren: dict):
-        """Translate a statement (tree) given a thunk producing the
-        translated continuation under the names bound (and renames
-        rerouted) so far; returns the full functional expression."""
-        if isinstance(s, SSkip):
-            return cont_fn(bound, ren)
-        if isinstance(s, SSeq):
-            if s.nid == 0 and isinstance(s.second, SWhile):
-                # mid-iteration residual of an unrolled loop
-                return self.stmts(
-                    s.first, store, bound,
-                    lambda b2, r2: self._while_entry(s.second, store, b2,
-                                                     cont_fn, r2,
-                                                     reentry=True), ren)
-            return self.stmts(s.first, store, bound,
-                              lambda b2, r2: self.stmts(s.second, store, b2,
-                                                        cont_fn, r2), ren)
-        if isinstance(s, (SVarDecl, SAssign)):
-            name = self.theta.stmt_aux.get(s.nid)
-            if name is None:
-                raise TranslateGap("untracked assignment")
-            rhs = self.expr(s.expr, store, bound, ren)
-            rest = cont_fn(bound | {name}, {**ren, s.name: name})
-            return mk_ctxapply(KLetIn(name, rhs, KHole(nid=0), nid=0), rest)
-        if isinstance(s, SFieldAssign):
-            aux = self.theta.stmt_aux.get(s.nid)
-            if aux is None:
-                raise TranslateGap("untracked field assignment")
-            fa = EFieldAssign(self.expr(s.obj, store, bound, ren), s.fname,
-                              self.expr(s.rhs, store, bound, ren), nid=0)
-            rest = cont_fn(bound | {aux}, ren)
-            return mk_ctxapply(KLetIn(aux, fa, KHole(nid=0), nid=0), rest)
-        if isinstance(s, SExprStmt):
-            aux = self.theta.stmt_aux.get(s.nid)
-            if aux is None:
-                raise TranslateGap("value statement mid-reduction")
-            rhs = self.expr(s.expr, store, bound, ren)
-            src = aux.split("#")[0]
-            ren2 = {**ren, src: aux} if src != "_" else ren
-            rest = cont_fn(bound | {aux}, ren2)
-            return mk_ctxapply(KLetIn(aux, rhs, KHole(nid=0), nid=0), rest)
-        if isinstance(s, SIte):
-            if s.nid == 0:
+    def elements(self, s, store: dict, bound: set, ren: dict):
+        """The image of a source body, statement or expression, as its
+        spine in evaluation order: a context frame per statement (its
+        `rest` left empty), a running loop as an `EWhileRun` (its `cont`
+        left out: the elements after it are the continuation), then the
+        body's final expression.  Each element is translated only when the
+        one before it has been consumed; names bound (and renames
+        rerouted) so far are threaded from one statement to the next."""
+        bound, ren = set(bound), dict(ren)
+        todo = [(s, False)]
+        while todo:
+            s, reentry = todo.pop()
+            if isinstance(s, BSeq):
+                todo += ((s.rest, False), (s.stmt, False))
+            elif isinstance(s, SSeq):
+                # an unrolled loop's mid-iteration residual re-enters it
+                todo += ((s.second, s.nid == 0), (s.first, False))
+            elif isinstance(s, SSkip):
+                pass
+            elif isinstance(s, (SVarDecl, SAssign)):
+                name = self.theta.stmt_aux.get(s.nid)
+                if name is None:
+                    raise TranslateGap("untracked assignment")
+                yield KLetIn(name, self.expr(s.expr, store, bound, ren),
+                             _HOLE, nid=0)
+                bound.add(name)
+                ren[s.name] = name
+            elif isinstance(s, SFieldAssign):
+                aux = self.theta.stmt_aux.get(s.nid)
+                if aux is None:
+                    raise TranslateGap("untracked field assignment")
+                fa = EFieldAssign(self.expr(s.obj, store, bound, ren),
+                                  s.fname,
+                                  self.expr(s.rhs, store, bound, ren), nid=0)
+                yield KLetIn(aux, fa, _HOLE, nid=0)
+                bound.add(aux)
+            elif isinstance(s, SExprStmt):
+                aux = self.theta.stmt_aux.get(s.nid)
+                if aux is None:
+                    raise TranslateGap("value statement mid-reduction")
+                yield KLetIn(aux, self.expr(s.expr, store, bound, ren),
+                             _HOLE, nid=0)
+                bound.add(aux)
+                src = aux.split("#")[0]
+                if src != "_":
+                    ren[src] = aux
+            elif isinstance(s, SIte) and s.nid == 0:
                 # unrolled loop: if (c) { body; while } else skip
-                return self._while_running(s, store, bound, cont_fn, ren)
-            phis = self.theta.stmt_phis.get(s.nid)
-            if phis is None:
-                raise TranslateGap("untracked conditional")
-            cond = self.expr(s.cond, store, bound, ren)
-            k1 = self._stmt_ctx(s.then_s, store, bound, ren)
-            k2 = self._stmt_ctx(s.else_s, store, bound, ren)
-            b1 = ctx_binders(k1)
-            b2 = ctx_binders(k2)
-            lefts = [self._phi_slot(p, p.left, bound | b1, store, ren)
-                     for p in phis]
-            rights = [self._phi_slot(p, p.right, bound | b2, store, ren)
-                      for p in phis]
-            rest = cont_fn(*_phi_scope(phis, bound, ren))
-            return mk_ctxapply(
-                KLetIf(phis, cond, k1, k2, KHole(nid=0), lefts, rights,
-                       nid=0), rest)
-        if isinstance(s, SWhile):
-            return self._while_entry(s, store, bound, cont_fn, ren,
-                                     reentry=False)
-        raise TranslateGap(f"cannot translate {type(s).__name__}")
+                yield self._while_running(s, store, bound, ren)
+            elif isinstance(s, SIte):
+                yield self._letif(s, store, bound, ren)
+            elif isinstance(s, SWhile):
+                yield self._while_entry(s, store, bound, ren, reentry)
+            elif isinstance(s, BReturn):
+                yield self.expr(s.expr, store, bound, ren)
+            elif isinstance(s, BIte):
+                yield from self._result_join(s, store, bound, ren)
+            else:
+                yield self.expr(s, store, bound, ren)
+
+    def image(self, s, store: dict, bound: set, ren: dict) -> Expr:
+        """The whole image of a source body or expression."""
+        return fold(self.elements(s, store, bound, ren))
 
     def _stmt_ctx(self, s, store, bound, ren):
         """Translate an unstarted statement into a pure context."""
-        result = self.stmts(s, store, bound,
-                            lambda b, r: _CtxMark(b), ren)
-        return _to_ctx(result)
+        ctx = KHole(nid=0)
+        for k in reversed(list(self.elements(s, store, bound, ren))):
+            if not isinstance(k, _FRAMES):
+                raise TranslateGap("branch translation did not end in a hole")
+            ctx = with_rest(k, ctx)
+        return ctx
+
+    def _letif(self, s: SIte, store, bound, ren):
+        """The frame of a statement conditional; past it, `bound` and `ren`
+        hold the join's scope."""
+        phis = self.theta.stmt_phis.get(s.nid)
+        if phis is None:
+            raise TranslateGap("untracked conditional")
+        cond = self.expr(s.cond, store, bound, ren)
+        k1 = self._stmt_ctx(s.then_s, store, bound, ren)
+        k2 = self._stmt_ctx(s.else_s, store, bound, ren)
+        b1 = ctx_binders(k1)
+        b2 = ctx_binders(k2)
+        lefts = [self._phi_slot(p, p.left, bound | b1, store, ren)
+                 for p in phis]
+        rights = [self._phi_slot(p, p.right, bound | b2, store, ren)
+                  for p in phis]
+        _enter_scope(phis, bound, ren)
+        return KLetIf(phis, cond, k1, k2, _HOLE, lefts, rights, nid=0)
 
     def _while_phis(self, w: SWhile):
         if not isinstance(w.phis, list):
             raise TranslateGap("loop without SSA annotation")
         return w.phis
 
-    def _while_entry(self, w: SWhile, store, bound, cont_fn, ren,
-                     reentry: bool):
+    def _loop(self, w: SWhile, phis, store, bound, ren):
+        """The condition and body context of loop `w`, under its header's
+        scope, which `bound` and `ren` hold from here on."""
+        _enter_scope(phis, bound, ren)
+        return (self.expr(w.cond, store, bound, ren),
+                self._stmt_ctx(w.body, store, bound, ren))
+
+    def _while_entry(self, w: SWhile, store, bound, ren, reentry: bool):
         phis = self._while_phis(w)
         inits = []
         for p in phis:
@@ -227,14 +263,10 @@ class ConfigTranslator:
                 if src not in store:
                     raise TranslateGap(f"loop input {src} missing")
                 inits.append(mk_val(store[src]))
-        inner, ren2 = _phi_scope(phis, bound, ren)
-        cond = self.expr(w.cond, store, inner, ren2)
-        body = self._stmt_ctx(w.body, store, inner, ren2)
-        rest = cont_fn(inner, ren2)
-        return mk_ctxapply(
-            KLetWhile(phis, cond, body, KHole(nid=0), inits, nid=0), rest)
+        cond, body = self._loop(w, phis, store, bound, ren)
+        return KLetWhile(phis, cond, body, _HOLE, inits, nid=0)
 
-    def _while_running(self, s: SIte, store, bound, cont_fn, ren):
+    def _while_running(self, s: SIte, store, bound, ren):
         # shape: SIte(cond_res, SSeq(body, while), SSkip) with nid == 0
         if not (isinstance(s.then_s, SSeq) and
                 isinstance(s.then_s.second, SWhile) and
@@ -248,13 +280,9 @@ class ConfigTranslator:
             if p.src not in store:
                 raise TranslateGap(f"loop value {p.src} missing")
             cur_vals.append(store[p.src])
-        inner, ren2 = _phi_scope(phis, bound, ren)
-        cond = self.expr(w.cond, store, inner, ren2)
-        body = self._stmt_ctx(w.body, store, inner, ren2)
-        cont = cont_fn(inner, ren2)
-        return EWhileRun(cond_focus, cur_vals, phis, cond, body, cont, nid=0)
-
-    # -- bodies --------------------------------------------------------------
+        cond, body = self._loop(w, phis, store, bound, ren)
+        return EWhileRun(cond_focus, cur_vals, phis, cond, body, None,
+                         nid=0)
 
     def _phi_slot(self, p, name: str, bound: set, store: dict, ren: dict):
         if name in bound:
@@ -265,67 +293,153 @@ class ConfigTranslator:
             return mk_val(store[p.src])
         raise TranslateGap(f"phi input {name} unresolvable")
 
-    def body(self, b, store: dict, bound: set, ren: dict) -> Expr:
-        if isinstance(b, BReturn):
-            return self.expr(b.expr, store, bound, ren)
-        if isinstance(b, BSeq):
-            return self.stmts(b.stmt, store, bound,
-                              lambda b2, r2: self.body(b.rest, store, b2,
-                                                       r2), ren)
-        if isinstance(b, BIte):
-            names = self.theta.body_ret.get(b.nid)
-            if names is None:
-                raise TranslateGap("untracked result conditional")
-            r, r1, r2 = names
-            cond = self.expr(b.cond, store, bound, ren)
-            k1 = KLetIn(r1, self.body(b.then_b, store, bound, ren),
-                        KHole(nid=0), nid=0)
-            k2 = KLetIn(r2, self.body(b.else_b, store, bound, ren),
-                        KHole(nid=0), nid=0)
-            return mk_ctxapply(
-                KLetIf([PhiIf("<ret>", r, r1, r2)], cond, k1, k2,
-                       KHole(nid=0),
-                       [EVar(r1, nid=0)], [EVar(r2, nid=0)], nid=0),
-                EVar(r, nid=0))
-        raise TranslateGap(f"cannot translate body {type(b).__name__}")
+    def _result_join(self, b: BIte, store, bound, ren):
+        names = self.theta.body_ret.get(b.nid)
+        if names is None:
+            raise TranslateGap("untracked result conditional")
+        r, r1, r2 = names
+        cond = self.expr(b.cond, store, bound, ren)
+        k1 = KLetIn(r1, self.image(b.then_b, store, bound, ren),
+                    KHole(nid=0), nid=0)
+        k2 = KLetIn(r2, self.image(b.else_b, store, bound, ren),
+                    KHole(nid=0), nid=0)
+        yield KLetIf([PhiIf("<ret>", r, r1, r2)], cond, k1, k2, _HOLE,
+                     [EVar(r1, nid=0)], [EVar(r2, nid=0)], nid=0)
+        yield EVar(r, nid=0)
 
     # -- whole configurations ---------------------------------------------------
 
+    def spine(self, c: IrscConfig):
+        """The image of configuration `c`, head first.  A saved frame whose
+        image is the bare hole (the entry call, a call in return position)
+        adds nothing to it, so the focus is read lazily below such frames.
+        From the outermost other frame on, the image is built whole (each
+        saved frame plugged with the image of what runs above it) and then
+        read back."""
+        for i, fr in enumerate(c.stack):
+            outer = self.image(fr.ectx, fr.store, set(), {})
+            if isinstance(outer, EHole):
+                continue
+            cur = self.image(c.focus, c.store, set(), {})
+            for inner in reversed(c.stack[i + 1:]):
+                cur = plug(self.image(inner.ectx, inner.store, set(), {}),
+                           cur)
+            yield from spine_of(plug(outer, cur))
+            return
+        yield from self.elements(c.focus, c.store, set(), {})
+
     def config(self, c: IrscConfig) -> Expr:
-        cur = self._focus(c.focus, c.store)
-        for fr in reversed(c.stack):
-            ectx = self._focus(fr.ectx, fr.store)
-            cur = plug(ectx, cur)
-        return cur
-
-    def _focus(self, focus, store) -> Expr:
-        if isinstance(focus, (BReturn, BSeq, BIte)):
-            return self.body(focus, store, set(), {})
-        return self.expr(focus, store, set(), {})
+        """The whole image of `c`: its spine folded back into one term."""
+        return fold(self.spine(c))
 
 
-def _phi_scope(phis, bound: set, ren: dict):
-    """The bound names and renames past a join or loop header: each phi
-    name is bound, and its source variable now reads the phi name."""
-    return bound | {p.phi for p in phis}, \
-        {**ren, **{p.src: p.phi for p in phis}}
+_HOLE = KHole(nid=0)  # the empty rest of every frame the translator yields
+_FRAMES = (KLetIn, KLetIf, KLetWhile)
 
 
-class _CtxMark:
-    """Sentinel leaf marking the hole of an unstarted-branch translation."""
+def _enter_scope(phis, bound: set, ren: dict):
+    """Past a join or loop header, each phi name is bound, and its source
+    variable reads the phi name."""
+    for p in phis:
+        bound.add(p.phi)
+        ren[p.src] = p.phi
 
-    def __init__(self, bound):
-        self.bound = bound
-        self.nid = 0
+
+# ---------------------------------------------------------------------------
+# Spines
 
 
-def _to_ctx(e):
-    """The context of an expression ending in a _CtxMark."""
-    if isinstance(e, _CtxMark):
-        return KHole(nid=0)
-    if isinstance(e, ECtxApply) and isinstance(e.expr, _CtxMark):
-        return e.ctx
-    raise TranslateGap("branch translation did not end in a hole")
+def spine_of(e: Expr):
+    """The spine of a whole term, head first: each frame of a context
+    application, a running loop (whose continuation comes next), and the
+    final expression.  An application in an application's body position
+    (never built, since `mk_ctxapply` composes) would stay one final
+    element, as the comparison sees it."""
+    while True:
+        if isinstance(e, ECtxApply):
+            k = e.ctx
+            while not isinstance(k, KHole):
+                yield k
+                k = k.rest
+            e = e.expr
+            if not isinstance(e, EWhileRun):
+                yield e
+                return
+        if not isinstance(e, EWhileRun):
+            yield e
+            return
+        yield e
+        e = e.cont
+
+
+def fold(elements) -> Expr:
+    """The term whose spine is `elements`: the inverse of `spine_of`.  A
+    frame's own `rest` and a running loop's own `cont` are ignored."""
+    elements = list(elements)
+    tail = elements.pop()
+    ctx = KHole(nid=0)
+    for el in reversed(elements):
+        if isinstance(el, EWhileRun):
+            tail = EWhileRun(el.cond_focus, el.cur_vals, el.phis,
+                             el.cond_orig, el.body_ctx,
+                             mk_ctxapply(ctx, tail), nid=0)
+            ctx = KHole(nid=0)
+        else:
+            ctx = with_rest(el, ctx)
+    return mk_ctxapply(ctx, tail)
+
+
+def read_spine(elements):
+    """A spine as the comparison sees it: at the start of a term (the whole
+    image, or a running loop's continuation) a one-frame result join
+    `let r = x in r` is read as the spine of `x`, as `normalize` sees
+    it.  Only a `let` at a term start looks one element ahead."""
+    elements = iter(elements)
+    el = next(elements)
+    while True:
+        if isinstance(el, KLetIn):
+            nxt = next(elements)
+            if isinstance(nxt, EVar) and nxt.name == el.name:
+                elements = spine_of(el.expr)
+                el = next(elements)
+                continue
+            yield el
+            el = nxt
+        while isinstance(el, _FRAMES):
+            yield el
+            el = next(elements)
+        yield el
+        if not isinstance(el, EWhileRun):
+            return
+        el = next(elements)
+
+
+def spines_equal(a, b) -> bool:
+    """`terms_equal` on two terms given as spines, element by element:
+    False at the first element that differs, so the rest of a lazily
+    translated spine is never built."""
+    for x, y in zip(read_spine(a), read_spine(b)):
+        if isinstance(x, EWhileRun):
+            if not (isinstance(y, EWhileRun) and _loop_heads_equal(x, y)):
+                return False
+        elif isinstance(x, _FRAMES):
+            if not frames_equal(x, y):
+                return False
+        elif not terms_equal(x, y):
+            return False
+    return True
+
+
+def corresponds(tr: ConfigTranslator, ic: IrscConfig,
+                fc: FrscConfig) -> bool:
+    """Whether source configuration `ic` translates to target `fc`: the
+    spines first, then, after a full match, the heaps."""
+    try:
+        if not spines_equal(tr.spine(ic), spine_of(fc.focus)):
+            return False
+    except TranslateGap:
+        return False
+    return heaps_equal(ic.heap, fc.heap)
 
 
 # ---------------------------------------------------------------------------
@@ -374,36 +488,46 @@ def terms_equal(a, b) -> bool:
     if isinstance(a, ECtxApply):
         return ctxs_equal(a.ctx, b.ctx) and terms_equal(a.expr, b.expr)
     if isinstance(a, EWhileRun):
-        return (terms_equal(a.cond_focus, b.cond_focus) and
-                _vals_list_eq(a.cur_vals, b.cur_vals) and
-                _phis_eq(a.phis, b.phis) and
-                terms_equal(a.cond_orig, b.cond_orig) and
-                ctxs_equal(a.body_ctx, b.body_ctx) and
-                terms_equal(a.cont, b.cont))
+        return _loop_heads_equal(a, b) and terms_equal(a.cont, b.cont)
     if isinstance(a, EArgsLen):
         return True
     return False
 
 
+def _loop_heads_equal(a: EWhileRun, b: EWhileRun) -> bool:
+    """Two running loops agree, their continuations aside."""
+    return (terms_equal(a.cond_focus, b.cond_focus) and
+            _vals_list_eq(a.cur_vals, b.cur_vals) and
+            _phis_eq(a.phis, b.phis) and
+            terms_equal(a.cond_orig, b.cond_orig) and
+            ctxs_equal(a.body_ctx, b.body_ctx))
+
+
 def ctxs_equal(a, b) -> bool:
+    while frames_equal(a, b):
+        if isinstance(a, KHole):
+            return True
+        a, b = a.rest, b.rest
+    return False
+
+
+def frames_equal(a, b) -> bool:
+    """Two context frames agree, their rests aside."""
     if type(a) is not type(b):
         return False
     if isinstance(a, KHole):
         return True
     if isinstance(a, KLetIn):
-        return a.name == b.name and terms_equal(a.expr, b.expr) and \
-            ctxs_equal(a.rest, b.rest)
+        return a.name == b.name and terms_equal(a.expr, b.expr)
     if isinstance(a, KLetIf):
         return (_phis_eq(a.phis, b.phis) and terms_equal(a.cond, b.cond) and
                 ctxs_equal(a.then_ctx, b.then_ctx) and
                 ctxs_equal(a.else_ctx, b.else_ctx) and
-                ctxs_equal(a.rest, b.rest) and
                 _list_eq(a.left_exprs, b.left_exprs) and
                 _list_eq(a.right_exprs, b.right_exprs))
     if isinstance(a, KLetWhile):
         return (_phis_eq(a.phis, b.phis) and terms_equal(a.cond, b.cond) and
                 ctxs_equal(a.body_ctx, b.body_ctx) and
-                ctxs_equal(a.rest, b.rest) and
                 _list_eq(a.init_exprs, b.init_exprs))
     return False
 
@@ -479,15 +603,7 @@ def simulate(ssa_prog: SsaProgram, theta: GlobalSsaEnv,
         ic = irsc.initial_call(entry, args or [])
         fc = frsc.initial_call(entry, args or [])
 
-    def aligned(target) -> bool:
-        try:
-            image = tr.config(ic)
-        except TranslateGap:
-            return False
-        return terms_equal(image, target) and \
-            heaps_equal(ic.heap, fc.heap)
-
-    if not aligned(fc.focus):
+    if not corresponds(tr, ic, fc):
         return SimReport("divergence", 0, 0,
                          detail="initial configurations do not correspond")
 
@@ -523,7 +639,7 @@ def simulate(ssa_prog: SsaProgram, theta: GlobalSsaEnv,
         fsteps += 1
         ok = False
         for _ in range(catchup):
-            if aligned(fc.focus):
+            if corresponds(tr, ic, fc):
                 ok = True
                 break
             ri = irsc.step(ic)

@@ -79,21 +79,23 @@ class SsaProgram:
     source: Program
 
 
+def with_rest(k: Ctx, rest: Ctx) -> Ctx:
+    """The frame `k` on its own, with `rest` in place of its rest."""
+    if isinstance(k, KLetIn):
+        return KLetIn(k.name, k.expr, rest, span=k.span, nid=k.nid)
+    if isinstance(k, KLetIf):
+        return KLetIf(k.phis, k.cond, k.then_ctx, k.else_ctx, rest,
+                      k.left_exprs, k.right_exprs, span=k.span, nid=k.nid)
+    if isinstance(k, KLetWhile):
+        return KLetWhile(k.phis, k.cond, k.body_ctx, rest, k.init_exprs,
+                         span=k.span, nid=k.nid)
+    raise TypeError(k)
+
+
 def ctx_compose(k1: Ctx, k2: Ctx) -> Ctx:
     if isinstance(k1, KHole):
         return k2
-    if isinstance(k1, KLetIn):
-        return KLetIn(k1.name, k1.expr, ctx_compose(k1.rest, k2),
-                      span=k1.span, nid=k1.nid)
-    if isinstance(k1, KLetIf):
-        return KLetIf(k1.phis, k1.cond, k1.then_ctx, k1.else_ctx,
-                      ctx_compose(k1.rest, k2), k1.left_exprs,
-                      k1.right_exprs, span=k1.span, nid=k1.nid)
-    if isinstance(k1, KLetWhile):
-        return KLetWhile(k1.phis, k1.cond, k1.body_ctx,
-                         ctx_compose(k1.rest, k2), k1.init_exprs,
-                         span=k1.span, nid=k1.nid)
-    raise TypeError(k1)
+    return with_rest(k1, ctx_compose(k1.rest, k2))
 
 
 def mk_ctxapply(k: Ctx, e: Expr, span: SourceSpan = NO_SPAN,
