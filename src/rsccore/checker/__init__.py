@@ -136,55 +136,31 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
             diags.append(Diagnostic("error", e.span, "SSA", e.msg))
         return fail()
 
-    checker = Checker(program2, classes, registry, supply, config,
-                      ctor_inits, witnesses)
-    checker.fn_sigs = {f.name: f.signature for f in program.functions}
-    for cl in clones:
-        checker.fn_sigs[cl.name] = cl.decl.signature
-    checker.fn_decls = {f.name: f for f in check_funcs}
-    checker.ssa_funcs = ssa2.functions
+    fn_sigs = {f.name: f.signature for f in program.functions}
+    fn_sigs.update((cl.name, cl.decl.signature) for cl in clones)
+    checker = Checker(classes, registry, supply, config, ctor_inits,
+                      witnesses, fn_sigs, {f.name: f for f in check_funcs},
+                      ssa2.functions)
     registry.note_strings(_collect_strings(program))
 
-    clone_names = {cl.name: cl for cl in clones}
+    # a failure inside an overload clone names its conjunct
+    prefix = {cl.name: f"overload {cl.index} of {cl.base_name}: "
+              for cl in clones}
 
     # -- functions ---------------------------------------------------------
     for f in check_funcs:
-        if f.body is None or f.signature is None:
-            continue
         sig = f.signature
-        if not isinstance(sig, RFun):
-            continue
         sf = ssa2.functions.get(f.name)
-        if sf is None or sf.body is None:
+        if f.body is None or not isinstance(sig, RFun) or sf is None or \
+                sf.body is None:
             continue
-        checker.current_unit = f.name
-        env = TypeEnv(classes, supply)
-        try:
-            for n, pt in sig.params:
-                checker.emit_wf(env, pt, f.span, "WF-SIG")
-                env = checker._bind(env, n, pt)
-            if sig.ret is not None:
-                checker.emit_wf(env, sig.ret, f.span, "WF-SIG")
-            if sig.precond != P_TRUE:
-                env = env.guard(sig.precond)
-            body = subst_expr(sf.body,
-                              {"#argc": EConst(len(sig.params), nid=0)})
-            t_body = checker.check_expr(env, body)
-            if sig.ret is None:
-                inferred = _trivial_ret(t_body)
-                newsig = RFun(sig.params, inferred, sig.tyvars, sig.precond)
-                f.signature = newsig
-                checker.fn_sigs[f.name] = newsig
-            else:
-                checker.sub(env, t_body, sig.ret, f.span, "RET")
-        except CheckAbort as a:
-            d = a.diag
-            if f.name in clone_names:
-                cl = clone_names[f.name]
-                d = Diagnostic(d.severity, d.span, d.rule,
-                               f"overload {cl.index} of {cl.base_name}:"
-                               f" {d.message}", d.vc)
-            diags.append(d)
+        t_body = _check_unit(checker, diags, f.name, TypeEnv(classes, supply),
+                             sig, sf.body, f.span, prefix.get(f.name, ""))
+        if sig.ret is None and t_body is not None:
+            newsig = RFun(sig.params, _trivial_ret(t_body), sig.tyvars,
+                          sig.precond)
+            f.signature = newsig
+            checker.fn_sigs[f.name] = newsig
 
     # -- methods -----------------------------------------------------------
     for c in checked_classes:
@@ -192,27 +168,13 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
             sm = ssa2.methods.get((c.name, m.name))
             if sm is None:
                 continue
-            checker.current_unit = f"{c.name}.{m.name}"
             checker._current_ctor = c.name if m.is_ctor else None
-            env = TypeEnv(classes, supply)
-            try:
-                env = env.bind_raw("this", trivially_refine(BClass(c.name)),
-                                   raw_class=m.is_ctor)
-                for n, pt in m.params:
-                    checker.emit_wf(env, pt, m.span, "WF-SIG")
-                    env = checker._bind(env, n, pt)
-                checker.emit_wf(env, m.ret, m.span, "WF-SIG")
-                if m.precond != P_TRUE:
-                    env = env.guard(m.precond)
-                body = subst_expr(sm.body,
-                                  {"#argc": EConst(len(m.params), nid=0)})
-                t_body = checker.check_expr(env, body)
-                if not m.is_ctor:
-                    checker.sub(env, t_body, m.ret, m.span, "RET")
-            except CheckAbort as a:
-                diags.append(a.diag)
-            finally:
-                checker._current_ctor = None
+            env = TypeEnv(classes, supply).bind_raw(
+                "this", trivially_refine(BClass(c.name)), raw_class=m.is_ctor)
+            _check_unit(checker, diags, f"{c.name}.{m.name}", env,
+                        RFun(tuple(m.params), m.ret, m.tyvars, m.precond),
+                        sm.body, m.span, ret_rule=not m.is_ctor)
+    checker._current_ctor = None
 
     # -- top level -----------------------------------------------------------
     if ssa2.top is not None:
@@ -245,11 +207,9 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
             msg = "verification condition failed" if \
                 fl.verdict.status == "invalid" else \
                 "could not verify (solver unknown)"
-            if fl.clause.unit in clone_names:
-                cl = clone_names[fl.clause.unit]
-                msg = f"overload {cl.index} of {cl.base_name}: {msg}"
             diags.append(Diagnostic("error", fl.clause.span, fl.clause.rule,
-                                    f"{msg}: {why}",
+                                    f"{prefix.get(fl.clause.unit, '')}{msg}:"
+                                    f" {why}",
                                     vc=fl.clause.describe()))
 
     diags.sort(key=lambda d: (d.span.file, d.span.line, d.span.col,
@@ -258,6 +218,34 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
         else "verified"
     return CheckResult(verdict, diags, checker.constraints, clauses,
                        assignment, registry, classes, program2, config)
+
+
+def _check_unit(checker: Checker, diags: list, unit: str, env: TypeEnv,
+                sig: RFun, body, span: SourceSpan, prefix: str = "",
+                ret_rule: bool = True) -> Optional[RType]:
+    """Check one function or method body against its signature: WF-SIG on
+    the parameters and the result, the precondition as a guard, `#argc`,
+    the body, then RET.  Returns the body's type, or None when a
+    structural error aborted the unit (its diagnostic, message prefixed,
+    goes to `diags`)."""
+    checker.current_unit = unit
+    try:
+        for n, pt in sig.params:
+            checker.emit_wf(env, pt, span, "WF-SIG")
+            env = checker._bind(env, n, pt)
+        if sig.ret is not None:
+            checker.emit_wf(env, sig.ret, span, "WF-SIG")
+        if sig.precond != P_TRUE:
+            env = env.guard(sig.precond)
+        body = subst_expr(body, {"#argc": EConst(len(sig.params), nid=0)})
+        t_body = checker.check_expr(env, body)
+        if sig.ret is not None and ret_rule:
+            checker.sub(env, t_body, sig.ret, span, "RET")
+        return t_body
+    except CheckAbort as a:
+        a.diag.message = prefix + a.diag.message
+        diags.append(a.diag)
+        return None
 
 
 def _trivial_ret(t: RType) -> RType:

@@ -11,8 +11,8 @@ from typing import Optional
 from ..frontend.prelude import load_prelude
 from ..infer import KvarRegistry
 from ..logic import (
-    ClassTable, NameSupply, TypeEnv, WfViolation, drop_kvars, selfify,
-    strengthen, wf_type,
+    ClassTable, Guard, NameSupply, TypeEnv, WfViolation, drop_kvars,
+    selfify, strengthen, wf_type,
 )
 from ..solver import Query, SolverConfig, check_valid
 from ..ssa import subst_expr
@@ -38,10 +38,10 @@ class CheckAbort(Exception):
 
 
 class Checker:
-    def __init__(self, program, classes: ClassTable, registry: KvarRegistry,
+    def __init__(self, classes: ClassTable, registry: KvarRegistry,
                  supply: NameSupply, config: SolverConfig,
-                 ctor_inits: dict, witnesses: dict):
-        self.program = program
+                 ctor_inits: dict, witnesses: dict, fn_sigs: dict,
+                 fn_decls: dict, ssa_funcs: dict):
         self.classes = classes
         self.registry = registry
         self.supply = supply
@@ -49,11 +49,11 @@ class Checker:
         self.prelude = load_prelude()
         self.ctor_inits = ctor_inits  # cname -> RFun for ctor_init
         self.witnesses = witnesses  # cname -> {field: ctor param}
+        self.fn_sigs = fn_sigs  # function name -> signature (None: unannotated)
+        self.fn_decls = fn_decls  # function name -> FuncDecl
+        self.ssa_funcs = ssa_funcs  # function name -> SSA function
         self.constraints: list[Constraint] = []
         self.diags: list[Diagnostic] = []
-        self.fn_sigs: dict[str, RType] = {}
-        self.fn_decls: dict = {}
-        self.ssa_funcs: dict = {}
         self._cid = itertools.count(1)
         self.current_unit = "<top>"
         self._closure_stack: list[str] = []
@@ -82,29 +82,18 @@ class Checker:
 
     # -- environments ---------------------------------------------------------
 
-    def open_and_bind(self, env: TypeEnv, name: str, t: RType):
-        """Open existential wrappers into fresh bindings, then bind name;
-        returns (env', opened items list incl (name, core))."""
-        items = []
-        while isinstance(t, RExists):
-            fresh = self.supply.fresh(_base_name(t.name))
-            items.append((fresh, t.bound))
-            env = self._bind(env, fresh, t.bound)
-            t = type_subst(t.body, {t.name: TVar(fresh)})
-        env = self._bind(env, name, t)
-        items.append((name, t))
-        return env, items
-
     def _bind(self, env: TypeEnv, name: str, t: RType) -> TypeEnv:
-        while isinstance(t, RExists):
-            fresh = self.supply.fresh(_base_name(t.name))
-            env = self._bind(env, fresh, t.bound)
-            t = type_subst(t.body, {t.name: TVar(fresh)})
+        """Bind name at t (see `TypeEnv.bind`); a clash aborts the unit."""
         try:
-            return env.bind_raw(name, t)
+            return env.bind(name, t)
         except WfViolation as e:
             raise CheckAbort(Diagnostic("error", SourceSpan("", 0, 0, 0, 0),
                                         "ENV", e.reason))
+
+    def bind_fresh(self, env: TypeEnv, base: str, t: RType) -> tuple:
+        """Bind t under a fresh name from `base`; returns (env', name)."""
+        name = self.supply.fresh(base)
+        return self._bind(env, name, t), name
 
     # -- terms ------------------------------------------------------------------
 
@@ -159,10 +148,8 @@ class Checker:
         if t1 == t2:
             return  # SUB-REFL
         if isinstance(t1, RExists):
-            fresh = self.supply.fresh(_base_name(t1.name))
-            env2 = self._bind(env, fresh, t1.bound)
-            self.sub(env2, type_subst(t1.body, {t1.name: TVar(fresh)}), t2,
-                     span, rule)
+            env2, t1 = env.open(t1, until=t2)  # SUB-REFL at every level
+            self.sub(env2, t1, t2, span, rule)
             return
         if isinstance(t2, RExists):
             witness = _selfification_witness(t1)
@@ -228,8 +215,7 @@ class Checker:
             p1s = type_subst(p1, ren)
             # contra-variance on parameters
             self.sub(env2, p2, p1s, span, rule)
-            fresh = self.supply.fresh(n2)
-            env2 = self._bind(env2, fresh, p2)
+            env2, fresh = self.bind_fresh(env2, n2, p2)
             ren[n1] = TVar(fresh)
             ren[n2] = TVar(fresh)
         r1 = type_subst(f1.ret, ren) if f1.ret is not None else R_UNDEF
@@ -246,12 +232,7 @@ class Checker:
             t2 = t2.body
         if not isinstance(t2, RBase):
             return False, "cast target must be a base type"
-        env2 = env
-        t = t1
-        while isinstance(t, RExists):
-            fresh = self.supply.fresh(_base_name(t.name))
-            env2 = self._bind(env2, fresh, t.bound)
-            t = type_subst(t.body, {t.name: TVar(fresh)})
+        env2, t = env.open(t1)
         if not isinstance(t, RBase):
             return False, "cast subject must be a base value"
         b1, b2 = t.base, t2.base
@@ -321,51 +302,38 @@ class Checker:
         if isinstance(e, EFieldAssign):
             return self._check_field_assign(env, e)
         if isinstance(e, ECtxApply):
-            items, env2 = self.check_ctx(env, e.ctx)
-            t = self.check_expr(env2, e.expr)
-            return _package(items, t)
+            env2 = self.check_ctx(env, e.ctx)
+            return _package(env, env2, self.check_expr(env2, e.expr))
         self.abort(e.span, "CHECK", f"cannot check {type(e).__name__}")
 
-    def _check_field_read(self, env: TypeEnv, e: EFieldRead) -> RType:
-        recv_term = self.term_of(env, e.obj)
-        if recv_term is not None:
-            rt = self._type_of_term(env, recv_term)
-            mut, ft = self._field(env, rt, recv_term, e)
-            if mut == "imm":
-                return selfify(ft, TField(recv_term, e.fname))
-            return ft
-        t_obj = self.check_expr(env, e.obj)
-        fresh = self.supply.fresh("recv")
-        env2, items = self.open_and_bind(env, fresh, t_obj)
-        rt = env2.lookup(fresh)
-        mut, ft = self._field(env2, rt, TVar(fresh), e)
-        if mut == "imm":
-            ft = selfify(ft, TField(TVar(fresh), e.fname))
-        return _package(items, ft)
+    def _receiver(self, env: TypeEnv, obj: Expr) -> tuple:
+        """(env', term, type) of a receiver: its term is its logical image,
+        or else a fresh `recv` name bound at its checked type."""
+        term = self.term_of(env, obj)
+        if term is None:
+            env, recv = self.bind_fresh(env, "recv", self.check_expr(env, obj))
+            term = TVar(recv)
+        return env, term, self._type_of_term(env, term)
 
-    def _field(self, env, rt, recv_term, e):
+    def _check_field_read(self, env: TypeEnv, e: EFieldRead) -> RType:
+        env2, recv, rt = self._receiver(env, e.obj)
         try:
-            return self.classes.field_of(rt, recv_term, e.fname,
-                                         strengthen_with_refinement=True)
+            mut, ft = self.classes.field_of(rt, recv, e.fname,
+                                            strengthen_with_refinement=True)
         except WfViolation as ex:
             self.abort(e.span, "LQ-CHK-FIELD", ex.reason)
+        if mut == "imm":
+            ft = selfify(ft, TField(recv, e.fname))
+        return _package(env, env2, ft)
 
     def _check_method_call(self, env: TypeEnv, e: EMethodCall) -> RType:
-        recv_term = self.term_of(env, e.obj)
-        items: list = []
-        if recv_term is None:
-            t_obj = self.check_expr(env, e.obj)
-            fresh = self.supply.fresh("recv")
-            env, items = self.open_and_bind(env, fresh, t_obj)
-            recv_term = TVar(fresh)
-        rt = self._type_of_term(env, recv_term)
+        env2, recv, rt = self._receiver(env, e.obj)
         try:
-            sig, mdecl, owner = self.classes.has_member(rt, recv_term,
-                                                        e.mname)
+            sig, _, _ = self.classes.has_member(rt, recv, e.mname)
         except WfViolation as ex:
             self.abort(e.span, "LQ-CHK-INV", ex.reason)
-        result, _ = self._check_call(env, sig, e.args, e.span, "LQ-CHK-INV")
-        return _package(items, result)
+        result, _ = self._check_call(env2, sig, e.args, e.span, "LQ-CHK-INV")
+        return _package(env, env2, result)
 
     def _check_func_call(self, env: TypeEnv, e: EFuncCall) -> RType:
         callee = e.callee
@@ -429,14 +397,9 @@ class Checker:
     def _check_array_lit(self, env: TypeEnv, e: EFuncCall) -> RType:
         elem_base: Base = BPrim("number")
         first = True
-        items: list = []
+        env2 = env
         for a in e.args:
-            t = self.check_expr(env, a)
-            while isinstance(t, RExists):
-                fresh = self.supply.fresh("el")
-                env = self._bind(env, fresh, t.bound)
-                items.append((fresh, t.bound))
-                t = type_subst(t.body, {t.name: TVar(fresh)})
+            env2, t = env2.open(self.check_expr(env2, a), base="el")
             base = t.base if isinstance(t, RBase) else None
             if base is None:
                 self.abort(a.span, "LQ-CHK-CALL",
@@ -451,7 +414,7 @@ class Checker:
         n = len(e.args)
         result = RBase(BArr(trivially_refine(elem_base)),
                        p_eq(TUF("len", (TValueVar(),)), TConst(n)))
-        return _package(items, result)
+        return _package(env, env2, result)
 
     def _check_ctor_init(self, env: TypeEnv, e: EFuncCall) -> RType:
         cname = self._current_ctor
@@ -503,7 +466,6 @@ class Checker:
         # dependent parameter passing
         env2 = env
         subst: dict = {}
-        wraps: list = []
         for (pn, pt), a, at in zip(sig.params, args, arg_types):
             pt_i = type_subst(pt, subst)
             if isinstance(a, EClosure) and at is None:
@@ -521,9 +483,7 @@ class Checker:
                 if isinstance(at, (RFun, RInter)):
                     self.sub(env2, at, pt_i, a.span, rule)
                     continue
-                fresh = self.supply.fresh(pn)
-                env2, items = self.open_and_bind(env2, fresh, at)
-                wraps.extend(items)
+                env2, fresh = self.bind_fresh(env2, pn, at)
                 self.sub(env2, env2.lookup(fresh), pt_i, a.span, rule)
                 subst[pn] = TVar(fresh)
         if sig.precond != P_TRUE:
@@ -533,7 +493,7 @@ class Checker:
                                  "PRECOND")
         ret = sig.ret if sig.ret is not None else R_UNDEF
         result = type_subst(ret, subst)
-        return _package(wraps, result), subst
+        return _package(env, env2, result), subst
 
     # -- closures ------------------------------------------------------------------
 
@@ -589,17 +549,13 @@ class Checker:
         env2 = env
         ren: dict = {}
         for pname, cap in zip(decl.params[:ncaps], e.captures):
-            t_cap = self.check_expr(env2, cap)
-            fresh = self.supply.fresh(pname)
-            env2, _ = self.open_and_bind(env2, fresh, t_cap)
-            ren[pname] = fresh
+            env2, ren[pname] = self.bind_fresh(env2, pname,
+                                               self.check_expr(env2, cap))
         dep: dict = {}
         for pname, (en, pt) in zip(own, expected.params):
-            pt_i = type_subst(pt, dep)
-            fresh = self.supply.fresh(pname)
-            env2, _ = self.open_and_bind(env2, fresh, pt_i)
-            ren[pname] = fresh
-            dep[en] = TVar(fresh)
+            env2, ren[pname] = self.bind_fresh(env2, pname,
+                                               type_subst(pt, dep))
+            dep[en] = TVar(ren[pname])
         body = subst_expr(ssa.body, {k: EVar(v, nid=0)
                                      for k, v in ren.items()})
         self._closure_stack.append(fname)
@@ -654,50 +610,39 @@ class Checker:
         return e.rtype
 
     def _check_field_assign(self, env: TypeEnv, e: EFieldAssign) -> RType:
-        recv_term = self.term_of(env, e.obj)
-        items: list = []
-        if recv_term is None:
-            t_obj = self.check_expr(env, e.obj)
-            fresh = self.supply.fresh("recv")
-            env, items = self.open_and_bind(env, fresh, t_obj)
-            recv_term = TVar(fresh)
-        rt = self._type_of_term(env, recv_term)
+        env2, recv, rt = self._receiver(env, e.obj)
         try:
             mut, bound = self.classes.field_of(
-                rt, recv_term, e.fname, strengthen_with_refinement=False)
+                rt, recv, e.fname, strengthen_with_refinement=False)
         except WfViolation as ex:
             self.abort(e.span, "LQ-CHK-ASGN", ex.reason)
         if mut != "mut":
             self.abort(e.span, "LQ-CHK-ASGN",
                        f"assignment to immutable field {e.fname!r} outside"
                        " the constructor")
-        t_rhs = self.check_expr(env, e.rhs)
-        self.sub(env, t_rhs, bound, e.span, "LQ-CHK-ASGN")
-        return _package(items, t_rhs)
+        t_rhs = self.check_expr(env2, e.rhs)
+        self.sub(env2, t_rhs, bound, e.span, "LQ-CHK-ASGN")
+        return _package(env, env2, t_rhs)
 
     # -- contexts -----------------------------------------------------------------
 
-    def check_ctx(self, env: TypeEnv, k) -> tuple:
-        """Returns (items, env') where items are the bindings/guards the
-        context contributes to its hole."""
+    def check_ctx(self, env: TypeEnv, k) -> TypeEnv:
+        """The environment a context gives its hole: `env` extended with
+        the bindings and guards the context contributes."""
         if isinstance(k, KHole):
-            return [], env
+            return env
         if isinstance(k, KLetIn):
-            t = self.check_expr(env, k.expr)
-            env2, items = self.open_and_bind(env, k.name, t)
-            items = [("bind", n, tt) for n, tt in items]
-            more, env3 = self.check_ctx(env2, k.rest)
-            return items + more, env3
+            env2 = self._bind(env, k.name, self.check_expr(env, k.expr))
+            return self.check_ctx(env2, k.rest)
         if isinstance(k, KLetIf):
             return self._check_letif(env, k)
         if isinstance(k, KLetWhile):
             return self._check_letwhile(env, k)
         raise TypeError(k)
 
-    def _check_cond(self, env: TypeEnv, cond: Expr):
-        t_c = self.check_expr(env, cond)
-        grd = self.supply.fresh("grd")
-        env2, opened = self.open_and_bind(env, grd, t_c)
+    def _check_cond(self, env: TypeEnv, cond: Expr) -> tuple:
+        """(env', grd): the condition's type bound under a fresh `grd`."""
+        env2, grd = self.bind_fresh(env, "grd", self.check_expr(env, cond))
         core = env2.lookup(grd)
         ok = isinstance(core, RBase) and (
             isinstance(core.base, BBot) or
@@ -705,15 +650,14 @@ class Checker:
         if not ok:
             self.abort(cond.span, "LQ-CHK-CTX-LETIF",
                        "condition is not a boolean")
-        return grd, env2, opened
+        return env2, grd
 
-    def _check_letif(self, env: TypeEnv, k: KLetIf) -> tuple:
-        grd, env_g, opened = self._check_cond(env, k.cond)
-        env_t = env_g.guard(PAtom(TVar(grd)))
-        env_f = env_g.guard(PNot(PAtom(TVar(grd))))
-        items1, env1 = self.check_ctx(env_t, k.then_ctx)
-        items2, env2 = self.check_ctx(env_f, k.else_ctx)
-        out: list = []
+    def _check_letif(self, env: TypeEnv, k: KLetIf) -> TypeEnv:
+        env_g, grd = self._check_cond(env, k.cond)
+        env1 = self.check_ctx(env_g.guard(PAtom(TVar(grd))), k.then_ctx)
+        env2 = self.check_ctx(env_g.guard(PNot(PAtom(TVar(grd)))),
+                              k.else_ctx)
+        joins: list = []
         for p in k.phis:
             t1 = env1.lookup(p.left)
             t2 = env2.lookup(p.right)
@@ -730,12 +674,11 @@ class Checker:
             if isinstance(t2, RBase) and not isinstance(t2.base, BBot):
                 self.sub(env2, selfify(t2, TVar(p.right)), tphi, k.span,
                          "LQ-CHK-CTX-LETIF")
-            out.append(("bind", p.phi, tphi))
+            joins.append((p.phi, tphi))
         env_out = env
-        for _, n, t in out:
+        for n, t in joins:
             env_out = self._bind(env_out, n, t)
-        more, env3 = self.check_ctx(env_out, k.rest)
-        return out + more, env3
+        return self.check_ctx(env_out, k.rest)
 
     def _join_base(self, t1: RType, t2: RType, span) -> Base:
         b1 = t1.base if isinstance(t1, RBase) else None
@@ -760,8 +703,7 @@ class Checker:
                    " variable per overload if this is an overloaded"
                    " function)")
 
-    def _check_letwhile(self, env: TypeEnv, k: KLetWhile) -> tuple:
-        out: list = []
+    def _check_letwhile(self, env: TypeEnv, k: KLetWhile) -> TypeEnv:
         env_phi = env
         templates: dict = {}
         for p in k.phis:
@@ -778,13 +720,11 @@ class Checker:
             self.emit_wf(env, tphi, k.span, "LQ-CHK-CTX-LETIF")
             templates[p.phi] = tphi
             env_phi = self._bind(env_phi, p.phi, tphi)
-            out.append(("bind", p.phi, tphi))
             # entry constraint, under the environment before the loop
             self.sub(env, selfify(t_init, TVar(p.init)), tphi, k.span,
                      "LQ-CHK-CTX-LETIF")
-        grd, env_g, opened = self._check_cond(env_phi, k.cond)
-        env_body = env_g.guard(PAtom(TVar(grd)))
-        items_b, env1 = self.check_ctx(env_body, k.body_ctx)
+        env_g, grd = self._check_cond(env_phi, k.cond)
+        env1 = self.check_ctx(env_g.guard(PAtom(TVar(grd))), k.body_ctx)
         for p in k.phis:
             t_next = env1.lookup(p.next)
             if t_next is None:
@@ -795,23 +735,11 @@ class Checker:
                 self.sub(env1, selfify(t_next, TVar(p.next)),
                          templates[p.phi], k.span, "LQ-CHK-CTX-LETIF")
         # after the loop: the guard is false
-        for n, t in opened:
-            out.append(("bind", n, t))
-        out.append(("guard", PNot(PAtom(TVar(grd))), None))
-        env_out = env_phi
-        for n, t in opened:
-            env_out = self._bind(env_out, n, t)
-        env_out = env_out.guard(PNot(PAtom(TVar(grd))))
-        more, env3 = self.check_ctx(env_out, k.rest)
-        return out + more, env3
+        return self.check_ctx(env_g.guard(PNot(PAtom(TVar(grd)))), k.rest)
 
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _base_name(n: str) -> str:
-    return n.split("%")[0].split("!")[0].split("#")[0] or "x"
 
 
 def _const_type(v) -> RType:
@@ -848,18 +776,14 @@ def _selfification_witness(t: RType) -> Optional[Term]:
     return None
 
 
-def _package(items: list, t: RType) -> RType:
-    """Existentially package opened bindings (and fold guards) around t."""
-    for item in reversed(items):
-        if isinstance(item, tuple) and len(item) == 3 and item[0] == "bind":
-            _, name, bt = item
-            t = RExists(name, bt, t)
-        elif isinstance(item, tuple) and len(item) == 3 and \
-                item[0] == "guard":
-            t = strengthen(t, item[1])
+def _package(env: TypeEnv, inner: TypeEnv, t: RType) -> RType:
+    """Existentially package around t the bindings that `inner` adds to
+    `env`, folding its guards into t."""
+    for item in reversed(inner.items[len(env.items):]):
+        if isinstance(item, Guard):
+            t = strengthen(t, item.pred)
         else:
-            name, bt = item
-            t = RExists(name, bt, t)
+            t = RExists(item.name, item.rtype, t)
     return t
 
 

@@ -85,8 +85,19 @@ def _rename_sig(sig: RFun, names: list[str], span: SourceSpan) -> RFun:
     return RFun(tuple(out_params), ret, sig.tyvars, precond)
 
 
+def _distinct_params(params: list) -> None:
+    """Reject a parameter name that repeats; `params` holds (name, span)
+    pairs and the error points at the repetition."""
+    seen: set = set()
+    for name, span in params:
+        if name in seen:
+            raise ResolveError(f"duplicate parameter {name!r}", span)
+        seen.add(name)
+
+
 def _build_signature(raw: RawFunc, resolver: TypeResolver,
                      span: SourceSpan) -> Optional[RType]:
+    _distinct_params([(p.name, p.span) for p in raw.params])
     names = [p.name for p in raw.params]
     if raw.annot_sig is not None:
         sig = resolver.resolve(raw.annot_sig, span)
@@ -191,6 +202,7 @@ def parse_program(text: str, fname: str = "<input>") -> Program:
             raise ResolveError(f"duplicate function {g.name!r}", g.span)
         seen_fns.add(g.name)
         sig = resolver.resolve(g.sig, g.span)
+        _distinct_params([(n, g.span) for n, _ in sig.params])
         sig = _with_tyvars(sig)
         functions.append(FuncDecl(g.name, [n for n, _ in sig.params], sig,
                                   None, g.span, is_ghost=True))

@@ -252,6 +252,10 @@ class NameSupply:
         return f"{base}!{next(self._c)}"
 
 
+def _base_name(n: str) -> str:
+    return n.split("%")[0].split("!")[0].split("#")[0] or "x"
+
+
 class TypeEnv:
     """Ordered bindings and guard predicates; persistent (extension returns
     a new environment)."""
@@ -269,17 +273,25 @@ class TypeEnv:
             idx[item.name] = item
         return TypeEnv(self.classes, self.supply, self.items + (item,), idx)
 
+    def open(self, t: RType, base: Optional[str] = None,
+             until: Optional[RType] = None) -> tuple:
+        """Open t's existential wrappers, outermost first: each binder gets
+        a fresh name from `base` (by default its own base name) and is bound
+        at its bound, which is opened the same way first.  Stops at a level
+        equal to `until`.  Returns (env', the opened type)."""
+        env = self
+        while isinstance(t, RExists) and t != until:
+            fresh = env.supply.fresh(base or _base_name(t.name))
+            env, bound = env.open(t.bound)
+            env = env._extended(Bind(fresh, bound))
+            t = type_subst(t.body, {t.name: TVar(fresh)})
+        return env, t
+
     def bind(self, name: str, t: RType, raw_class: bool = False) -> "TypeEnv":
         """Bind name at t, opening existential wrappers into fresh
         auxiliary bindings first."""
-        env = self
-        while isinstance(t, RExists):
-            fresh = env.supply.fresh(t.name.split("%")[0].split("!")[0])
-            env = env.bind(fresh, t.bound)
-            t = type_subst(t.body, {t.name: TVar(fresh)})
-        if name in env._index:
-            raise WfViolation(f"duplicate binding {name!r}")
-        return env._extended(Bind(name, t, raw_class))
+        env, t = self.open(t)
+        return env.bind_raw(name, t, raw_class)
 
     def bind_raw(self, name: str, t: RType,
                  raw_class: bool = False) -> "TypeEnv":

@@ -3,9 +3,11 @@ rewriting, two-phase overload expansion, casts, verdicts on the
 positive/negative corpus and a two-accumulator loop, and the solver
 counters of a corpus check."""
 
+import ast
+
 import pytest
 
-from conftest import CORPUS, check, check_text, parse
+from conftest import CORPUS, ROOT, check, check_text, parse
 
 from rsccore.checker import check_program
 from rsccore.checker.ctor import CtorError, ctor_rewrite
@@ -176,6 +178,42 @@ class E {
 var e = new E();
 """)
     assert r.verdict == "verified"
+
+
+def _opens_existentials(node) -> bool:
+    """A `while` or `if` on `isinstance(..., RExists)` whose body allocates
+    a fresh name."""
+    tests_rexists = any(
+        isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and
+        c.func.id == "isinstance" and len(c.args) == 2 and
+        isinstance(c.args[1], ast.Name) and c.args[1].id == "RExists"
+        for c in ast.walk(node.test))
+    return tests_rexists and any(
+        isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute) and
+        c.func.attr == "fresh"
+        for stmt in node.body for c in ast.walk(stmt))
+
+
+def test_only_the_type_env_opens_existentials():
+    """Opening an existential into fresh bindings has one owner,
+    `TypeEnv.open`: no other function in the checker or the logic layer
+    branches or loops on `RExists` and allocates fresh names in it."""
+    src = ROOT / "src" / "rsccore"
+    found = []
+    for path in [src / "logic.py"] + sorted((src / "checker").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [(None, d) for d in tree.body] + [
+            (c.name, d) for c in tree.body if isinstance(c, ast.ClassDef)
+            for d in c.body]
+        for owner, d in defs:
+            if not isinstance(d, ast.FunctionDef):
+                continue
+            for node in ast.walk(d):
+                if isinstance(node, (ast.While, ast.If)) and \
+                        _opens_existentials(node):
+                    found.append(f"{path.name}:{owner + '.' if owner else ''}"
+                                 f"{d.name}")
+    assert found == ["logic.py:TypeEnv.open"]
 
 
 # -- two-phase overloads -----------------------------------------------------------

@@ -216,3 +216,24 @@ def test_simulate_return_after_statements_exits_zero(tmp_path):
     assert r.returncode == 0, r.stdout
     data = json.loads(r.stdout)
     assert (data["status"], data["value"]) == ("ok", "6")
+
+
+_DUP_PARAMS = "function f(x, x) { return x; }\n"
+
+
+@pytest.mark.parametrize("cmd,extra", [
+    ("check", []),
+    ("run", ["--entry", "f", "--args", "1", "2"]),
+    ("simulate", ["--entry", "f", "--args", "1", "2"]),
+])
+def test_duplicate_parameter_is_a_located_error(tmp_path, capsys, cmd,
+                                                extra):
+    """A repeated parameter name stops every subcommand with one located
+    message, before the last argument could silently win."""
+    from rsccore import cli
+    src = tmp_path / "dup.rsc"
+    src.write_text(_DUP_PARAMS)
+    assert cli.main([cmd, str(src), *extra]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == \
+        ("", f"{src}:1:15: duplicate parameter 'x'\n")

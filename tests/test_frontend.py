@@ -304,3 +304,22 @@ function f(n) {
 }
 """, "<t>")
     assert str(ei.value) == "<t>:4:9: unknown type name 'Foo'"
+
+
+@pytest.mark.parametrize("text,where,name", [
+    ("/*@ (x: number, x: number) => number */\n"
+     "function f(x, x) { return x; }\n", "2:15", "x"),
+    ("class C {\n  m(a: number, a: number) : number { return a; }\n}\n",
+     "2:16", "a"),
+    ("class C {\n  immutable a : number;\n"
+     "  constructor(a: number, a: number) { this.a = a; }\n}\n", "3:26", "a"),
+    ("/*@ ghost g :: (a: nat, a: nat) => boolean */\n", "1:1", "a"),
+    ("/*@ (n: number) => number */\nfunction f(n) {\n"
+     "  function g(y, y) { return y + n; }\n  return n;\n}\n", "3:17", "y"),
+], ids=["function", "method", "constructor", "ghost", "nested"])
+def test_duplicate_parameter_rejected(text, where, name):
+    """Parameter names are distinct in every kind of declaration; the
+    error points at the repetition."""
+    with pytest.raises(ResolveError) as ei:
+        parse_text(text, "<t>")
+    assert str(ei.value) == f"<t>:{where}: duplicate parameter '{name}'"
