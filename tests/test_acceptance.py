@@ -5,6 +5,7 @@ Criterion 3's external-solver leg and criterion 6's differential leg are
 exercised when an SMT-LIB2 solver is configured (RSC_SOLVER_CMD or a z3 /
 cvc5 on PATH) and skipped otherwise, as their wording provides."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -163,11 +164,18 @@ SIM_FIXTURES = [
 ]
 
 
+# sha256 of the criterion-4 reports, one JSON object a line
+SIM_REPORTS_SHA256 = \
+    "eb84a7bad51ab3e3d96ae2d8a15d287ccd3ba5f618749c6a1d8e520065811f19"
+
+
 def test_criterion_4_ssa_consistency():
     """simulate succeeds (no divergence, target steps <= source steps) on
     the corpus and on 200 seeded random straight-line/branching programs
-    at fuel 10^4."""
+    at fuel 10^4, and the `rsc/sim/v1` reports, step counts and values
+    included, are byte-identical to the pinned ones."""
     count = 0
+    reports = []
     for name, entry, args in SIM_FIXTURES:
         if entry == "reduce":
             continue
@@ -176,6 +184,7 @@ def test_criterion_4_ssa_consistency():
             continue
         sp, theta = ssa_program(p)
         rep = simulate(sp, theta, entry=entry, args=args, fuel=10_000)
+        reports.append(json.dumps(rep.to_json(), sort_keys=True))
         assert rep.status == "ok", (name, rep.detail)
         assert rep.frsc_steps <= rep.irsc_steps
         count += 1
@@ -187,9 +196,12 @@ def test_criterion_4_ssa_consistency():
         p = parse_text(src, f"<rand{i}>")
         sp, theta = ssa_program(p)
         rep = simulate(sp, theta, fuel=10_000)
+        reports.append(json.dumps(rep.to_json(), sort_keys=True))
         assert rep.status == "ok", (i, rep.detail, src[:300])
         assert rep.frsc_steps <= rep.irsc_steps
         count += 1
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == SIM_REPORTS_SHA256, digest
     _report("4: SSA consistency (corpus + 200 random programs)", True,
             f"{count} simulations")
 

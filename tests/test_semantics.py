@@ -10,7 +10,9 @@ from conftest import CORPUS, parse, parse_text
 
 from rsccore.semantics import VClosure, run, simulate
 from rsccore.ssa import ssa_program
-from rsccore.syntax import EVar, SIte, SVarDecl, SWhile
+from rsccore.syntax import (
+    BIte, EVar, SExprStmt, SFieldAssign, SIte, SVarDecl, SWhile,
+)
 
 
 def _ssa(path):
@@ -240,14 +242,121 @@ def _caller_reads_the_twin(monkeypatch, ssa_mod):
     _broken_stmt(monkeypatch, ssa_mod, misread)
 
 
+# one fault per form the random programs do not reach: a result join, a
+# field write, an array write, a call and a closure
+
+_RESULT_JOIN = """
+/*@ (c: bool, a: number, b: number) => number */
+function f(c, a, b) {
+  var x = a + 1;
+  if (c) { return x + b; } else { return x - b; }
+}
+"""
+
+_FIELD_WRITE = """
+class P {
+  n : number;
+  constructor(n: number) { this.n = n; }
+}
+/*@ (a: number) => number */
+function f(a) { var p = new P(a); p.n = a + 1; var r = p.n; return r; }
+"""
+
+_ARRAY_WRITE = """
+/*@ (a: number[]) => number */
+function f(a) { a[0] = 7; return a[0]; }
+"""
+
+_CALL = """
+/*@ (x: number, y: number) => number */
+function g(x, y) { return x - y; }
+/*@ (a: number) => number */
+function f(a) { var b = a + 2; var r = g(a, b); return r; }
+"""
+
+_CLOSURE = """
+/*@ (a: number) => number */
+function f(a) {
+  var x = a + 1;
+  var y = a + 2;
+  function h(z) { return x * z; }
+  var r = h(a);
+  return r;
+}
+"""
+
+
+def _broken_body(monkeypatch, ssa_mod, breaks):
+    real = ssa_mod.SsaTranslator.ssa_body
+
+    def broken(self, env, b):
+        e = real(self, env, b)
+        breaks(b, e)
+        return e
+
+    monkeypatch.setattr(ssa_mod.SsaTranslator, "ssa_body", broken)
+
+
+def _swap_result_bodies(monkeypatch, ssa_mod):
+    """The result join binds each branch's name to the other's body."""
+    def swap(b, e):
+        if isinstance(b, BIte):
+            k1, k2 = e.ctx.then_ctx, e.ctx.else_ctx
+            k1.expr, k2.expr = k2.expr, k1.expr
+    _broken_body(monkeypatch, ssa_mod, swap)
+
+
+def _drop_field_write(monkeypatch, ssa_mod):
+    """`p.n = a + 1` binds its right-hand side and writes nothing."""
+    def drop(s, k):
+        if isinstance(s, SFieldAssign):
+            k.expr = k.expr.rhs
+    _broken_stmt(monkeypatch, ssa_mod, drop)
+
+
+def _drop_array_write(monkeypatch, ssa_mod):
+    """`a[0] = 7`, a `set` call, binds its value and writes nothing."""
+    def drop(s, k):
+        if isinstance(s, SExprStmt):
+            k.expr = k.expr.args[2]
+    _broken_stmt(monkeypatch, ssa_mod, drop)
+
+
+def _reverse_call_args(monkeypatch, ssa_mod):
+    """`var r = g(a, b)` passes b for x and a for y."""
+    def reverse(s, k):
+        if isinstance(s, SVarDecl) and s.name == "r":
+            k.expr.args.reverse()
+    _broken_stmt(monkeypatch, ssa_mod, reverse)
+
+
+def _capture_the_twin(monkeypatch, ssa_mod):
+    """The closure of h, built at `var r = h(a)`, captures y for x."""
+    names = {}
+
+    def misread(s, k):
+        if isinstance(s, SVarDecl):
+            names[s.name] = k.name
+            if s.name == "r":
+                k.expr.callee.captures = [EVar(names["y"], nid=0)]
+    _broken_stmt(monkeypatch, ssa_mod, misread)
+
+
 @pytest.mark.parametrize("inject,text,args", [
     (_drop_last_phi, _JOIN, [True]),
     (_swap_letif_branches, _JOIN, [True]),
     (_swap_loop_inits, _LOOP, []),
     (_tail_reads_the_twin, _TAIL, []),
     (_caller_reads_the_twin, _CALLER, [5]),
+    (_swap_result_bodies, _RESULT_JOIN, [True, 3, 4]),
+    (_drop_field_write, _FIELD_WRITE, [3]),
+    (_drop_array_write, _ARRAY_WRITE, [[1, 2]]),
+    (_reverse_call_args, _CALL, [5]),
+    (_capture_the_twin, _CLOSURE, [2]),
 ], ids=["dropped-phi", "swapped-letif-branches", "wrong-loop-init",
-        "tail-after-loop", "suspended-caller"])
+        "tail-after-loop", "suspended-caller", "swapped-result-join",
+        "dropped-field-write", "dropped-array-write", "reversed-call-args",
+        "wrong-capture"])
 def test_simulate_detects_injected_ssa_faults(monkeypatch, inject, text,
                                               args):
     """Each SSA fault, injected into the translation, is reported as a
