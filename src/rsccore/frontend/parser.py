@@ -380,7 +380,7 @@ class Parser:
         cond = self.parse_expr()
         ts.expect(")")
         body = seq_stmts(self._stmt_or_block(), start)
-        return SWhile([], cond, body, span=start, nid=next_node_id())
+        return SWhile(cond, body, span=start, nid=next_node_id())
 
     def _for_stmt(self) -> list:
         ts = self.ts
@@ -406,7 +406,7 @@ class Parser:
         ts.expect(")")
         body_stmts = self._stmt_or_block()
         body = seq_stmts(body_stmts + upd, start)
-        return init + [SWhile([], cond, body, span=start, nid=next_node_id())]
+        return init + [SWhile(cond, body, span=start, nid=next_node_id())]
 
     def _stmt_or_block(self) -> list:
         if self.ts.at("{"):

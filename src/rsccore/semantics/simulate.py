@@ -1,22 +1,24 @@
 """Lockstep forward simulation of the two machines.
 
 After every step of the functional machine, the source machine is advanced
-until its configuration translates (via the statically recorded SSA
-environments) to the functional machine's configuration again.  A failure
-to re-align within a bounded number of source steps is reported as a
+until its configuration translates (under the names the static translation
+recorded) to the functional machine's configuration again.  A failure to
+re-align within a bounded number of source steps is reported as a
 divergence: a counterexample for the translation, since the consistency
 theorem says it cannot happen.
 
-The translation of a runtime source configuration re-runs the static
-translation shape-by-shape: variables become their store values, partially
-executed statements become partially reduced contexts, saved stack frames
-become enclosing evaluation contexts.  SSA names still awaiting their
-binding are left symbolic; free ones are replaced by store values.
-Allocation order is deterministic in both machines, so heap locations are
-matched identically rather than up to bijection.
+A runtime source configuration is translated by the static translation's
+own rules (`ssa.SsaRules`), with the names it recorded in `theta`, and
+with variables resolved at run time: a name whose let is still pending in
+the image stays symbolic, an executed one becomes its store value.  Only
+the shapes that exist only at run time are translated here: partly
+evaluated expressions, a running (unrolled) loop, and saved stack frames,
+which become enclosing evaluation contexts.  Allocation order is
+deterministic in both machines, so heap locations are matched identically
+rather than up to bijection.
 
-Both sides are canonical by construction: the static translation, this
-one and the functional machine build every context application through
+Both sides are canonical by construction: the translation rules and the
+functional machine build every context application through
 `ssa.mk_ctxapply`, so the raw terms are compared as they are.  The
 comparison sees through only what the two sides write differently: a node
 that denotes a value is that value, and the one-frame result join
@@ -38,15 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..ssa import (
-    GlobalSsaEnv, SsaProgram, ctx_binders, mk_ctxapply, with_rest,
-)
+from ..ssa import GlobalSsaEnv, SsaProgram, SsaRules, fold
 from ..syntax import (
-    BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, ECtxApply,
-    EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew, EThis, EVal,
-    EVar, EWhileRun, Expr, KHole, KLetIf, KLetIn, KLetWhile, PhiIf,
-    SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile,
-    expr_str,
+    EArgsLen, ECast, EClosure, ECtxApply, EFieldAssign, EFieldRead,
+    EFuncCall, EMethodCall, ENew, EThis, EVal, EVar, EWhileRun, Expr, KHole,
+    KLetIf, KLetIn, KLetWhile, PhiIf, SIte, expr_str,
 )
 from .frsc import FrscConfig, FrscMachine
 from .irsc import EHole, IrscConfig, IrscMachine, plug
@@ -58,8 +56,9 @@ from .values import (
 
 
 class TranslateGap(Exception):
-    """The source focus is mid-reduction in a shape the translation does
-    not cover; the simulator just keeps stepping the source machine."""
+    """A variable the translation reads is neither pending in the image nor
+    in the store (`this` or `arguments.length` outside a call, say); the
+    simulator just keeps stepping the source machine."""
 
 
 @dataclass
@@ -76,238 +75,76 @@ class SimReport:
                 "value": self.value, "detail": self.detail}
 
 
-class ConfigTranslator:
-    def __init__(self, theta: GlobalSsaEnv, tables: RuntimeTables):
+class ConfigTranslator(SsaRules):
+    """The image of a runtime source configuration under the translation
+    rules of `ssa.SsaRules`.  Names are the ones `theta` recorded.  The
+    environment holds the names bound so far in the walk, whose lets are
+    still pending; any other variable has executed and becomes its value
+    in `store`, the store of the frame being translated.  This class keeps
+    only the shapes that exist only at run time: partly evaluated
+    expressions, a running loop (an unrolled `while`) and saved frames."""
+
+    def __init__(self, theta: GlobalSsaEnv, tables: RuntimeTables,
+                 store: Optional[dict] = None):
         self.theta = theta
         self.t = tables
+        self.store = store
 
-    # -- expressions -------------------------------------------------------------
+    def nid(self) -> int:
+        return 0
 
-    def expr(self, e: Expr, store: dict, bound: set, ren: dict) -> Expr:
-        """Rename a (possibly partially evaluated) source expression into
-        its functional image: names whose binding is still pending stay
-        symbolic (including names rerouted around a dispatched join by the
-        rename map), executed ones become store values."""
+    def named(self, table: dict, nid: int, make):
+        return table[nid]
+
+    def _stored(self, x: str):
+        if x not in self.store:
+            raise TranslateGap(f"{x} missing from the store")
+        return self.store[x]
+
+    def var(self, env: dict, e: Expr) -> Expr:
+        if isinstance(e, EVar):
+            return self.slot(env, e.name, None, None)
+        return mk_val(self._stored("this" if isinstance(e, EThis)
+                                   else "#argc"))
+
+    def slot(self, env: dict, x: str, name, span) -> Expr:
+        pending = env.get(x)
+        if pending is not None:
+            return EVar(pending, nid=0)
+        return mk_val(self._stored(x))
+
+    def is_global(self, env: dict, callee: EVar) -> bool:
+        return callee.name not in env and callee.name not in self.store \
+            and self.t.is_global_callee(callee.name)
+
+    # -- shapes that exist only at run time ------------------------------------
+
+    def expr(self, env: dict, e: Expr) -> Expr:
+        """A value stands for itself, as does the hole a saved frame waits
+        in; the rest is renamed by the shared rules."""
         v = val_of(e)
         if v is not MISSING:
             return mk_val(v)
         if isinstance(e, EHole):
             return e
-        if isinstance(e, EVar):
-            env = self.theta.exprs.get(e.nid)
-            if env is None or e.name not in env:
-                raise TranslateGap(f"no SSA environment for {e.name}")
-            ssa_name = env[e.name]
-            if e.name in ren:
-                return EVar(ren[e.name], nid=0)
-            if ssa_name in bound:
-                return EVar(ssa_name, nid=0)
-            if e.name in store:
-                return mk_val(store[e.name])
-            raise TranslateGap(f"variable {e.name} missing from the store")
-        if isinstance(e, EThis):
-            if "this" in store:
-                return mk_val(store["this"])
-            if "this" in bound:
-                return EThis(nid=0)
-            raise TranslateGap("this missing from the store")
-        if isinstance(e, EArgsLen):
-            if "#argc" in store:
-                return mk_val(store["#argc"])
-            raise TranslateGap("arguments.length outside a call")
-        if isinstance(e, EFieldRead):
-            return EFieldRead(self.expr(e.obj, store, bound, ren), e.fname,
-                              nid=0)
-        if isinstance(e, EMethodCall):
-            return EMethodCall(self.expr(e.obj, store, bound, ren), e.mname,
-                               [self.expr(a, store, bound, ren)
-                                for a in e.args], nid=0)
-        if isinstance(e, EFuncCall):
-            callee = e.callee
-            if isinstance(callee, EVar) and \
-                    self.t.is_global_callee(callee.name) and \
-                    self.theta.exprs.get(callee.nid, {}).get(callee.name) \
-                    is None:
-                cal = EVar(callee.name, nid=0)
-            else:
-                cal = self.expr(callee, store, bound, ren)
-            return EFuncCall(cal, [self.expr(a, store, bound, ren)
-                                   for a in e.args], nid=0)
-        if isinstance(e, ENew):
-            return ENew(e.cname, [self.expr(a, store, bound, ren)
-                                  for a in e.args], nid=0)
-        if isinstance(e, ECast):
-            return ECast(e.rtype, self.expr(e.expr, store, bound, ren),
-                         nid=0)
-        if isinstance(e, EClosure):
-            return EClosure(e.fname, [self.expr(x, store, bound, ren)
-                                      for x in e.captures], nid=0)
-        raise TranslateGap(f"cannot translate {type(e).__name__}")
+        return SsaRules.expr(self, env, e)
 
-    # -- source foci, head first -------------------------------------------
-
-    def elements(self, s, store: dict, bound: set, ren: dict):
-        """The image of a source body, statement or expression, as its
-        spine in evaluation order: a context frame per statement (its
-        `rest` left empty), a running loop as an `EWhileRun` (its `cont`
-        left out: the elements after it are the continuation), then the
-        body's final expression.  Each element is translated only when the
-        one before it has been consumed; names bound (and renames
-        rerouted) so far are threaded from one statement to the next."""
-        bound, ren = set(bound), dict(ren)
-        todo = [(s, False)]
-        while todo:
-            s, reentry = todo.pop()
-            if isinstance(s, BSeq):
-                todo += ((s.rest, False), (s.stmt, False))
-            elif isinstance(s, SSeq):
-                # an unrolled loop's mid-iteration residual re-enters it
-                todo += ((s.second, s.nid == 0), (s.first, False))
-            elif isinstance(s, SSkip):
-                pass
-            elif isinstance(s, (SVarDecl, SAssign)):
-                name = self.theta.stmt_aux.get(s.nid)
-                if name is None:
-                    raise TranslateGap("untracked assignment")
-                yield KLetIn(name, self.expr(s.expr, store, bound, ren),
-                             _HOLE, nid=0)
-                bound.add(name)
-                ren[s.name] = name
-            elif isinstance(s, SFieldAssign):
-                aux = self.theta.stmt_aux.get(s.nid)
-                if aux is None:
-                    raise TranslateGap("untracked field assignment")
-                fa = EFieldAssign(self.expr(s.obj, store, bound, ren),
-                                  s.fname,
-                                  self.expr(s.rhs, store, bound, ren), nid=0)
-                yield KLetIn(aux, fa, _HOLE, nid=0)
-                bound.add(aux)
-            elif isinstance(s, SExprStmt):
-                aux = self.theta.stmt_aux.get(s.nid)
-                if aux is None:
-                    raise TranslateGap("value statement mid-reduction")
-                yield KLetIn(aux, self.expr(s.expr, store, bound, ren),
-                             _HOLE, nid=0)
-                bound.add(aux)
-                src = aux.split("#")[0]
-                if src != "_":
-                    ren[src] = aux
-            elif isinstance(s, SIte) and s.nid == 0:
-                # unrolled loop: if (c) { body; while } else skip
-                yield self._while_running(s, store, bound, ren)
-            elif isinstance(s, SIte):
-                yield self._letif(s, store, bound, ren)
-            elif isinstance(s, SWhile):
-                yield self._while_entry(s, store, bound, ren, reentry)
-            elif isinstance(s, BReturn):
-                yield self.expr(s.expr, store, bound, ren)
-            elif isinstance(s, BIte):
-                yield from self._result_join(s, store, bound, ren)
-            else:
-                yield self.expr(s, store, bound, ren)
-
-    def image(self, s, store: dict, bound: set, ren: dict) -> Expr:
-        """The whole image of a source body or expression."""
-        return fold(self.elements(s, store, bound, ren))
-
-    def _stmt_ctx(self, s, store, bound, ren):
-        """Translate an unstarted statement into a pure context."""
-        ctx = KHole(nid=0)
-        for k in reversed(list(self.elements(s, store, bound, ren))):
-            if not isinstance(k, _FRAMES):
-                raise TranslateGap("branch translation did not end in a hole")
-            ctx = with_rest(k, ctx)
-        return ctx
-
-    def _letif(self, s: SIte, store, bound, ren):
-        """The frame of a statement conditional; past it, `bound` and `ren`
-        hold the join's scope."""
-        phis = self.theta.stmt_phis.get(s.nid)
-        if phis is None:
-            raise TranslateGap("untracked conditional")
-        cond = self.expr(s.cond, store, bound, ren)
-        k1 = self._stmt_ctx(s.then_s, store, bound, ren)
-        k2 = self._stmt_ctx(s.else_s, store, bound, ren)
-        b1 = ctx_binders(k1)
-        b2 = ctx_binders(k2)
-        lefts = [self._phi_slot(p, p.left, bound | b1, store, ren)
-                 for p in phis]
-        rights = [self._phi_slot(p, p.right, bound | b2, store, ren)
-                  for p in phis]
-        _enter_scope(phis, bound, ren)
-        return KLetIf(phis, cond, k1, k2, _HOLE, lefts, rights, nid=0)
-
-    def _while_phis(self, w: SWhile):
-        if not isinstance(w.phis, list):
-            raise TranslateGap("loop without SSA annotation")
-        return w.phis
-
-    def _loop(self, w: SWhile, phis, store, bound, ren):
-        """The condition and body context of loop `w`, under its header's
-        scope, which `bound` and `ren` hold from here on."""
-        _enter_scope(phis, bound, ren)
-        return (self.expr(w.cond, store, bound, ren),
-                self._stmt_ctx(w.body, store, bound, ren))
-
-    def _while_entry(self, w: SWhile, store, bound, ren, reentry: bool):
-        phis = self._while_phis(w)
-        inits = []
-        for p in phis:
-            name = p.next if reentry else p.init
-            if p.src in ren:
-                inits.append(EVar(ren[p.src], nid=0))
-            elif name in bound:
-                inits.append(EVar(name, nid=0))
-            else:
-                src = p.src
-                if src not in store:
-                    raise TranslateGap(f"loop input {src} missing")
-                inits.append(mk_val(store[src]))
-        cond, body = self._loop(w, phis, store, bound, ren)
-        return KLetWhile(phis, cond, body, _HOLE, inits, nid=0)
-
-    def _while_running(self, s: SIte, store, bound, ren):
-        # shape: SIte(cond_res, SSeq(body, while), SSkip) with nid == 0
-        if not (isinstance(s.then_s, SSeq) and
-                isinstance(s.then_s.second, SWhile) and
-                isinstance(s.else_s, SSkip)):
-            raise TranslateGap("unrecognized loop residual")
-        w = s.then_s.second
-        phis = self._while_phis(w)
-        cond_focus = self.expr(s.cond, store, bound, ren)
-        cur_vals = []
-        for p in phis:
-            if p.src not in store:
-                raise TranslateGap(f"loop value {p.src} missing")
-            cur_vals.append(store[p.src])
-        cond, body = self._loop(w, phis, store, bound, ren)
-        return EWhileRun(cond_focus, cur_vals, phis, cond, body, None,
-                         nid=0)
-
-    def _phi_slot(self, p, name: str, bound: set, store: dict, ren: dict):
-        if name in bound:
-            return EVar(name, nid=0)
-        if p.src in ren:
-            return EVar(ren[p.src], nid=0)
-        if p.src in store:
-            return mk_val(store[p.src])
-        raise TranslateGap(f"phi input {name} unresolvable")
-
-    def _result_join(self, b: BIte, store, bound, ren):
-        names = self.theta.body_ret.get(b.nid)
-        if names is None:
-            raise TranslateGap("untracked result conditional")
-        r, r1, r2 = names
-        cond = self.expr(b.cond, store, bound, ren)
-        k1 = KLetIn(r1, self.image(b.then_b, store, bound, ren),
-                    KHole(nid=0), nid=0)
-        k2 = KLetIn(r2, self.image(b.else_b, store, bound, ren),
-                    KHole(nid=0), nid=0)
-        yield KLetIf([PhiIf("<ret>", r, r1, r2)], cond, k1, k2, _HOLE,
-                     [EVar(r1, nid=0)], [EVar(r2, nid=0)], nid=0)
-        yield EVar(r, nid=0)
+    def frames(self, env: dict, s):
+        if not (isinstance(s, SIte) and s.nid == 0):
+            return (yield from SsaRules.frames(self, env, s))
+        # a running loop, unrolled: if (c) { body; while } else skip
+        cond_focus = self.expr(env, s.cond)
+        phis, head, cond, body = self.loop(env, s.then_s.second)
+        yield EWhileRun(cond_focus, [self._stored(p.src) for p in phis],
+                        phis, cond, body, None, nid=0)
+        return head
 
     # -- whole configurations ---------------------------------------------------
+
+    def walk(self, b, store: dict):
+        """The spine of the image of a body or expression run over
+        `store`, head first."""
+        return ConfigTranslator(self.theta, self.t, store).elements({}, b)
 
     def spine(self, c: IrscConfig):
         """The image of configuration `c`, head first.  A saved frame whose
@@ -317,32 +154,22 @@ class ConfigTranslator:
         saved frame plugged with the image of what runs above it) and then
         read back."""
         for i, fr in enumerate(c.stack):
-            outer = self.image(fr.ectx, fr.store, set(), {})
+            outer = fold(self.walk(fr.ectx, fr.store))
             if isinstance(outer, EHole):
                 continue
-            cur = self.image(c.focus, c.store, set(), {})
+            cur = fold(self.walk(c.focus, c.store))
             for inner in reversed(c.stack[i + 1:]):
-                cur = plug(self.image(inner.ectx, inner.store, set(), {}),
-                           cur)
+                cur = plug(fold(self.walk(inner.ectx, inner.store)), cur)
             yield from spine_of(plug(outer, cur))
             return
-        yield from self.elements(c.focus, c.store, set(), {})
+        yield from self.walk(c.focus, c.store)
 
     def config(self, c: IrscConfig) -> Expr:
         """The whole image of `c`: its spine folded back into one term."""
         return fold(self.spine(c))
 
 
-_HOLE = KHole(nid=0)  # the empty rest of every frame the translator yields
 _FRAMES = (KLetIn, KLetIf, KLetWhile)
-
-
-def _enter_scope(phis, bound: set, ren: dict):
-    """Past a join or loop header, each phi name is bound, and its source
-    variable reads the phi name."""
-    for p in phis:
-        bound.add(p.phi)
-        ren[p.src] = p.phi
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +197,6 @@ def spine_of(e: Expr):
             return
         yield e
         e = e.cont
-
-
-def fold(elements) -> Expr:
-    """The term whose spine is `elements`: the inverse of `spine_of`.  A
-    frame's own `rest` and a running loop's own `cont` are ignored."""
-    elements = list(elements)
-    tail = elements.pop()
-    ctx = KHole(nid=0)
-    for el in reversed(elements):
-        if isinstance(el, EWhileRun):
-            tail = EWhileRun(el.cond_focus, el.cur_vals, el.phis,
-                             el.cond_orig, el.body_ctx,
-                             mk_ctxapply(ctx, tail), nid=0)
-            ctx = KHole(nid=0)
-        else:
-            ctx = with_rest(el, ctx)
-    return mk_ctxapply(ctx, tail)
 
 
 def read_spine(elements):

@@ -1,6 +1,8 @@
 """Translation of imperative bodies into functional let/letif/letwhile
-expressions, producing the global SSA environment used by the checker and
-by the lockstep differential harness."""
+expressions.  The rules (`SsaRules`) are written once and used twice:
+`SsaTranslator` translates a program for the checker and records the names
+it introduced (the global SSA environment), and the lockstep differential
+harness translates runtime source configurations under those names."""
 
 from __future__ import annotations
 
@@ -42,13 +44,12 @@ def env_diff(d1: SsaEnv, d2: SsaEnv) -> list[tuple[str, str, str]]:
 
 @dataclass
 class GlobalSsaEnv:
-    """Per-node SSA facts: the environment of each expression node, and
-    the names the translation of each statement and body introduced."""
+    """Per-node SSA facts: the names the translation of each statement and
+    body introduced."""
 
-    exprs: dict = field(default_factory=dict)
     # statement node id -> the let-binder name its translation introduced
     stmt_aux: dict = field(default_factory=dict)
-    # if-statement node id -> list[PhiIf]
+    # if-statement node id -> list[PhiIf]; loop node id -> list[PhiWhile]
     stmt_phis: dict = field(default_factory=dict)
     # body-ite node id -> (phi, then_name, else_name) for the result join
     body_ret: dict = field(default_factory=dict)
@@ -110,6 +111,24 @@ def mk_ctxapply(k: Ctx, e: Expr, span: SourceSpan = NO_SPAN,
     if isinstance(e, ECtxApply):
         return ECtxApply(ctx_compose(k, e.ctx), e.expr, span=span, nid=nid)
     return ECtxApply(k, e, span=span, nid=nid)
+
+
+def fold(elements: list, span: SourceSpan = NO_SPAN, nid: int = 0) -> Expr:
+    """The term whose spine is `elements`: context frames in evaluation
+    order, a running loop among them (its continuation is what follows
+    it), then the final expression.  A frame's own rest and a loop's own
+    continuation are replaced."""
+    *ctxs, tail = elements
+    ctx = KHole(nid=0)
+    for el in reversed(ctxs):
+        if isinstance(el, EWhileRun):
+            tail = EWhileRun(el.cond_focus, el.cur_vals, el.phis,
+                             el.cond_orig, el.body_ctx,
+                             mk_ctxapply(ctx, tail), nid=0)
+            ctx = KHole(nid=0)
+        else:
+            ctx = with_rest(el, ctx)
+    return mk_ctxapply(ctx, tail, span=span, nid=nid)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +240,193 @@ def ctx_binders(k: Ctx) -> set:
     return out
 
 
-class SsaTranslator:
+def _drain(gen) -> tuple[list, object]:
+    """What generator `gen` yields, and what it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(gen))
+        except StopIteration as stop:
+            return items, stop.value
+
+
+class SsaRules:
+    """The translation rules of bodies, statements and expressions,
+    written once for two uses: `SsaTranslator` translates a program, and
+    `semantics.simulate.ConfigTranslator` translates a runtime source
+    configuration.  An environment maps source names to SSA names and is
+    threaded through: a statement is a generator of context frames in
+    evaluation order (their own rests are ignored) that returns the
+    environment after it, and a body yields its frames, then its final
+    expression.
+
+    A subclass supplies the two parameters of the rules:
+    - the name source `named(table, nid, make)`: the names node `nid`
+      binds, kept in `table` (a field of `theta`); `make` computes them
+      fresh, and only the program translator calls it;
+    - the variable resolver: `var(env, e)` for a variable, `this` or
+      `arguments.length`, `slot(env, x, name, span)` for the input
+      `name` of source variable `x` that a phi or a loop entry reads, and
+      `is_global(env, callee)` for a callee name.
+    `stmt` and `body` translate a statement or body nested in a sequence
+    (lazily here; the program translator folds it through `ssa_stmt` or
+    `ssa_body`), and a subclass gives each new node its id (`nid`)."""
+
+    theta: GlobalSsaEnv
+
+    def stmt(self, env: SsaEnv, s: Stmt):
+        return self.frames(env, s)
+
+    def body(self, env: SsaEnv, b: Body):
+        return self.elements(env, b)
+
+    # -- expressions --------------------------------------------------------
+
+    def expr(self, env: SsaEnv, e: Expr) -> Expr:
+        if isinstance(e, (EVar, EThis, EArgsLen)):
+            return self.var(env, e)
+        if isinstance(e, EConst):
+            return EConst(e.value, span=e.span, nid=self.nid())
+        if isinstance(e, EFieldRead):
+            return EFieldRead(self.expr(env, e.obj), e.fname,
+                              span=e.span, nid=self.nid())
+        if isinstance(e, EMethodCall):
+            return EMethodCall(self.expr(env, e.obj), e.mname,
+                               [self.expr(env, a) for a in e.args],
+                               span=e.span, nid=self.nid())
+        if isinstance(e, EFuncCall):
+            callee = e.callee
+            if isinstance(callee, EVar) and self.is_global(env, callee):
+                callee = EVar(callee.name, span=callee.span, nid=self.nid())
+            else:
+                callee = self.expr(env, callee)
+            return EFuncCall(callee, [self.expr(env, a) for a in e.args],
+                             span=e.span, nid=self.nid())
+        if isinstance(e, ENew):
+            return ENew(e.cname, [self.expr(env, a) for a in e.args],
+                        span=e.span, nid=self.nid())
+        if isinstance(e, ECast):
+            return ECast(e.rtype, self.expr(env, e.expr), span=e.span,
+                         nid=self.nid())
+        if isinstance(e, EClosure):
+            return EClosure(e.fname,
+                            [self.expr(env, c) for c in e.captures],
+                            span=e.span, nid=self.nid())
+        raise SsaError(f"cannot translate {type(e).__name__}", e.span)
+
+    # -- statements ----------------------------------------------------------
+
+    def frames(self, env: SsaEnv, s: Stmt):
+        aux = self.theta.stmt_aux
+        if isinstance(s, (SVarDecl, SAssign)):
+            name = self.named(aux, s.nid, lambda: self.binder(env, s))
+            yield self._let(name, self.expr(env, s.expr), s)
+            return {**env, s.name: name}
+        if isinstance(s, SFieldAssign):
+            fa = EFieldAssign(self.expr(env, s.obj), s.fname,
+                              self.expr(env, s.rhs), span=s.span,
+                              nid=self.nid())
+            yield self._let(self.named(aux, s.nid, lambda: self.fresh("_")),
+                            fa, s)
+            return env
+        if isinstance(s, SExprStmt):
+            e = self.expr(env, s.expr)
+            name = self.named(aux, s.nid, lambda: self.fresh("_"))
+            yield self._let(name, e, s)
+            # at run time an assignment that has stored its value is a
+            # value statement under the assignment's node: its variable
+            # reads the assignment's name until that let is consumed
+            x = name.split("#")[0]
+            return env if x == "_" else {**env, x: name}
+        if isinstance(s, SIte):
+            cond = self.expr(env, s.cond)
+            k1, env1 = self.ssa_stmt(env, s.then_s)
+            k2, env2 = self.ssa_stmt(env, s.else_s)
+            # branch-local declarations die at the join
+            phis = self.named(self.theta.stmt_phis, s.nid, lambda: [
+                PhiIf(x, self.fresh(x), n1, n2) for x, n1, n2 in env_diff(
+                    {x: env1[x] for x in env}, {x: env2[x] for x in env})])
+            lefts = [self.slot(env1, p.src, p.left, s.span) for p in phis]
+            rights = [self.slot(env2, p.src, p.right, s.span) for p in phis]
+            yield KLetIf(phis, cond, k1, k2, KHole(nid=self.nid()), lefts,
+                         rights, span=s.span, nid=self.nid())
+            return {**env, **{p.src: p.phi for p in phis}}
+        if isinstance(s, SWhile):
+            phis, head, cond, body = self.loop(env, s)
+            inits = [self.slot(env, p.src, p.init, s.span) for p in phis]
+            yield KLetWhile(phis, cond, body, KHole(nid=self.nid()), inits,
+                            span=s.span, nid=self.nid())
+            return head
+        if isinstance(s, SSeq):
+            while isinstance(s, SSeq):
+                env = yield from self.stmt(env, s.first)
+                s = s.second
+            return (yield from self.stmt(env, s))
+        if isinstance(s, SSkip):
+            return env
+        raise SsaError(f"cannot translate {type(s).__name__}", s.span)
+
+    def _let(self, name: str, e: Expr, node) -> KLetIn:
+        return KLetIn(name, e, KHole(nid=self.nid()), span=node.span,
+                      nid=self.nid())
+
+    def loop(self, env: SsaEnv, s: SWhile):
+        """The phis of loop `s`, its header's environment, and its
+        condition and body under that environment."""
+        def make():
+            updated = assigned_names(s.body, set(env))
+            return [PhiWhile(x, self.fresh(x), env[x], None)
+                    for x in env if x in updated]
+
+        phis = self.named(self.theta.stmt_phis, s.nid, make)
+        head = {**env, **{p.src: p.phi for p in phis}}
+        cond = self.expr(head, s.cond)
+        body, out = self.ssa_stmt(head, s.body)
+        for p in phis:
+            p.next = out[p.src]  # the back edge (at run time, the same)
+        return phis, head, cond, body
+
+    def ssa_stmt(self, env: SsaEnv, s: Stmt) -> tuple[Ctx, SsaEnv]:
+        ctxs, env = _drain(self.frames(env, s))
+        ctx = KHole(nid=self.nid())
+        for k in reversed(ctxs):
+            ctx = with_rest(k, ctx)
+        return ctx, env
+
+    # -- bodies ---------------------------------------------------------------
+
+    def elements(self, env: SsaEnv, b: Body):
+        if isinstance(b, BSeq):
+            while isinstance(b, BSeq):
+                env = yield from self.stmt(env, b.stmt)
+                b = b.rest
+            yield from self.body(env, b)
+        elif isinstance(b, BIte):
+            cond = self.expr(env, b.cond)
+            e1 = self.ssa_body(env, b.then_b)
+            e2 = self.ssa_body(env, b.else_b)
+            r, r1, r2 = self.named(self.theta.body_ret, b.nid, lambda: (
+                self.fresh("ret"), self.fresh("ret"), self.fresh("ret")))
+            yield KLetIf([PhiIf("<ret>", r, r1, r2)], cond,
+                         self._let(r1, e1, b), self._let(r2, e2, b),
+                         KHole(nid=self.nid()),
+                         [EVar(r1, span=b.span, nid=self.nid())],
+                         [EVar(r2, span=b.span, nid=self.nid())],
+                         span=b.span, nid=self.nid())
+            yield EVar(r, span=b.span, nid=self.nid())
+        else:
+            # a return; at run time also the expression a call returns into
+            yield self.expr(env, b.expr if isinstance(b, BReturn) else b)
+
+    def ssa_body(self, env: SsaEnv, b: Body) -> Expr:
+        return fold(_drain(self.elements(env, b))[0], b.span, self.nid())
+
+
+class SsaTranslator(SsaRules):
+    """The translation of a program: fresh names, recorded in `theta`,
+    and variables read through the SSA environment.  Every nested
+    statement and body goes through `ssa_stmt` and `ssa_body`."""
+
     def __init__(self, program: Program):
         self.program = program
         self.theta = GlobalSsaEnv()
@@ -233,173 +438,59 @@ class SsaTranslator:
         self.counter += 1
         return f"{base}#{self.counter}"
 
-    # -- expressions --------------------------------------------------------
+    def nid(self) -> int:
+        return next_node_id()
 
-    def ssa_expr(self, env: SsaEnv, e: Expr) -> Expr:
-        self.theta.exprs[e.nid] = dict(env)
+    # -- name source -----------------------------------------------------------
+
+    def named(self, table: dict, nid: int, make):
+        table[nid] = names = make()
+        return names
+
+    def binder(self, env: SsaEnv, s) -> str:
+        """The name a declaration or an assignment binds."""
+        if isinstance(s, SVarDecl) and s.name in env:
+            raise SsaError(f"redeclaration of live variable {s.name!r}",
+                           s.span)
+        if isinstance(s, SAssign) and s.name not in env:
+            raise SsaError(f"assignment to unbound variable {s.name!r}",
+                           s.span)
+        return self.fresh(s.name)
+
+    # -- variable resolver -------------------------------------------------------
+
+    def var(self, env: SsaEnv, e: Expr) -> Expr:
         if isinstance(e, EVar):
             if e.name not in env:
                 raise SsaError(f"unbound variable {e.name!r}", e.span)
             return EVar(env[e.name], span=e.span, nid=next_node_id())
-        if isinstance(e, EConst):
-            return EConst(e.value, span=e.span, nid=next_node_id())
         if isinstance(e, EThis):
             if "this" not in env:
                 raise SsaError("this used outside a method", e.span)
             return EThis(span=e.span, nid=next_node_id())
-        if isinstance(e, EArgsLen):
-            return EArgsLen(span=e.span, nid=next_node_id())
-        if isinstance(e, EFieldRead):
-            return EFieldRead(self.ssa_expr(env, e.obj), e.fname,
-                              span=e.span, nid=next_node_id())
-        if isinstance(e, EMethodCall):
-            return EMethodCall(self.ssa_expr(env, e.obj), e.mname,
-                               [self.ssa_expr(env, a) for a in e.args],
-                               span=e.span, nid=next_node_id())
-        if isinstance(e, EFuncCall):
-            callee = e.callee
-            if isinstance(callee, EVar):
-                self.theta.exprs[callee.nid] = dict(env)
-                if callee.name in env:
-                    callee = EVar(env[callee.name], span=callee.span,
-                                  nid=next_node_id())
-                elif callee.name in self.globals:
-                    callee = EVar(callee.name, span=callee.span,
-                                  nid=next_node_id())
-                else:
-                    raise SsaError(f"unbound function {callee.name!r}",
-                                   callee.span)
-            else:
-                callee = self.ssa_expr(env, callee)
-            return EFuncCall(callee, [self.ssa_expr(env, a) for a in e.args],
-                             span=e.span, nid=next_node_id())
-        if isinstance(e, ENew):
-            return ENew(e.cname, [self.ssa_expr(env, a) for a in e.args],
-                        span=e.span, nid=next_node_id())
-        if isinstance(e, ECast):
-            return ECast(e.rtype, self.ssa_expr(env, e.expr), span=e.span,
-                         nid=next_node_id())
-        if isinstance(e, EClosure):
-            return EClosure(e.fname,
-                            [self.ssa_expr(env, c) for c in e.captures],
-                            span=e.span, nid=next_node_id())
-        raise SsaError(f"cannot translate {type(e).__name__}", e.span)
+        return EArgsLen(span=e.span, nid=next_node_id())
 
-    # -- statements ----------------------------------------------------------
+    def slot(self, env: SsaEnv, x: str, name: str, span) -> Expr:
+        return EVar(name, span=span, nid=next_node_id())
 
-    def ssa_stmt(self, env: SsaEnv, s: Stmt) -> tuple[Ctx, SsaEnv]:
-        if isinstance(s, SVarDecl):
-            e = self.ssa_expr(env, s.expr)
-            if s.name in env:
-                raise SsaError(f"redeclaration of live variable {s.name!r}",
-                               s.span)
-            name = self.fresh(s.name)
-            self.theta.stmt_aux[s.nid] = name
-            out = dict(env)
-            out[s.name] = name
-            return KLetIn(name, e, KHole(nid=next_node_id()), span=s.span,
-                          nid=next_node_id()), out
-        if isinstance(s, SAssign):
-            if s.name not in env:
-                raise SsaError(f"assignment to unbound variable {s.name!r}",
-                               s.span)
-            e = self.ssa_expr(env, s.expr)
-            name = self.fresh(s.name)
-            self.theta.stmt_aux[s.nid] = name
-            out = dict(env)
-            out[s.name] = name
-            return KLetIn(name, e, KHole(nid=next_node_id()), span=s.span,
-                          nid=next_node_id()), out
-        if isinstance(s, SFieldAssign):
-            obj = self.ssa_expr(env, s.obj)
-            rhs = self.ssa_expr(env, s.rhs)
-            fa = EFieldAssign(obj, s.fname, rhs, span=s.span,
-                              nid=next_node_id())
-            aux = self.fresh("_")
-            self.theta.stmt_aux[s.nid] = aux
-            return KLetIn(aux, fa, KHole(nid=next_node_id()),
-                          span=s.span, nid=next_node_id()), env
-        if isinstance(s, SExprStmt):
-            e = self.ssa_expr(env, s.expr)
-            aux = self.fresh("_")
-            self.theta.stmt_aux[s.nid] = aux
-            return KLetIn(aux, e, KHole(nid=next_node_id()),
-                          span=s.span, nid=next_node_id()), env
-        if isinstance(s, SIte):
-            cond = self.ssa_expr(env, s.cond)
-            k1, env1 = self.ssa_stmt(env, s.then_s)
-            k2, env2 = self.ssa_stmt(env, s.else_s)
-            # branch-local declarations die at the join
-            r1 = {x: env1[x] for x in env}
-            r2 = {x: env2[x] for x in env}
-            triples = env_diff(r1, r2)
-            phis = []
-            out = dict(env)
-            for x, n1, n2 in triples:
-                phi = self.fresh(x)
-                out[x] = phi
-                phis.append(PhiIf(x, phi, n1, n2))
-            self.theta.stmt_phis[s.nid] = phis
-            lefts = [EVar(p.left, span=s.span, nid=next_node_id())
-                     for p in phis]
-            rights = [EVar(p.right, span=s.span, nid=next_node_id())
-                      for p in phis]
-            return KLetIf(phis, cond, k1, k2, KHole(nid=next_node_id()),
-                          lefts, rights, span=s.span,
-                          nid=next_node_id()), out
-        if isinstance(s, SWhile):
-            updated = assigned_names(s.body, set(env))
-            updated = [x for x in env if x in updated]
-            phi_env = dict(env)
-            phis = []
-            for x in updated:
-                phi_env[x] = self.fresh(x)
-            cond = self.ssa_expr(phi_env, s.cond)
-            k_body, env1 = self.ssa_stmt(phi_env, s.body)
-            for x in updated:
-                phis.append(PhiWhile(x, phi_env[x], env[x], env1[x]))
-            s.phis = phis  # annotate the source node for display
-            inits = [EVar(p.init, span=s.span, nid=next_node_id())
-                     for p in phis]
-            return KLetWhile(phis, cond, k_body, KHole(nid=next_node_id()),
-                             inits, span=s.span, nid=next_node_id()), phi_env
-        if isinstance(s, SSeq):
-            k1, env1 = self.ssa_stmt(env, s.first)
-            k2, env2 = self.ssa_stmt(env1, s.second)
-            return ctx_compose(k1, k2), env2
-        if isinstance(s, SSkip):
-            return KHole(nid=next_node_id()), env
-        raise SsaError(f"cannot translate {type(s).__name__}", s.span)
+    def is_global(self, env: SsaEnv, callee: EVar) -> bool:
+        if callee.name in env:
+            return False
+        if callee.name in self.globals:
+            return True
+        raise SsaError(f"unbound function {callee.name!r}", callee.span)
 
-    # -- bodies ---------------------------------------------------------------
+    # -- nested statements and bodies ----------------------------------------------
 
-    def ssa_body(self, env: SsaEnv, b: Body) -> Expr:
-        if isinstance(b, BReturn):
-            return self.ssa_expr(env, b.expr)
-        if isinstance(b, BSeq):
-            ctx, env1 = self.ssa_stmt(env, b.stmt)
-            return mk_ctxapply(ctx, self.ssa_body(env1, b.rest),
-                               span=b.span, nid=next_node_id())
-        if isinstance(b, BIte):
-            cond = self.ssa_expr(env, b.cond)
-            e1 = self.ssa_body(env, b.then_b)
-            e2 = self.ssa_body(env, b.else_b)
-            r = self.fresh("ret")
-            r1 = self.fresh("ret")
-            r2 = self.fresh("ret")
-            self.theta.body_ret[b.nid] = (r, r1, r2)
-            k = KLetIf([PhiIf("<ret>", r, r1, r2)], cond,
-                       KLetIn(r1, e1, KHole(nid=next_node_id()),
-                              span=b.span, nid=next_node_id()),
-                       KLetIn(r2, e2, KHole(nid=next_node_id()),
-                              span=b.span, nid=next_node_id()),
-                       KHole(nid=next_node_id()),
-                       [EVar(r1, span=b.span, nid=next_node_id())],
-                       [EVar(r2, span=b.span, nid=next_node_id())],
-                       span=b.span, nid=next_node_id())
-            return mk_ctxapply(k, EVar(r, span=b.span, nid=next_node_id()),
-                               span=b.span, nid=next_node_id())
-        raise TypeError(b)
+    def stmt(self, env: SsaEnv, s: Stmt):
+        k, env = self.ssa_stmt(env, s)
+        while not isinstance(k, KHole):
+            yield k
+            k = k.rest
+        return env
+
+    def body(self, env: SsaEnv, b: Body):
+        yield self.ssa_body(env, b)
 
     # -- declarations ----------------------------------------------------------
 
@@ -407,37 +498,33 @@ class SsaTranslator:
         functions: dict = {}
         methods: dict = {}
         for f in self.program.functions:
-            if f.body is None:
-                functions[f.name] = SsaFunc(f.name, list(f.params), None, f)
-                continue
-            env = {p: p for p in f.params}
-            try:
-                body = self.ssa_body(env, f.body)
-            except SsaError as e:
-                self.errors.append(e)
-                continue
-            functions[f.name] = SsaFunc(f.name, list(f.params), body, f)
+            body = self._unit({p: p for p in f.params}, f.body)
+            if body is not None or f.body is None:
+                functions[f.name] = SsaFunc(f.name, list(f.params), body, f)
         for c in self.program.classes:
             for m in c.methods:
-                env = {n: n for n, _ in m.params}
-                env["this"] = "this"
-                try:
-                    body = self.ssa_body(env, m.body)
-                except SsaError as e:
-                    self.errors.append(e)
-                    continue
-                methods[(c.name, m.name)] = SsaMethod(
-                    m.name, [n for n, _ in m.params], body, m, c)
-        top = None
-        if self.program.top is not None:
-            try:
-                top = self.ssa_body({}, self.program.top)
-            except SsaError as e:
-                self.errors.append(e)
+                params = [n for n, _ in m.params]
+                body = self._unit({**{n: n for n in params}, "this": "this"},
+                                  m.body)
+                if body is not None:
+                    methods[(c.name, m.name)] = SsaMethod(
+                        m.name, params, body, m, c)
+        top = self._unit({}, self.program.top)
         prog = SsaProgram(functions, methods, top, self.program)
         if self.errors:
             raise SsaErrors(self.errors)
         return prog, self.theta
+
+    def _unit(self, env: SsaEnv, b: Optional[Body]) -> Optional[Expr]:
+        """The translation of body `b`, or None when there is no body or
+        it does not translate (the error is kept)."""
+        if b is None:
+            return None
+        try:
+            return self.ssa_body(env, b)
+        except SsaError as e:
+            self.errors.append(e)
+            return None
 
 
 class SsaErrors(Exception):

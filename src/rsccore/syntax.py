@@ -698,7 +698,6 @@ class SIte(Node):
 
 @dataclass
 class SWhile(Node):
-    phis: list  # list[PhiWhile]; empty until SSA fills it
     cond: Expr
     body: "Stmt"
 

@@ -926,6 +926,32 @@ def test_translation_and_checker_do_not_import_the_machines():
             assert not machines & set(names), f"{path.name}:{node.lineno}"
 
 
+
+def test_only_the_ssa_rules_translate_statements():
+    """The translation rules for declarations, assignments, field writes,
+    value statements, returns and result joins have one owner,
+    `ssa.SsaRules`: the simulation harness neither imports these forms
+    nor dispatches on them."""
+    import ast
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "src" / "rsccore" / \
+        "semantics" / "simulate.py"
+    forms = {"SVarDecl", "SAssign", "SFieldAssign", "SExprStmt", "BReturn",
+             "BIte"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {a.name.split(".")[-1] for a in node.names}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            continue
+        found += [f"{n}:{node.lineno}" for n in sorted(names & forms)]
+    assert found == []
+
+
 _THREE_LEVELS = """
 class A {
   /*@ invariant this.a >= 0 */

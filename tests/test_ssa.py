@@ -155,7 +155,6 @@ def test_theta_covers_expression_nodes():
     for name in ("head.rsc", "minindex.rsc"):
         p = parse(CORPUS / name)
         _, theta = ssa_program(p)
-        assert theta.exprs
         bodies = [f.body for f in p.functions if f.body is not None]
         for s in walk_tree(bodies):
             if isinstance(s, (SVarDecl, SAssign)):
