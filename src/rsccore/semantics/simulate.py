@@ -82,7 +82,9 @@ class ConfigTranslator(SsaRules):
     still pending; any other variable has executed and becomes its value
     in `store`, the store of the frame being translated.  This class keeps
     only the shapes that exist only at run time: partly evaluated
-    expressions, a running loop (an unrolled `while`) and saved frames."""
+    expressions, a running loop (an unrolled `while`) and saved frames.
+    An assignment that has stored its value is a plain value statement:
+    the source machine aligns at the assignment, one step earlier."""
 
     def __init__(self, theta: GlobalSsaEnv, tables: RuntimeTables,
                  store: Optional[dict] = None):
@@ -96,26 +98,23 @@ class ConfigTranslator(SsaRules):
     def named(self, table: dict, nid: int, make):
         return table[nid]
 
-    def _stored(self, x: str):
-        if x not in self.store:
-            raise TranslateGap(f"{x} missing from the store")
-        return self.store[x]
-
     def var(self, env: dict, e: Expr) -> Expr:
-        if isinstance(e, EVar):
-            return self.slot(env, e.name, None, None)
-        return mk_val(self._stored("this" if isinstance(e, EThis)
-                                   else "#argc"))
+        x = e.name if isinstance(e, EVar) else \
+            "this" if isinstance(e, EThis) else "#argc"
+        return self.slot(env, x, None, None)
 
     def slot(self, env: dict, x: str, name, span) -> Expr:
-        pending = env.get(x)
-        if pending is not None:
-            return EVar(pending, nid=0)
-        return mk_val(self._stored(x))
+        if x in env:
+            return EVar(env[x], nid=0)
+        if x not in self.store:
+            raise TranslateGap(f"{x} missing from the store")
+        return mk_val(self.store[x])
 
     def is_global(self, env: dict, callee: EVar) -> bool:
-        return callee.name not in env and callee.name not in self.store \
-            and self.t.is_global_callee(callee.name)
+        # as the program translation resolved it, since the store keeps a
+        # variable past its scope; the entry call's callee (nid 0) is global
+        return callee.nid not in self.theta.local_callees and \
+            self.t.is_global_callee(callee.name)
 
     # -- shapes that exist only at run time ------------------------------------
 
@@ -135,7 +134,7 @@ class ConfigTranslator(SsaRules):
         # a running loop, unrolled: if (c) { body; while } else skip
         cond_focus = self.expr(env, s.cond)
         phis, head, cond, body = self.loop(env, s.then_s.second)
-        yield EWhileRun(cond_focus, [self._stored(p.src) for p in phis],
+        yield EWhileRun(cond_focus, [self.store[p.src] for p in phis],
                         phis, cond, body, None, nid=0)
         return head
 

@@ -53,6 +53,8 @@ class GlobalSsaEnv:
     stmt_phis: dict = field(default_factory=dict)
     # body-ite node id -> (phi, then_name, else_name) for the result join
     body_ret: dict = field(default_factory=dict)
+    # node ids of callee names resolved to a local variable
+    local_callees: set = field(default_factory=set)
 
 
 @dataclass
@@ -270,7 +272,8 @@ class SsaRules:
       `is_global(env, callee)` for a callee name.
     `stmt` and `body` translate a statement or body nested in a sequence
     (lazily here; the program translator folds it through `ssa_stmt` or
-    `ssa_body`), and a subclass gives each new node its id (`nid`)."""
+    `ssa_body`), and a subclass gives each new node its id (`nid`).
+    A loop phi's back edge is written once, by the program translator."""
 
     theta: GlobalSsaEnv
 
@@ -322,22 +325,15 @@ class SsaRules:
             name = self.named(aux, s.nid, lambda: self.binder(env, s))
             yield self._let(name, self.expr(env, s.expr), s)
             return {**env, s.name: name}
-        if isinstance(s, SFieldAssign):
-            fa = EFieldAssign(self.expr(env, s.obj), s.fname,
-                              self.expr(env, s.rhs), span=s.span,
-                              nid=self.nid())
-            yield self._let(self.named(aux, s.nid, lambda: self.fresh("_")),
-                            fa, s)
-            return env
-        if isinstance(s, SExprStmt):
-            e = self.expr(env, s.expr)
+        if isinstance(s, (SFieldAssign, SExprStmt)):
+            # a field write is the value statement of its write
+            e = self.expr(env, s.expr) if isinstance(s, SExprStmt) else \
+                EFieldAssign(self.expr(env, s.obj), s.fname,
+                             self.expr(env, s.rhs), span=s.span,
+                             nid=self.nid())
             name = self.named(aux, s.nid, lambda: self.fresh("_"))
             yield self._let(name, e, s)
-            # at run time an assignment that has stored its value is a
-            # value statement under the assignment's node: its variable
-            # reads the assignment's name until that let is consumed
-            x = name.split("#")[0]
-            return env if x == "_" else {**env, x: name}
+            return env
         if isinstance(s, SIte):
             cond = self.expr(env, s.cond)
             k1, env1 = self.ssa_stmt(env, s.then_s)
@@ -383,7 +379,8 @@ class SsaRules:
         cond = self.expr(head, s.cond)
         body, out = self.ssa_stmt(head, s.body)
         for p in phis:
-            p.next = out[p.src]  # the back edge (at run time, the same)
+            if p.next is None:  # the back edge: set by the program only
+                p.next = out[p.src]
         return phis, head, cond, body
 
     def ssa_stmt(self, env: SsaEnv, s: Stmt) -> tuple[Ctx, SsaEnv]:
@@ -475,6 +472,7 @@ class SsaTranslator(SsaRules):
 
     def is_global(self, env: SsaEnv, callee: EVar) -> bool:
         if callee.name in env:
+            self.theta.local_callees.add(callee.nid)
             return False
         if callee.name in self.globals:
             return True

@@ -197,6 +197,17 @@ def _swap_loop_inits(monkeypatch, ssa_mod):
     _broken_stmt(monkeypatch, ssa_mod, swap)
 
 
+def _stale_back_edge(monkeypatch, ssa_mod):
+    """Each loop phi takes its entry name again on the back edge; the
+    simulation must not rewrite the recorded back edge while it walks
+    the loop at run time."""
+    def stale(s, k):
+        if isinstance(s, SWhile):
+            for p in k.phis:
+                p.next = p.init
+    _broken_stmt(monkeypatch, ssa_mod, stale)
+
+
 # faults that only a comparison of the whole configuration catches: the two
 # names read stand for the same value once bound, so the fault shows only
 # while a name is still pending, in a statement past the current one
@@ -346,6 +357,7 @@ def _capture_the_twin(monkeypatch, ssa_mod):
     (_drop_last_phi, _JOIN, [True]),
     (_swap_letif_branches, _JOIN, [True]),
     (_swap_loop_inits, _LOOP, []),
+    (_stale_back_edge, _LOOP, []),
     (_tail_reads_the_twin, _TAIL, []),
     (_caller_reads_the_twin, _CALLER, [5]),
     (_swap_result_bodies, _RESULT_JOIN, [True, 3, 4]),
@@ -354,9 +366,9 @@ def _capture_the_twin(monkeypatch, ssa_mod):
     (_reverse_call_args, _CALL, [5]),
     (_capture_the_twin, _CLOSURE, [2]),
 ], ids=["dropped-phi", "swapped-letif-branches", "wrong-loop-init",
-        "tail-after-loop", "suspended-caller", "swapped-result-join",
-        "dropped-field-write", "dropped-array-write", "reversed-call-args",
-        "wrong-capture"])
+        "stale-back-edge", "tail-after-loop", "suspended-caller",
+        "swapped-result-join", "dropped-field-write", "dropped-array-write",
+        "reversed-call-args", "wrong-capture"])
 def test_simulate_detects_injected_ssa_faults(monkeypatch, inject, text,
                                               args):
     """Each SSA fault, injected into the translation, is reported as a
@@ -539,6 +551,26 @@ RETURN_AFTER_STATEMENTS = [
 def test_simulate_return_after_statements(text, args, expected):
     """A body ending `var x = e; return x;` after another statement used
     to diverge: the translation nested the lets that FRSC composes."""
+    sp, theta = _ssa_text(text)
+    rep = simulate(sp, theta, entry="f", args=args)
+    assert rep.status == "ok", rep.detail
+    assert (rep.frsc_steps, rep.irsc_steps, rep.value) == expected
+
+
+_SHADOWS_G = "function g(x) { return x + 1; }\nfunction f(a) "
+
+
+@pytest.mark.parametrize("text,args,expected", [
+    (_SHADOWS_G + "{ if (a > 0) { var g = 5; } else { }"
+     " var r = g(a); return r; }", [1], (7, 15, "2")),
+    (_SHADOWS_G + "{ var i = 0; while (i < a) { var g = 5; i = i + 1; }"
+     " var r = g(a); return r; }", [1], (14, 30, "2")),
+], ids=["branch", "loop-body"])
+def test_callee_after_a_scoped_local_is_the_global(text, args, expected):
+    """A variable declared in a branch or a loop body ends at the join, so
+    a later call of its name calls the global function in the translation
+    and in both machines, though the source store still holds the
+    variable: the runtime image calls the global function too."""
     sp, theta = _ssa_text(text)
     rep = simulate(sp, theta, entry="f", args=args)
     assert rep.status == "ok", rep.detail
