@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .checker import check_program, class_diagnostic
+from .checker import Diagnostic, check_program, class_diagnostic
 from .frontend import FrontendError, parse_program
 from .frontend.lexer import LexError
 from .frontend.parser import ParseError
@@ -235,14 +235,16 @@ def _cmd_simulate(ns) -> int:
 
 def _execute(ns, go) -> int:
     """Translate the program, check that it can start as asked, and hand
-    it to `go`; a class hierarchy the class table rejects gets the
-    diagnostic `check` gives it."""
+    it to `go`; a program the translation or the class table rejects gets
+    the diagnostics `check` gives it."""
     args = _parse_args_list(ns.args)
     program = _parse(ns.files)
     try:
         sp, theta = ssa_program(program)
-    except SsaErrors as e:
-        print(str(e), file=sys.stderr)
+    except SsaErrors as errs:
+        for e in errs.errors:
+            print(Diagnostic("error", e.span, "SSA", e.msg).render(),
+                  file=sys.stderr)
         return 1
     if ns.entry is None and program.top is None:
         print("rsc: program has no top-level body; use --entry",

@@ -180,8 +180,7 @@ def parse_program(text: str, fname: str = "<input>") -> Program:
 
     fn_names = {f.name for f in all_raw_funcs} | {g.name for g in raw.ghosts}
     for f in all_raw_funcs:
-        wrap_global_fn_refs([s for s in f.stmts if not isinstance(s, NestedFunc)],
-                            fn_names)
+        wrap_global_fn_refs(f.stmts, fn_names, [p.name for p in f.params])
     wrap_global_fn_refs(raw.top, fn_names)
 
     functions: list[FuncDecl] = []

@@ -269,7 +269,8 @@ def lift_nested(fn: RawFunc, globals_: set, out_funcs: list):
                 f"nested function {inner.name!r} shadows a global",
                 marker.span)
         inner_bound = {p.name for p in inner.params} | {inner.name}
-        free = _stmts_free_vars(inner.stmts, inner_bound | globals_)
+        free = _stmts_free_vars(inner.stmts,
+                                inner_bound | (globals_ - declared))
         captures = sorted(n for n in free if n in declared)
         for c in captures:
             if c in assigned:
@@ -303,11 +304,16 @@ def lift_nested(fn: RawFunc, globals_: set, out_funcs: list):
         out_funcs.append(inner)
 
 
-def wrap_global_fn_refs(stmts: list, fn_names: set):
+def wrap_global_fn_refs(stmts: list, fn_names: set, params=()):
     """Rewrite references to top-level functions in value position into
-    closure constructors (calls keep the bare name)."""
+    closure constructors (calls keep the bare name).  A name the function
+    binds itself, as a parameter or a `var`, means that binding."""
+    local = set(params) | {n.name for s in stmts for n in walk_stmts(s)
+                           if isinstance(n, SVarDecl)}
+    globals_ = fn_names - local
+
     def wrap(node, field, v):
-        if isinstance(v, EVar) and v.name in fn_names and \
+        if isinstance(v, EVar) and v.name in globals_ and \
                 not (isinstance(node, EFuncCall) and field == "callee"):
             return EClosure(v.name, [], span=v.span, nid=next_node_id())
         return None

@@ -43,15 +43,14 @@ from typing import Optional
 from ..ssa import GlobalSsaEnv, SsaProgram, SsaRules, fold
 from ..syntax import (
     EArgsLen, ECast, EClosure, ECtxApply, EFieldAssign, EFieldRead,
-    EFuncCall, EMethodCall, ENew, EThis, EVal, EVar, EWhileRun, Expr, KHole,
-    KLetIf, KLetIn, KLetWhile, PhiIf, SIte, expr_str,
+    EConst, EFuncCall, EMethodCall, ENew, EThis, EVar, EWhileRun, Expr,
+    KHole, KLetIf, KLetIn, KLetWhile, PhiIf, SIte, expr_str,
 )
 from .frsc import FrscConfig, FrscMachine
 from .irsc import EHole, IrscConfig, IrscMachine, plug
 from .tables import RuntimeTables
 from .values import (
-    HArr, HObj, Heap, MISSING, VClosure, mk_val, val_of, value_str,
-    values_equal,
+    HArr, HObj, Heap, MISSING, mk_val, val_of, value_str, values_equal,
 )
 
 
@@ -90,6 +89,7 @@ class ConfigTranslator(SsaRules):
                  store: Optional[dict] = None):
         self.theta = theta
         self.t = tables
+        self.globals = tables.globals
         self.store = store
 
     def nid(self) -> int:
@@ -109,12 +109,6 @@ class ConfigTranslator(SsaRules):
         if x not in self.store:
             raise TranslateGap(f"{x} missing from the store")
         return mk_val(self.store[x])
-
-    def is_global(self, env: dict, callee: EVar) -> bool:
-        # as the program translation resolved it, since the store keeps a
-        # variable past its scope; the entry call's callee (nid 0) is global
-        return callee.nid not in self.theta.local_callees and \
-            self.t.is_global_callee(callee.name)
 
     # -- shapes that exist only at run time ------------------------------------
 
@@ -264,19 +258,19 @@ def normalize(e):
             e.expr.name == e.ctx.name:
         e = e.ctx.expr
     v = val_of(e)
-    return e if v is MISSING or isinstance(e, EVal) else mk_val(v)
+    return e if v is MISSING or isinstance(e, EConst) else mk_val(v)
 
 
 def terms_equal(a, b) -> bool:
     a = normalize(a)
     b = normalize(b)
-    if isinstance(a, EVal) and isinstance(b, EVal):
-        return _values_eq(a.value, b.value)
     if type(a) is not type(b):
         return False
+    if isinstance(a, EConst):
+        return values_equal(a.value, b.value)
     if isinstance(a, EVar):
         return a.name == b.name
-    if isinstance(a, EThis):
+    if isinstance(a, (EThis, EArgsLen)):
         return True
     if isinstance(a, EFieldRead):
         return a.fname == b.fname and terms_equal(a.obj, b.obj)
@@ -298,8 +292,6 @@ def terms_equal(a, b) -> bool:
         return ctxs_equal(a.ctx, b.ctx) and terms_equal(a.expr, b.expr)
     if isinstance(a, EWhileRun):
         return _loop_heads_equal(a, b) and terms_equal(a.cont, b.cont)
-    if isinstance(a, EArgsLen):
-        return True
     return False
 
 
@@ -361,14 +353,7 @@ def _list_eq(a, b) -> bool:
 
 
 def _vals_list_eq(a, b) -> bool:
-    return len(a) == len(b) and all(_values_eq(x, y) for x, y in zip(a, b))
-
-
-def _values_eq(a, b) -> bool:
-    if isinstance(a, VClosure) and isinstance(b, VClosure):
-        return a.fname == b.fname and _vals_list_eq(list(a.caps),
-                                                    list(b.caps))
-    return values_equal(a, b)
+    return len(a) == len(b) and all(map(values_equal, a, b))
 
 
 def heaps_equal(h1: Heap, h2: Heap) -> bool:
@@ -385,7 +370,7 @@ def heaps_equal(h1: Heap, h2: Heap) -> bool:
             if o1.cname != o2.cname or set(o1.fields) != set(o2.fields):
                 return False
             for f, v in o1.fields.items():
-                if not _values_eq(v, o2.fields[f]):
+                if not values_equal(v, o2.fields[f]):
                     return False
         else:
             if o1.cname != o2.cname:
@@ -424,7 +409,7 @@ def simulate(ssa_prog: SsaProgram, theta: GlobalSsaEnv,
             for _ in range(catchup):
                 ri = irsc.step(ic)
                 if ri[0] == "terminal":
-                    if _values_eq(ri[1], r[1]):
+                    if values_equal(ri[1], r[1]):
                         return SimReport("ok", fsteps, isteps,
                                          value=value_str(r[1], fc.heap))
                     return SimReport(

@@ -18,6 +18,8 @@ class RuntimeTables:
         self.program = ssa.source
         self.funcs = ssa.functions
         self.classes = ClassTable(self.program)
+        # the names a callee means globally, read as the translation does
+        self.globals = BUILTIN_NAMES | set(self.funcs)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -25,7 +27,7 @@ class RuntimeTables:
         return name in BUILTIN_NAMES
 
     def is_global_callee(self, name: str) -> bool:
-        return name in BUILTIN_NAMES or name in self.funcs
+        return name in self.globals
 
     # The code lookups return the SsaFunc / SsaMethod: its `params` serve
     # both machines, its `body` the functional one, `decl.body` the source.

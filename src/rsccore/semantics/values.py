@@ -10,7 +10,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..syntax import EClosure, EConst, EVal, NULL, UNDEFINED, literal_str
+from ..syntax import EClosure, EConst, NULL, UNDEFINED, literal_str
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,6 @@ MISSING = object()
 def val_of(e) -> object:
     """The value expression node `e` denotes, or MISSING if it still has
     to be evaluated."""
-    if isinstance(e, EVal):
-        return e.value
     if isinstance(e, EConst):
         return e.value
     if isinstance(e, EClosure):
@@ -100,8 +98,8 @@ def val_of(e) -> object:
     return MISSING
 
 
-def mk_val(v: Value) -> EVal:
-    return EVal(v, nid=0)
+def mk_val(v: Value) -> EConst:
+    return EConst(v, nid=0)
 
 
 def call_frame(params: list, argv: list,
@@ -199,7 +197,11 @@ _OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
 
 
 def values_equal(a: Value, b: Value) -> bool:
-    """Strict equality: a boolean never equals a number."""
+    """Strict equality: a boolean never equals a number, and closures are
+    equal when their functions and their captures, one by one, are."""
+    if isinstance(a, VClosure) and isinstance(b, VClosure):
+        return a.fname == b.fname and len(a.caps) == len(b.caps) and \
+            all(map(values_equal, a.caps, b.caps))
     if isinstance(a, bool) != isinstance(b, bool):
         return False
     return a == b

@@ -12,7 +12,7 @@ from typing import Optional
 from .syntax import (
     BIte, BReturn, BSeq, Body, ClassDecl, Ctx, EArgsLen, ECast, EClosure,
     EConst, ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall,
-    ENew, EThis, EVal, EVar, EWhileRun, Expr, FuncDecl, KHole, KLetIf,
+    ENew, EThis, EVar, EWhileRun, Expr, FuncDecl, KHole, KLetIf,
     KLetIn, KLetWhile,
     MethodDecl, NO_SPAN, PhiIf, PhiWhile, Program, SAssign, SExprStmt,
     SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SourceSpan, Stmt,
@@ -53,8 +53,6 @@ class GlobalSsaEnv:
     stmt_phis: dict = field(default_factory=dict)
     # body-ite node id -> (phi, then_name, else_name) for the result join
     body_ret: dict = field(default_factory=dict)
-    # node ids of callee names resolved to a local variable
-    local_callees: set = field(default_factory=set)
 
 
 @dataclass
@@ -147,7 +145,7 @@ def subst_expr(e, m: dict):
         return m.get("this", e)
     if isinstance(e, EArgsLen):
         return m.get("#argc", e)
-    if isinstance(e, (EConst, EVal)):
+    if isinstance(e, EConst):
         return e
     if isinstance(e, EFieldRead):
         return EFieldRead(subst_expr(e.obj, m), e.fname, nid=e.nid,
@@ -267,15 +265,19 @@ class SsaRules:
       binds, kept in `table` (a field of `theta`); `make` computes them
       fresh, and only the program translator calls it;
     - the variable resolver: `var(env, e)` for a variable, `this` or
-      `arguments.length`, `slot(env, x, name, span)` for the input
-      `name` of source variable `x` that a phi or a loop entry reads, and
-      `is_global(env, callee)` for a callee name.
+      `arguments.length`, and `slot(env, x, name, span)` for the input
+      `name` of source variable `x` that a phi or a loop entry reads;
+    - `globals`, the names a callee means globally (see `is_global`).
     `stmt` and `body` translate a statement or body nested in a sequence
     (lazily here; the program translator folds it through `ssa_stmt` or
     `ssa_body`), and a subclass gives each new node its id (`nid`).
     A loop phi's back edge is written once, by the program translator."""
 
     theta: GlobalSsaEnv
+
+    def is_global(self, env: SsaEnv, callee: EVar) -> bool:
+        """A callee that names a global function or builtin is that one."""
+        return callee.name in self.globals
 
     def stmt(self, env: SsaEnv, s: Stmt):
         return self.frames(env, s)
@@ -471,12 +473,14 @@ class SsaTranslator(SsaRules):
         return EVar(name, span=span, nid=next_node_id())
 
     def is_global(self, env: SsaEnv, callee: EVar) -> bool:
-        if callee.name in env:
-            self.theta.local_callees.add(callee.nid)
-            return False
-        if callee.name in self.globals:
-            return True
-        raise SsaError(f"unbound function {callee.name!r}", callee.span)
+        # the source machine keeps a variable past its scope, so a local
+        # that the call could also mean is rejected here
+        name = callee.name
+        if (name in env) == (name in self.globals):
+            raise SsaError(f"local {name!r} shadows the global function"
+                           f" {name!r}" if name in env else
+                           f"unbound function {name!r}", callee.span)
+        return SsaRules.is_global(self, env, callee)
 
     # -- nested statements and bodies ----------------------------------------------
 

@@ -499,6 +499,8 @@ class EVar(Node):
 
 @dataclass
 class EConst(Node):
+    """A literal; at run time, any evaluated value."""
+
     value: Literal
 
 
@@ -555,13 +557,6 @@ class EArgsLen(Node):
 
 
 @dataclass
-class EVal(Node):
-    """Runtime-only leaf holding an evaluated value."""
-
-    value: object
-
-
-@dataclass
 class EWhileRun(Node):
     """Runtime-only state of an executing FRSC loop: the condition instance
     under evaluation, the phi values saved at iteration entry, and the
@@ -593,7 +588,7 @@ class ECtxApply(Node):
 
 
 Expr = Union[EVar, EConst, EThis, EFieldRead, EMethodCall, EFuncCall, ENew,
-             ECast, EClosure, EArgsLen, EVal, EWhileRun, EFieldAssign,
+             ECast, EClosure, EArgsLen, EWhileRun, EFieldAssign,
              ECtxApply]
 
 
@@ -910,7 +905,9 @@ def expr_str(e: Expr) -> str:
     if isinstance(e, EVar):
         return e.name
     if isinstance(e, EConst):
-        return literal_str(e.value)
+        v = e.value
+        return literal_str(v) if isinstance(v, (int, bool, str)) or v in (
+            UNDEFINED, NULL) else f"#{v!r}"
     if isinstance(e, EThis):
         return "this"
     if isinstance(e, EFieldRead):
@@ -941,12 +938,8 @@ def expr_str(e: Expr) -> str:
         return e.fname
     if isinstance(e, EArgsLen):
         return "arguments.length"
-    if isinstance(e, EVal):
-        v = e.value
-        return literal_str(v) if isinstance(v, (int, bool, str)) or v in (
-            UNDEFINED, NULL) else f"#{v!r}"
     if isinstance(e, EWhileRun):
-        phis = ", ".join(f"{p.phi}={expr_str(EVal(v))}"
+        phis = ", ".join(f"{p.phi}={expr_str(EConst(v))}"
                          for p, v in zip(e.phis, e.cur_vals))
         return (f"whilerun [{phis}] ({expr_str(e.cond_focus)})"
                 f" {{ {ctx_str(e.body_ctx, 'o')} }} in\n{expr_str(e.cont)}")
@@ -1071,7 +1064,7 @@ def replace_in_tree(tree, repl) -> None:
 
 
 def expr_children(e: Expr) -> list:
-    if isinstance(e, (EVar, EConst, EThis, EArgsLen, EVal)):
+    if isinstance(e, (EVar, EConst, EThis, EArgsLen)):
         return []
     if isinstance(e, EFieldRead):
         return [e.obj]

@@ -237,3 +237,35 @@ def test_duplicate_parameter_is_a_located_error(tmp_path, capsys, cmd,
     out = capsys.readouterr()
     assert (out.out, out.err) == \
         ("", f"{src}:1:15: duplicate parameter 'x'\n")
+
+
+_G_FN = "function g(x) { return x + 1; }\n"
+
+
+@pytest.mark.parametrize("cmd,extra", [
+    ("check", []),
+    ("run", ["--entry", "f", "--args", "1"]),
+    ("simulate", ["--entry", "f", "--args", "1"]),
+])
+@pytest.mark.parametrize("text,at,name", [
+    (_G_FN + "function f(a) { var g = 5; return g(a); }\n", "2:35", "g"),
+    (_G_FN + "function f(g) { return g(2); }\n", "2:24", "g"),
+    ("/*@ (a: {v:number[] | 0 < len(v)}) => number */\n"
+     "function f(a) { var length = 3; return a.length; }\n", "2:42",
+     "length"),
+    (_G_FN + "function f(a) { var g = 5; function h(z) { return g(z); }"
+     " var r = h(a); return r; }\n", "2:51", "g"),
+], ids=["var", "parameter", "builtin", "captured"])
+def test_a_call_through_a_shadowing_local_is_rejected(tmp_path, cmd, extra,
+                                                      text, at, name):
+    """A callee that names a global function or builtin is that global, so
+    a local of the same name at the call is one located error on every
+    subcommand, where the two machines used to resolve it apart."""
+    src = tmp_path / "shadow.rsc"
+    src.write_text(text)
+    r = rsc(cmd, str(src), *extra)
+    line = f"{src}:{at}: error[SSA]: local {name!r} shadows the global" \
+        f" function {name!r}\n"
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == line + ("ERRORS\n" if cmd == "check" else "")
+

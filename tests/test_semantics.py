@@ -577,6 +577,51 @@ def test_callee_after_a_scoped_local_is_the_global(text, args, expected):
     assert (rep.frsc_steps, rep.irsc_steps, rep.value) == expected
 
 
+@pytest.mark.parametrize("text,entry,args,expected", [
+    (_SHADOWS_G + "{ var g = 5; return g; }", "f", [1], 5),
+    (_SHADOWS_G.replace("f(a)", "f(g)") + "{ return g; }", "f", [4], 4),
+    (_SHADOWS_G + "{ var g = 5; function h(z) { return g; }"
+     " var r = h(0); return r; }", "f", [1], 5),
+    ("function f(a) { function h(z) { return a; } return h; }\n"
+     "function e(x) { return f(1) === f(true); }", "e", [0], False),
+    ("function f(a) { function h(z) { return a; } return h; }\n"
+     "function e(x) { return f(x) === f(x); }", "e", [2], True),
+], ids=["var", "parameter", "captured-var", "closures-differ",
+        "closures-equal"])
+def test_names_and_values_mean_one_thing(text, entry, args, expected):
+    """A value-position name is its innermost binding, two closures are
+    equal when their functions and captures are, and `arguments.length`
+    counts the call's own arguments: on both machines alike."""
+    sp, _ = _ssa_text(text)
+    for machine in ("irsc", "frsc"):
+        r = run(sp, entry=entry, args=args, machine=machine)
+        assert r.status == "terminal", (machine, r.reason)
+        assert r.value == expected and type(r.value) is type(expected), \
+            machine
+
+
+@pytest.mark.parametrize("text,entry", [
+    ("function f(a) { function h(z) { return a; } return h; }\n"
+     "function e(x) { return f(1) === f(true); }", "e"),
+    (_SHADOWS_G.replace("f(a)", "f(g)") + "{ return g; }", "f"),
+    (_SHADOWS_G + "{ var g = 5; function h(z) { return g; }"
+     " var r = h(0); return r; }", "f"),
+])
+def test_closure_programs_simulate(text, entry):
+    sp, theta = _ssa_text(text)
+    assert simulate(sp, theta, entry=entry, args=[0]).status == "ok"
+
+
+def test_closure_equality_compares_captures():
+    from rsccore.semantics.values import values_equal
+    inner = VClosure("h", (1,))
+    assert values_equal(VClosure("k", (inner, 2)), VClosure("k", (inner, 2)))
+    assert not values_equal(VClosure("k", (VClosure("h", (True,)), 2)),
+                            VClosure("k", (inner, 2)))
+    assert not values_equal(VClosure("h", (1,)), VClosure("h", (1, 2)))
+    assert not values_equal(VClosure("h", (1,)), VClosure("k", (1,)))
+
+
 def test_divergence_in_a_loop_condition_is_reported(monkeypatch):
     """A fault that diverges while FRSC evaluates a loop condition is a
     divergence report naming the running loop, not an exception."""
@@ -707,7 +752,7 @@ def test_plug_rebuilds_only_the_path_to_the_hole(monkeypatch):
     subtree and list element comes back as the same object."""
     from rsccore.semantics import irsc
     from rsccore.syntax import (
-        BReturn, BSeq, EConst, EFuncCall, EVal, EVar, SVarDecl,
+        BReturn, BSeq, EConst, EFuncCall, EVar, SVarDecl,
     )
     plug = irsc.plug
     seen = []
@@ -726,7 +771,7 @@ def test_plug_rebuilds_only_the_path_to_the_hole(monkeypatch):
                                         EVar("y", nid=7)], nid=4)
     tree = BSeq(SVarDecl("x", call, nid=3),
                 BReturn(EVar("x", nid=9), nid=8), nid=2)
-    fill = EVal(0, nid=0)
+    fill = EConst(0, nid=0)
     seen.append((tree, 1, fill, plug(tree, fill)))
     assert sum(1 for _, holes, _, _ in seen if holes) > 10
     for tree, holes, filling, out in seen:
@@ -981,6 +1026,26 @@ def test_only_the_ssa_rules_translate_statements():
         else:
             continue
         found += [f"{n}:{node.lineno}" for n in sorted(names & forms)]
+    assert found == []
+
+
+def test_one_callee_rule_and_one_value_equality():
+    """Only the SSA rules decide what a callee name means, and only
+    `values.values_equal` looks inside a closure value."""
+    import ast
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src" / "rsccore"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        rel = str(path.relative_to(src))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name == "is_global" and rel != "ssa.py":
+                found.append(f"{rel}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr == "caps" and \
+                    rel not in ("semantics/values.py",
+                                "semantics/stepper.py"):
+                found.append(f"{rel}:{node.lineno}")
     assert found == []
 
 
