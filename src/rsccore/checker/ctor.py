@@ -13,12 +13,12 @@ from typing import Optional
 
 from ..logic import ClassTable
 from ..syntax import (
-    BArr, BClass, BIte, BPrim, BReturn, BSeq, Body, ClassDecl, EFieldRead,
-    EFuncCall, EMethodCall, EThis, EVar, Expr, MethodDecl, P_TRUE, PAnd,
-    PAtom, PKvar, PNot, Pred, RBase, RExists, RFun, RType, SExprStmt,
-    SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SAssign, Stmt,
-    TBuiltin, TConst, TField, TThis, TUF, TVar, Term, expr_children,
-    next_node_id, p_and, walk_stmts,
+    BArr, BClass, BIte, BPrim, BReturn, BSeq, Body, ClassDecl, EConst,
+    EFieldRead, EFuncCall, EMethodCall, EThis, EVar, Expr, MethodDecl,
+    P_TRUE, PAnd, PAtom, PKvar, PNot, Pred, RBase, RExists, RFun, RType,
+    SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SAssign,
+    Stmt, TBuiltin, TConst, TField, TThis, TUF, TVar, Term, UNDEFINED,
+    expr_children, next_node_id, p_and, walk_stmts,
 )
 
 CTOR_INIT = "ctor_init"
@@ -211,6 +211,12 @@ def _rewrite_body(b: Body, fnames: list, assigned: dict, cspan):
     raise TypeError(b)
 
 
+def _fields_written(s: Stmt) -> set:
+    """The fields of `this` that statement `s` writes."""
+    return {n.fname for n in walk_stmts(s)
+            if isinstance(n, SFieldAssign) and isinstance(n.obj, EThis)}
+
+
 def _rewrite_stmt(s: Stmt, fnames: list, assigned: dict, cspan) -> Stmt:
     if isinstance(s, SSeq):
         first = _rewrite_stmt(s.first, fnames, assigned, cspan)
@@ -257,16 +263,13 @@ def _rewrite_stmt(s: Stmt, fnames: list, assigned: dict, cspan) -> Stmt:
         a2 = dict(assigned)
         t = _rewrite_stmt(s.then_s, fnames, a1, cspan)
         e = _rewrite_stmt(s.else_s, fnames, a2, cspan)
-        ite = SIte(s.cond, t, e, span=s.span, nid=next_node_id())
-        out = ite
+        out = SIte(s.cond, t, e, span=s.span, nid=next_node_id())
         for f in reversed(new):
             decl = SVarDecl(_field_param(f),
                             EConst(UNDEFINED, span=s.span,
                                    nid=next_node_id()),
                             span=s.span, nid=next_node_id())
-            out = SSeq(decl, out, span=s.span, nid=next_node_id()) \
-                if out is ite and f == new[-1] else \
-                SSeq(decl, out, span=s.span, nid=next_node_id())
+            out = SSeq(decl, out, span=s.span, nid=next_node_id())
         return out
     if isinstance(s, SWhile):
         for n in walk_stmts(s.body):

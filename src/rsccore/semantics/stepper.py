@@ -132,4 +132,5 @@ class ExprStepper:
             raise StuckError(f"unknown function {fname!r}")
         if fn.decl.is_ghost:
             return ("new", mk_val(True))
-        return self._enter(c, fn, call_frame(fn.params, argv))
+        return self._enter(c, fn, call_frame(fn.params, argv,
+                                             ncaps=len(fn.decl.captures)))

@@ -103,16 +103,16 @@ def mk_val(v: Value) -> EConst:
 
 
 def call_frame(params: list, argv: list,
-               this: Optional[Value] = None) -> dict:
+               this: Optional[Value] = None, ncaps: int = 0) -> dict:
     """A callee's variables: each parameter bound to its argument, or to
     undefined when the call supplies too few; then `this` for a method or
-    constructor, and the argument count."""
+    constructor, and the argument count, less a closure's `ncaps` captures."""
     frame = dict(zip(params, argv))
     for p in params[len(argv):]:
         frame[p] = UNDEFINED
     if this is not None:
         frame["this"] = this
-    frame["#argc"] = len(argv)
+    frame["#argc"] = len(argv) - ncaps
     return frame
 
 

@@ -260,7 +260,7 @@ class SsaRules:
     environment after it, and a body yields its frames, then its final
     expression.
 
-    A subclass supplies the two parameters of the rules:
+    A subclass supplies the parameters of the rules:
     - the name source `named(table, nid, make)`: the names node `nid`
       binds, kept in `table` (a field of `theta`); `make` computes them
       fresh, and only the program translator calls it;
@@ -467,6 +467,8 @@ class SsaTranslator(SsaRules):
             if "this" not in env:
                 raise SsaError("this used outside a method", e.span)
             return EThis(span=e.span, nid=next_node_id())
+        if "#argc" not in env:
+            raise SsaError("arguments.length used outside a function", e.span)
         return EArgsLen(span=e.span, nid=next_node_id())
 
     def slot(self, env: SsaEnv, x: str, name: str, span) -> Expr:
@@ -476,7 +478,7 @@ class SsaTranslator(SsaRules):
         # the source machine keeps a variable past its scope, so a local
         # that the call could also mean is rejected here
         name = callee.name
-        if (name in env) == (name in self.globals):
+        if (name in env) == (name in self.globals):  # both, or neither
             raise SsaError(f"local {name!r} shadows the global function"
                            f" {name!r}" if name in env else
                            f"unbound function {name!r}", callee.span)
@@ -500,13 +502,13 @@ class SsaTranslator(SsaRules):
         functions: dict = {}
         methods: dict = {}
         for f in self.program.functions:
-            body = self._unit({p: p for p in f.params}, f.body)
+            body = self._unit({p: p for p in [*f.params, "#argc"]}, f.body)
             if body is not None or f.body is None:
                 functions[f.name] = SsaFunc(f.name, list(f.params), body, f)
         for c in self.program.classes:
             for m in c.methods:
                 params = [n for n, _ in m.params]
-                body = self._unit({**{n: n for n in params}, "this": "this"},
+                body = self._unit({n: n for n in [*params, "this", "#argc"]},
                                   m.body)
                 if body is not None:
                     methods[(c.name, m.name)] = SsaMethod(

@@ -7,7 +7,7 @@ import ast
 
 import pytest
 
-from conftest import CORPUS, ROOT, check, check_text, parse
+from conftest import CORPUS, ROOT, check, check_text, parse, parse_text
 
 from rsccore.checker import check_program
 from rsccore.checker.ctor import CtorError, ctor_rewrite
@@ -171,6 +171,24 @@ class A {
     assert any("initialize" in d.message for d in r.errors())
 
 
+def test_ctor_runs_a_loop_before_its_field_write():
+    from rsccore.semantics import run
+    from rsccore.ssa import ssa_program
+    text = """
+class P {
+  x : number;
+  constructor(a: number) { var i = 0; while (i < a) { i = i + 1; } this.x = i; }
+}
+/*@ (a: number) => number */
+function mk(a) { return new P(a).x; }
+"""
+    assert check_text(text).verdict == "verified"
+    sp, _ = ssa_program(parse_text(text))
+    for machine in ("irsc", "frsc"):
+        r = run(sp, entry="mk", args=[3], machine=machine)
+        assert (r.status, r.value) == ("terminal", 3), machine
+
+
 def test_empty_class_default_constructor():
     r = check_text("""
 class E {
@@ -239,6 +257,23 @@ def test_two_phase_reduce_clones():
     orig = {id(n) for n in walk_tree(fn.body)}
     for c in clones:
         assert not orig & {id(n) for n in walk_tree(c.decl.body)}
+
+
+def test_two_phase_clone_with_a_loop():
+    """The shape pass reaches the statements of a clone's body: under the
+    one-argument conjunct, the two-argument update is dead code."""
+    from rsccore.checker.twophase import two_phase_expand
+    p = parse_text("""/*@ (x: number) => number
+    (x: number, y: number) => number */
+function add(x, y) { var r = x; var i = 0; while (i < 1) { i = i + 1; }\
+ if (arguments.length === 2) { r = r + y; } return r; }
+""")
+    clones = two_phase_expand(p.functions[0], p)
+    assert [c.name for c in clones] == ["add@1", "add@2"]
+    assert body_str(clones[0].decl.body) == (
+        "var r = x;\nvar i = 0;\nwhile ((i < 1)) {\n  i = (i + 1);\n}\n"
+        "if ((1 === 2)) {\n  assert(false);\n} else {\n  ;\n}\nreturn r;")
+    assert "r = (r + y);" in body_str(clones[1].decl.body)
 
 
 def test_two_phase_verifies_overload():

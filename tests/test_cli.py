@@ -269,3 +269,55 @@ def test_a_call_through_a_shadowing_local_is_rejected(tmp_path, cmd, extra,
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == line + ("ERRORS\n" if cmd == "check" else "")
 
+
+@pytest.mark.parametrize("cmd", ["check", "run", "simulate"])
+def test_arguments_length_outside_a_function_is_rejected(tmp_path, cmd):
+    src = tmp_path / "top.rsc"
+    src.write_text("var y = arguments.length;\n")
+    r = rsc(cmd, str(src))
+    line = f"{src}:1:18: error[SSA]: arguments.length used outside a" \
+        " function\n"
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == line + ("ERRORS\n" if cmd == "check" else "")
+
+
+_CTOR_IF = """class P {{
+  x : number;
+  constructor(a: number) {{
+    if (a > 0) {{ this.x = a; }} else {{ {other} }}
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize("other,stderr", [
+    ("this.x = 0;", "VERIFIED\n"),
+    ("a = 0;", "{src}:4:5: error[CTOR]: field 'x' initialized on only one"
+               " branch\nERRORS\n"),
+], ids=["both-branches", "one-branch"])
+def test_constructor_with_a_conditional(tmp_path, other, stderr):
+    """A constructor whose `if` writes a field checks instead of ending in
+    a traceback."""
+    src = tmp_path / "ctor.rsc"
+    src.write_text(_CTOR_IF.format(other=other))
+    r = rsc("check", str(src))
+    assert r.stderr == stderr.format(src=src)
+    assert r.returncode == (0 if stderr == "VERIFIED\n" else 1)
+
+
+_ADD = """/*@ (x: number) => number
+    (x: number, y: number) => number */
+function add(x, y) { var r = x; var i = 0; while (i < 1) { i = i + 1; }\
+ if (arguments.length === 2) { r = r + y; } return r; }
+"""
+
+
+def test_intersection_with_a_loop_verifies_and_runs(tmp_path):
+    src = tmp_path / "add.rsc"
+    src.write_text(_ADD)
+    assert rsc("check", str(src)).stderr == "VERIFIED\n"
+    for args, out in ((["3"], "3\n"), (["3", "4"], "7\n")):
+        for machine in ("irsc", "frsc"):
+            r = rsc("run", str(src), "--entry", "add", "--machine", machine,
+                    "--args", *args)
+            assert (r.returncode, r.stdout) == (0, out), (args, machine)

@@ -586,8 +586,10 @@ def test_callee_after_a_scoped_local_is_the_global(text, args, expected):
      "function e(x) { return f(1) === f(true); }", "e", [0], False),
     ("function f(a) { function h(z) { return a; } return h; }\n"
      "function e(x) { return f(x) === f(x); }", "e", [2], True),
+    ("function t(a) { function h(z) { return arguments.length + a; }"
+     " var r = h(5); return r; }", "t", [0], 1),
 ], ids=["var", "parameter", "captured-var", "closures-differ",
-        "closures-equal"])
+        "closures-equal", "closure-argc"])
 def test_names_and_values_mean_one_thing(text, entry, args, expected):
     """A value-position name is its innermost binding, two closures are
     equal when their functions and captures are, and `arguments.length`
@@ -603,6 +605,8 @@ def test_names_and_values_mean_one_thing(text, entry, args, expected):
 @pytest.mark.parametrize("text,entry", [
     ("function f(a) { function h(z) { return a; } return h; }\n"
      "function e(x) { return f(1) === f(true); }", "e"),
+    ("function t(a) { function h(z) { return arguments.length + a; }"
+     " var r = h(5); return r; }", "t"),
     (_SHADOWS_G.replace("f(a)", "f(g)") + "{ return g; }", "f"),
     (_SHADOWS_G + "{ var g = 5; function h(z) { return g; }"
      " var r = h(0); return r; }", "f"),
@@ -620,6 +624,17 @@ def test_closure_equality_compares_captures():
                             VClosure("k", (inner, 2)))
     assert not values_equal(VClosure("h", (1,)), VClosure("h", (1, 2)))
     assert not values_equal(VClosure("h", (1,)), VClosure("k", (1,)))
+
+
+@pytest.mark.xfail(strict=True, reason="the image of `let y = v in y` is"
+                   " read as the result join one source step early")
+@pytest.mark.parametrize("text", [
+    "function f(a) { var y = 7; return y; }",
+    _SHADOWS_G + "{ var g = 5; return g; }",
+], ids=["var", "var-named-like-a-function"])
+def test_simulate_a_body_returning_its_only_var(text):
+    sp, theta = _ssa_text(text)
+    assert simulate(sp, theta, entry="f", args=[1]).status == "ok"
 
 
 def test_divergence_in_a_loop_condition_is_reported(monkeypatch):

@@ -156,6 +156,43 @@ def test_only_syntax_reads_dataclass_fields():
     assert offenders == []
 
 
+def _undefined_globals(text: str, fname: str) -> list:
+    """The names module `text` reads as globals, in any scope, that it
+    neither defines nor imports and that are not builtins."""
+    import builtins
+    import symtable
+    top = symtable.symtable(text, fname, "exec")
+    known = set(dir(builtins)) | {
+        s.get_name() for s in top.get_symbols()
+        if s.is_assigned() or s.is_imported() or s.is_namespace()}
+    out = []
+    tables = [top]
+    while tables:
+        t = tables.pop()
+        tables.extend(t.get_children())
+        for s in t.get_symbols():
+            n = s.get_name()
+            if s.is_referenced() and (s.is_global() or t is top) and \
+                    n not in known and not n.startswith("__"):
+                out.append(f"{fname}:{t.get_name()}:{n}")
+    return out
+
+
+def test_no_module_reads_an_undefined_global():
+    """With no linter installed, a name a function reads but no module
+    binds shows only when that line runs: scan every module for one."""
+    assert _undefined_globals(
+        "from x import a\nb = 1\ndef f(c):\n    return a + b + c + d + len\n"
+        "class K:\n    def m(self):\n        return e\n", "t.py") == \
+        ["t.py:m:e", "t.py:f:d"]
+    src = ROOT / "src" / "rsccore"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        found += _undefined_globals(path.read_text(),
+                                    str(path.relative_to(src)))
+    assert found == []
+
+
 def test_clone_tree_fresh_ids_in_preorder():
     p = parse(CORPUS / "minindex.rsc")
     body = p.functions[0].body
