@@ -15,7 +15,7 @@ from ..logic import (
     selfify, strengthen, wf_type,
 )
 from ..solver import Query, SolverConfig, check_valid
-from ..ssa import subst_expr
+from ..ssa import CTOR_INIT, subst_expr
 from ..syntax import (
     BArr, BBot, BClass, BPrim, BVar, Base, EArgsLen, ECast, EClosure,
     EConst, ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall,
@@ -353,8 +353,10 @@ class Checker:
                        " (annotate it or pass it to an annotated one)")
         if isinstance(callee, EVar) and callee.name not in env:
             name = callee.name
-            if name == "ctor_init":
-                return self._check_ctor_init(env, e)
+            if name == CTOR_INIT:  # only a rewritten constructor calls it
+                sig = self.ctor_inits[self._current_ctor]
+                return self._check_call(env, sig, e.args, e.span,
+                                        "CTOR-INIT")[0]
             if name == "arraylit#":
                 return self._check_array_lit(env, e)
             sig = self.prelude.get(name)
@@ -415,15 +417,6 @@ class Checker:
         result = RBase(BArr(trivially_refine(elem_base)),
                        p_eq(TUF("len", (TValueVar(),)), TConst(n)))
         return _package(env, env2, result)
-
-    def _check_ctor_init(self, env: TypeEnv, e: EFuncCall) -> RType:
-        cname = self._current_ctor
-        if cname is None:
-            self.abort(e.span, "LQ-CHK-CALL",
-                       "ctor_init outside a constructor")
-        sig = self.ctor_inits[cname]
-        result, _ = self._check_call(env, sig, e.args, e.span, "CTOR-INIT")
-        return result
 
     # -- the generic dependent call ------------------------------------------------
 

@@ -12,16 +12,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..logic import ClassTable
+from ..ssa import CTOR_INIT
 from ..syntax import (
     BArr, BClass, BIte, BPrim, BReturn, BSeq, Body, ClassDecl, EConst,
     EFieldRead, EFuncCall, EMethodCall, EThis, EVar, Expr, MethodDecl,
     P_TRUE, PAnd, PAtom, PKvar, PNot, Pred, RBase, RExists, RFun, RType,
     SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SAssign,
     Stmt, TBuiltin, TConst, TField, TThis, TUF, TVar, Term, UNDEFINED,
-    expr_children, next_node_id, p_and, walk_stmts,
+    expr_children, next_node_id, p_and, walk_stmts, walk_tree,
 )
-
-CTOR_INIT = "ctor_init"
 
 
 class CtorError(Exception):
@@ -174,7 +173,12 @@ def ctor_rewrite(cls: ClassDecl, classes: ClassTable) -> MethodDecl:
         raise CtorError(
             f"constructor of {cls.name} does not initialize field(s):"
             f" {', '.join(missing)}", ctor.span)
-    witnesses = {f: p for f, p in assigned.items() if p is not None}
+    # a witness is the parameter's value at the call: one the body
+    # reassigns witnesses nothing
+    reassigned = {n.name for n in walk_tree(ctor.body)
+                  if isinstance(n, SAssign)}
+    witnesses = {f: p for f, p in assigned.items()
+                 if p is not None and p not in reassigned}
     return MethodDecl("constructor", list(ctor.params), ctor.precond,
                       ctor.ret, new_body, ctor.tyvars, ctor.span,
                       is_ctor=True), witnesses
@@ -263,6 +267,8 @@ def _rewrite_stmt(s: Stmt, fnames: list, assigned: dict, cspan) -> Stmt:
         a2 = dict(assigned)
         t = _rewrite_stmt(s.then_s, fnames, a1, cspan)
         e = _rewrite_stmt(s.else_s, fnames, a2, cspan)
+        for f in assigned:
+            assigned[f] = a1[f] if a1[f] == a2[f] else None
         out = SIte(s.cond, t, e, span=s.span, nid=next_node_id())
         for f in reversed(new):
             decl = SVarDecl(_field_param(f),

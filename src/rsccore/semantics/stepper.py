@@ -13,6 +13,7 @@ Each machine supplies `_step_expr`, its own forms first, the rest handed to
 
 from __future__ import annotations
 
+from ..frontend.prelude import BUILTIN_NAMES
 from ..syntax import (
     EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew, EVar,
 )
@@ -62,8 +63,7 @@ class ExprStepper:
     def _step_shared(self, c, e):
         if isinstance(e, EFuncCall):
             callee = e.callee
-            if isinstance(callee, EVar) and \
-                    self.t.is_global_callee(callee.name):
+            if isinstance(callee, EVar) and callee.name in self.t.globals:
                 r = self._step_children(c, e.args, lambda ch: EFuncCall(
                     callee, ch, nid=e.nid, span=e.span))
                 if r[0] != "vals":
@@ -77,7 +77,8 @@ class ExprStepper:
             vf, *argv = r[1]
             if not isinstance(vf, VClosure):
                 raise StuckError("call of a non-function value")
-            return self._dispatch_call(c, vf.fname, [*vf.caps, *argv])
+            return self._dispatch_call(c, vf.fname, [*vf.caps, *argv],
+                                       len(vf.caps))
         if isinstance(e, EFieldRead):
             r = self._step_children(c, [e.obj], lambda ch: EFieldRead(
                 ch[0], e.fname, nid=e.nid, span=e.span))
@@ -124,13 +125,12 @@ class ExprStepper:
         """Run method `sm` on receiver `vo`."""
         return self._enter(c, sm, call_frame(sm.params, argv, vo))
 
-    def _dispatch_call(self, c, fname: str, argv: list):
-        if self.t.is_builtin(fname):
+    def _dispatch_call(self, c, fname: str, argv: list, ncaps: int = 0):
+        if fname in BUILTIN_NAMES:
             return ("new", mk_val(apply_builtin(fname, argv, c.heap)))
         fn = self.t.funcs.get(fname)
         if fn is None:
             raise StuckError(f"unknown function {fname!r}")
         if fn.decl.is_ghost:
             return ("new", mk_val(True))
-        return self._enter(c, fn, call_frame(fn.params, argv,
-                                             ncaps=len(fn.decl.captures)))
+        return self._enter(c, fn, call_frame(fn.params, argv, ncaps=ncaps))

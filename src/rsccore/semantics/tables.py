@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..frontend.prelude import BUILTIN_NAMES
 from ..logic import ClassTable
 from ..ssa import SsaProgram
 from ..syntax import ClassDecl, EFuncCall, EVar, Expr, UNDEFINED
@@ -18,16 +17,9 @@ class RuntimeTables:
         self.program = ssa.source
         self.funcs = ssa.functions
         self.classes = ClassTable(self.program)
-        # the names a callee means globally, read as the translation does
-        self.globals = BUILTIN_NAMES | set(self.funcs)
+        self.globals = ssa.globals
 
     # -- lookups ---------------------------------------------------------------
-
-    def is_builtin(self, name: str) -> bool:
-        return name in BUILTIN_NAMES
-
-    def is_global_callee(self, name: str) -> bool:
-        return name in self.globals
 
     # The code lookups return the SsaFunc / SsaMethod: its `params` serve
     # both machines, its `body` the functional one, `decl.body` the source.

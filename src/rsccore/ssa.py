@@ -20,6 +20,10 @@ from .syntax import (
 )
 from .frontend.prelude import BUILTIN_NAMES
 
+# the callee of the constructor rewriting's atomic initializer; no source
+# program can spell it
+CTOR_INIT = "#ctor_init"
+
 
 class SsaError(Exception):
     def __init__(self, msg: str, span: SourceSpan):
@@ -78,6 +82,7 @@ class SsaProgram:
     methods: dict  # (cname, mname) -> SsaMethod
     top: Optional[Expr]
     source: Program
+    globals: frozenset  # the names a callee means globally
 
 
 def with_rest(k: Ctx, rest: Ctx) -> Ctx:
@@ -430,7 +435,8 @@ class SsaTranslator(SsaRules):
         self.program = program
         self.theta = GlobalSsaEnv()
         self.counter = 0
-        self.globals = {f.name for f in program.functions} | BUILTIN_NAMES | {"ctor_init"}
+        self.globals = frozenset(f.name for f in program.functions) | \
+            BUILTIN_NAMES | {CTOR_INIT}
         self.errors: list[SsaError] = []
 
     def fresh(self, base: str) -> str:
@@ -478,10 +484,11 @@ class SsaTranslator(SsaRules):
         # the source machine keeps a variable past its scope, so a local
         # that the call could also mean is rejected here
         name = callee.name
-        if (name in env) == (name in self.globals):  # both, or neither
+        if name in env and name in self.globals:
             raise SsaError(f"local {name!r} shadows the global function"
-                           f" {name!r}" if name in env else
-                           f"unbound function {name!r}", callee.span)
+                           f" {name!r}", callee.span)
+        if name not in env and name not in self.globals:
+            raise SsaError(f"unbound function {name!r}", callee.span)
         return SsaRules.is_global(self, env, callee)
 
     # -- nested statements and bodies ----------------------------------------------
@@ -514,7 +521,8 @@ class SsaTranslator(SsaRules):
                     methods[(c.name, m.name)] = SsaMethod(
                         m.name, params, body, m, c)
         top = self._unit({}, self.program.top)
-        prog = SsaProgram(functions, methods, top, self.program)
+        prog = SsaProgram(functions, methods, top, self.program,
+                          self.globals)
         if self.errors:
             raise SsaErrors(self.errors)
         return prog, self.theta

@@ -270,6 +270,23 @@ def test_a_call_through_a_shadowing_local_is_rejected(tmp_path, cmd, extra,
     assert r.stderr == line + ("ERRORS\n" if cmd == "check" else "")
 
 
+@pytest.mark.parametrize("cmd,extra", [
+    ("check", []),
+    ("run", ["--entry", "f", "--args", "1"]),
+    ("simulate", ["--entry", "f", "--args", "1"]),
+])
+def test_the_constructor_initializer_is_not_a_source_name(tmp_path, cmd,
+                                                          extra):
+    """The callee the constructor rewriting introduces cannot be spelled,
+    so `ctor_init` in a program is an unbound function everywhere."""
+    src = tmp_path / "init.rsc"
+    src.write_text("function f(a) { return ctor_init(a); }\n")
+    r = rsc(cmd, str(src), *extra)
+    line = f"{src}:1:24: error[SSA]: unbound function 'ctor_init'\n"
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == line + ("ERRORS\n" if cmd == "check" else "")
+
+
 @pytest.mark.parametrize("cmd", ["check", "run", "simulate"])
 def test_arguments_length_outside_a_function_is_rejected(tmp_path, cmd):
     src = tmp_path / "top.rsc"
@@ -303,6 +320,46 @@ def test_constructor_with_a_conditional(tmp_path, other, stderr):
     r = rsc("check", str(src))
     assert r.stderr == stderr.format(src=src)
     assert r.returncode == (0 if stderr == "VERIFIED\n" else 1)
+
+
+_CTOR_OVERWRITE = """class P {{
+  immutable x : number;
+  constructor(a: number, c: boolean) {{
+    {first}
+    if (c) {{ {then} }} else {{ }}
+  }}
+}}
+/*@ (a: number) => {{v: number | {post}}} */
+function mk(a) {{ return new P(a, true).x; }}
+"""
+
+
+@pytest.mark.parametrize("first,then,post,verified,out", [
+    ("this.x = a;", "this.x = 0;", "v = a", False, "0\n"),
+    ("this.x = a;", "this.x = 0;", "0 <= v || v < 0", True, "0\n"),
+    ("this.x = a;", "", "v = a", True, "4\n"),
+    ("a = 0; this.x = a;", "", "v = a", False, "0\n"),
+], ids=["overwritten", "overwritten-weak", "kept", "parameter-reassigned"])
+def test_constructor_field_witnesses(tmp_path, first, then, post,
+                                     verified, out):
+    """A field keeps its constructor-parameter witness only while it holds
+    the parameter's value at the call: not when an arm of a later `if`
+    overwrites it (`new P(a, true).x` is 0), and not when the body
+    reassigns the parameter first."""
+    src = tmp_path / "ctor.rsc"
+    src.write_text(_CTOR_OVERWRITE.format(first=first, then=then,
+                                          post=post))
+    r = rsc("check", str(src))
+    if verified:
+        assert (r.returncode, r.stderr) == (0, "VERIFIED\n")
+    else:
+        assert r.returncode == 1
+        assert r.stderr.startswith(f"{src}:9:1: error[RET]: ")
+        assert r.stderr.endswith("ERRORS\n")
+    for machine in ("irsc", "frsc"):
+        r = rsc("run", str(src), "--entry", "mk", "--machine", machine,
+                "--args", "4")
+        assert (r.returncode, r.stdout) == (0, out), machine
 
 
 _ADD = """/*@ (x: number) => number

@@ -588,8 +588,11 @@ def test_callee_after_a_scoped_local_is_the_global(text, args, expected):
      "function e(x) { return f(x) === f(x); }", "e", [2], True),
     ("function t(a) { function h(z) { return arguments.length + a; }"
      " var r = h(5); return r; }", "t", [0], 1),
+    ("function t(a) { function h(z) { return arguments.length + a; }"
+     " var r = h(5); return r; }\n"
+     "function k(x) { return h(x, 0); }", "k", [7], 9),
 ], ids=["var", "parameter", "captured-var", "closures-differ",
-        "closures-equal", "closure-argc"])
+        "closures-equal", "closure-argc", "direct-argc"])
 def test_names_and_values_mean_one_thing(text, entry, args, expected):
     """A value-position name is its innermost binding, two closures are
     equal when their functions and captures are, and `arguments.length`

@@ -5,17 +5,11 @@ import pytest
 
 from conftest import CORPUS, parse, parse_text
 
-from rsccore.frontend.prelude import BUILTIN_NAMES
 from rsccore.ssa import SsaError, SsaErrors, env_diff, ssa_program, validate_ssa
 from rsccore.syntax import (
     ECtxApply, EFuncCall, EVar, KLetIf, KLetIn, KLetWhile, SAssign, SVarDecl,
     expr_str, walk_tree,
 )
-
-
-def _globals(sp):
-    return frozenset(sp.functions) | frozenset(BUILTIN_NAMES) | \
-        {"ctor_init"}
 
 
 def test_env_diff_basic():
@@ -124,7 +118,7 @@ def test_single_assignment_and_dominance_whole_corpus():
             sp, _ = ssa_program(p)
         except Exception:
             continue  # negative parse fixtures
-        g = _globals(sp)
+        g = sp.globals
         for name, f in sp.functions.items():
             if f.body is None:
                 continue
