@@ -19,7 +19,7 @@ from ..syntax import (
     P_TRUE, PAnd, PAtom, PKvar, PNot, Pred, RBase, RExists, RFun, RType,
     SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SAssign,
     Stmt, TBuiltin, TConst, TField, TThis, TUF, TVar, Term, UNDEFINED,
-    expr_children, next_node_id, p_and, walk_stmts, walk_tree,
+    next_node_id, p_and, walk_tree,
 )
 
 
@@ -123,12 +123,6 @@ def _strip_structural(p: Pred, classes: ClassTable, cname: str) -> Pred:
     return p
 
 
-def _this_escapes(e: Expr) -> bool:
-    if isinstance(e, EThis):
-        return True
-    return any(_this_escapes(c) for c in expr_children(e))
-
-
 def _check_expr_restrictions(e: Expr, span):
     """Inside a constructor: no reads of this-fields, no method calls on
     this, no passing this out."""
@@ -138,11 +132,9 @@ def _check_expr_restrictions(e: Expr, span):
     if isinstance(e, EMethodCall) and isinstance(e.obj, EThis):
         raise CtorError("constructor invokes a method on the object under"
                         " construction", e.span)
-    if _this_escapes(e):
+    if any(isinstance(n, EThis) for n in walk_tree(e)):
         raise CtorError("constructor leaks `this` before initialization"
                         " completes", span)
-    for c in expr_children(e):
-        _check_expr_restrictions(c, span)
 
 
 def ctor_rewrite(cls: ClassDecl, classes: ClassTable) -> MethodDecl:
@@ -217,7 +209,7 @@ def _rewrite_body(b: Body, fnames: list, assigned: dict, cspan):
 
 def _fields_written(s: Stmt) -> set:
     """The fields of `this` that statement `s` writes."""
-    return {n.fname for n in walk_stmts(s)
+    return {n.fname for n in walk_tree(s)
             if isinstance(n, SFieldAssign) and isinstance(n.obj, EThis)}
 
 
@@ -278,7 +270,7 @@ def _rewrite_stmt(s: Stmt, fnames: list, assigned: dict, cspan) -> Stmt:
             out = SSeq(decl, out, span=s.span, nid=next_node_id())
         return out
     if isinstance(s, SWhile):
-        for n in walk_stmts(s.body):
+        for n in walk_tree(s.body):
             if isinstance(n, SFieldAssign) and isinstance(n.obj, EThis):
                 raise CtorError("field initialization inside a loop is not"
                                 " supported", n.span)

@@ -7,8 +7,7 @@ from typing import Optional
 from ..syntax import (
     BArr, BVar, Body, ClassDecl, ECast, FieldDecl, FuncDecl, MethodDecl,
     NO_SPAN, P_TRUE, Program, R_UNDEF, RBase, RExists, RFun, RInter, RType,
-    SourceSpan, TVar, TypeAliasDecl, pred_subst, type_subst, walk_stmts,
-    walk_tree,
+    SourceSpan, TVar, TypeAliasDecl, pred_subst, type_subst, walk_tree,
 )
 from .desugar import (hoist_stmts, lift_nested, merge_redeclarations, to_body, wrap_global_fn_refs)
 from .lexer import LexError
@@ -130,7 +129,7 @@ def _with_tyvars(sig: RFun) -> RFun:
 def _finish_body(stmts: list, span: SourceSpan, result: str = "undefined",
                  params: tuple = ()) -> Body:
     for s in stmts:
-        for n in walk_stmts(s):
+        for n in walk_tree(s):
             if isinstance(n, NestedFunc):
                 raise ParseError(
                     "function declarations are only supported at function"

@@ -7,7 +7,7 @@ from ..syntax import (
     BIte, BReturn, BSeq, Body, EClosure, EConst, EFuncCall, EThis, EVar,
     Expr, SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl,
     SWhile, SourceSpan, Stmt, UNDEFINED, clone_tree, next_node_id,
-    replace_in_tree, seq_stmts, walk_stmts, walk_tree,
+    replace_in_tree, seq_stmts, walk_tree,
 )
 from .parser import (
     ETernary, NestedFunc, ParseError, RawFunc, RawParam, SReturn, fresh_tmp,
@@ -151,7 +151,7 @@ def merge_redeclarations(stmts: list, declared: set) -> list:
 
 
 def _contains_return(s) -> bool:
-    return any(isinstance(n, SReturn) for n in walk_stmts(s))
+    return any(isinstance(n, SReturn) for n in walk_tree(s))
 
 
 def to_body(stmts: list, span: SourceSpan, result: str = "undefined") -> Body:
@@ -254,7 +254,7 @@ def lift_nested(fn: RawFunc, globals_: set, out_funcs: list):
     for s in fn.stmts:
         if isinstance(s, (NestedFunc, SReturn)):
             continue
-        for n in walk_stmts(s):
+        for n in walk_tree(s):
             if isinstance(n, SVarDecl):
                 declared.add(n.name)
             if isinstance(n, SAssign):
@@ -308,7 +308,7 @@ def wrap_global_fn_refs(stmts: list, fn_names: set, params=()):
     """Rewrite references to top-level functions in value position into
     closure constructors (calls keep the bare name).  A name the function
     binds itself, as a parameter or a `var`, means that binding."""
-    local = set(params) | {n.name for s in stmts for n in walk_stmts(s)
+    local = set(params) | {n.name for s in stmts for n in walk_tree(s)
                            if isinstance(n, SVarDecl)}
     globals_ = fn_names - local
 

@@ -19,11 +19,16 @@ rather than up to bijection.
 
 Both sides are canonical by construction: the translation rules and the
 functional machine build every context application through
-`ssa.mk_ctxapply`, so the raw terms are compared as they are.  The
+`ssa.mk_ctxapply`, so the raw terms are compared as they are, by one
+structural rule over the fields `syntax.subtree_fields` names.  The
 comparison sees through only what the two sides write differently: a node
 that denotes a value is that value, and the one-frame result join
 `let r = x in r` the functional machine leaves after a body conditional
-is `x`, as the source machine has already returned into the branch.
+is `x`, as the source machine has already returned into the branch.  A
+result join is recognized by its name: `r` must be a branch name of a
+body conditional's result phi, as `theta.body_ret` recorded it, so the
+image `let y = v in y` of a body ending `var y = v; return y;` is not
+one.
 
 A term `k1;...;kn[e]` is read as its spine: the frames k1 ... kn in
 evaluation order, a running loop as one more frame whose continuation
@@ -38,13 +43,12 @@ configuration is the fold of its spine (`ConfigTranslator.config`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args
 
 from ..ssa import GlobalSsaEnv, SsaProgram, SsaRules, fold
 from ..syntax import (
-    EArgsLen, ECast, EClosure, ECtxApply, EFieldAssign, EFieldRead,
-    EConst, EFuncCall, EMethodCall, ENew, EThis, EVar, EWhileRun, Expr,
-    KHole, KLetIf, KLetIn, KLetWhile, PhiIf, SIte, expr_str,
+    Ctx, EConst, ECtxApply, EThis, EVar, EWhileRun, Expr, KHole, KLetIf,
+    KLetIn, KLetWhile, SIte, expr_str, subtree_fields,
 )
 from .frsc import FrscConfig, FrscMachine
 from .irsc import EHole, IrscConfig, IrscMachine, plug
@@ -83,14 +87,20 @@ class ConfigTranslator(SsaRules):
     only the shapes that exist only at run time: partly evaluated
     expressions, a running loop (an unrolled `while`) and saved frames.
     An assignment that has stored its value is a plain value statement:
-    the source machine aligns at the assignment, one step earlier."""
+    the source machine aligns at the assignment, one step earlier.
+    `joins` holds the branch names of the result joins `theta` recorded,
+    the only lets the comparison sees through."""
 
     def __init__(self, theta: GlobalSsaEnv, tables: RuntimeTables,
-                 store: Optional[dict] = None):
+                 store: Optional[dict] = None,
+                 joins: Optional[frozenset] = None):
         self.theta = theta
         self.t = tables
         self.globals = tables.globals
         self.store = store
+        self.joins = frozenset(
+            n for _, r1, r2 in theta.body_ret.values() for n in (r1, r2)) \
+            if joins is None else joins
 
     def nid(self) -> int:
         return 0
@@ -137,7 +147,8 @@ class ConfigTranslator(SsaRules):
     def walk(self, b, store: dict):
         """The spine of the image of a body or expression run over
         `store`, head first."""
-        return ConfigTranslator(self.theta, self.t, store).elements({}, b)
+        return ConfigTranslator(self.theta, self.t, store,
+                                self.joins).elements({}, b)
 
     def spine(self, c: IrscConfig):
         """The image of configuration `c`, head first.  A saved frame whose
@@ -192,15 +203,16 @@ def spine_of(e: Expr):
         e = e.cont
 
 
-def read_spine(elements):
+def read_spine(elements, joins: frozenset):
     """A spine as the comparison sees it: at the start of a term (the whole
-    image, or a running loop's continuation) a one-frame result join
-    `let r = x in r` is read as the spine of `x`, as `normalize` sees
-    it.  Only a `let` at a term start looks one element ahead."""
+    image, or a running loop's continuation) a result join
+    `let r = x in r`, `r` in `joins`, is read as the spine of `x`, as
+    `normalize` sees it.  Only a `let` of a name in `joins` at a term
+    start looks one element ahead."""
     elements = iter(elements)
     el = next(elements)
     while True:
-        if isinstance(el, KLetIn):
+        if isinstance(el, KLetIn) and el.name in joins:
             nxt = next(elements)
             if isinstance(nxt, EVar) and nxt.name == el.name:
                 elements = spine_of(el.expr)
@@ -217,18 +229,13 @@ def read_spine(elements):
         el = next(elements)
 
 
-def spines_equal(a, b) -> bool:
-    """`terms_equal` on two terms given as spines, element by element:
-    False at the first element that differs, so the rest of a lazily
-    translated spine is never built."""
-    for x, y in zip(read_spine(a), read_spine(b)):
-        if isinstance(x, EWhileRun):
-            if not (isinstance(y, EWhileRun) and _loop_heads_equal(x, y)):
-                return False
-        elif isinstance(x, _FRAMES):
-            if not frames_equal(x, y):
-                return False
-        elif not terms_equal(x, y):
+def spines_equal(a, b, joins: frozenset) -> bool:
+    """`terms_equal` on two terms given as spines, element by element,
+    each without its rest or continuation: False at the first element
+    that differs, so the rest of a lazily translated spine is never
+    built."""
+    for x, y in zip(read_spine(a, joins), read_spine(b, joins)):
+        if not terms_equal(x, y, joins, whole=False):
             return False
     return True
 
@@ -238,7 +245,7 @@ def corresponds(tr: ConfigTranslator, ic: IrscConfig,
     """Whether source configuration `ic` translates to target `fc`: the
     spines first, then, after a full match, the heaps."""
     try:
-        if not spines_equal(tr.spine(ic), spine_of(fc.focus)):
+        if not spines_equal(tr.spine(ic), spine_of(fc.focus), tr.joins):
             return False
     except TranslateGap:
         return False
@@ -249,111 +256,63 @@ def corresponds(tr: ConfigTranslator, ic: IrscConfig,
 # Structural comparison
 
 
-def normalize(e):
+def normalize(e, joins: frozenset):
     """The node `e` stands for in a comparison: a node that denotes a value
-    is that value, and a one-frame result join `let r = x in r` is `x`.
-    Shallow: the comparison views each child as it reaches it."""
-    while isinstance(e, ECtxApply) and isinstance(e.ctx, KLetIn) and \
-            isinstance(e.ctx.rest, KHole) and isinstance(e.expr, EVar) and \
-            e.expr.name == e.ctx.name:
+    is that value, and a result join `let r = x in r`, `r` in `joins`, is
+    `x`.  Shallow: the comparison views each child as it reaches it."""
+    while e.__class__ is ECtxApply and e.ctx.__class__ is KLetIn and \
+            e.ctx.name in joins and e.ctx.rest.__class__ is KHole and \
+            e.expr.__class__ is EVar and e.expr.name == e.ctx.name:
         e = e.ctx.expr
     v = val_of(e)
-    return e if v is MISSING or isinstance(e, EConst) else mk_val(v)
+    return e if v is MISSING or e.__class__ is EConst else mk_val(v)
 
 
-def terms_equal(a, b) -> bool:
-    a = normalize(a)
-    b = normalize(b)
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, EConst):
-        return values_equal(a.value, b.value)
-    if isinstance(a, EVar):
-        return a.name == b.name
-    if isinstance(a, (EThis, EArgsLen)):
-        return True
-    if isinstance(a, EFieldRead):
-        return a.fname == b.fname and terms_equal(a.obj, b.obj)
-    if isinstance(a, EMethodCall):
-        return a.mname == b.mname and terms_equal(a.obj, b.obj) and \
-            _list_eq(a.args, b.args)
-    if isinstance(a, EFuncCall):
-        return terms_equal(a.callee, b.callee) and _list_eq(a.args, b.args)
-    if isinstance(a, ENew):
-        return a.cname == b.cname and _list_eq(a.args, b.args)
-    if isinstance(a, ECast):
-        return terms_equal(a.expr, b.expr)
-    if isinstance(a, EClosure):
-        return a.fname == b.fname and _list_eq(a.captures, b.captures)
-    if isinstance(a, EFieldAssign):
-        return a.fname == b.fname and terms_equal(a.obj, b.obj) and \
-            terms_equal(a.rhs, b.rhs)
-    if isinstance(a, ECtxApply):
-        return ctxs_equal(a.ctx, b.ctx) and terms_equal(a.expr, b.expr)
-    if isinstance(a, EWhileRun):
-        return _loop_heads_equal(a, b) and terms_equal(a.cont, b.cont)
-    return False
+# the field a term goes on in after a frame or a running loop: followed
+# in a loop, so a long chain of lets costs no recursion depth
+_CHAIN = {KLetIn: "rest", KLetIf: "rest", KLetWhile: "rest",
+          EWhileRun: "cont"}
 
 
-def _loop_heads_equal(a: EWhileRun, b: EWhileRun) -> bool:
-    """Two running loops agree, their continuations aside."""
-    return (terms_equal(a.cond_focus, b.cond_focus) and
-            _vals_list_eq(a.cur_vals, b.cur_vals) and
-            _phis_eq(a.phis, b.phis) and
-            terms_equal(a.cond_orig, b.cond_orig) and
-            ctxs_equal(a.body_ctx, b.body_ctx))
+def _shape(cls: type) -> tuple:
+    chain = _CHAIN.get(cls)
+    return tuple(n for n in subtree_fields(cls) if n != chain), chain
 
 
-def ctxs_equal(a, b) -> bool:
-    while frames_equal(a, b):
-        if isinstance(a, KHole):
+# each term class: the subtree fields the comparison recurses into, and
+# the one it follows in a loop (or None)
+_SHAPES = {cls: _shape(cls) for cls in (*get_args(Expr), *get_args(Ctx))}
+
+
+def terms_equal(a, b, joins: frozenset, whole: bool = True) -> bool:
+    """Structural equality of two terms, seen through `normalize`: the
+    same class, and every subtree field equal by this rule, which takes
+    a list element by element and a leaf that is no node by
+    `values_equal`.  Unless `whole`, a frame's rest and a running loop's
+    continuation are left out."""
+    while a is not b:
+        if a.__class__ is list:
+            if b.__class__ is not list or len(a) != len(b):
+                return False
+            for x, y in zip(a, b):
+                if x is not y and not terms_equal(x, y, joins):
+                    return False
             return True
-        a, b = a.rest, b.rest
-    return False
-
-
-def frames_equal(a, b) -> bool:
-    """Two context frames agree, their rests aside."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, KHole):
-        return True
-    if isinstance(a, KLetIn):
-        return a.name == b.name and terms_equal(a.expr, b.expr)
-    if isinstance(a, KLetIf):
-        return (_phis_eq(a.phis, b.phis) and terms_equal(a.cond, b.cond) and
-                ctxs_equal(a.then_ctx, b.then_ctx) and
-                ctxs_equal(a.else_ctx, b.else_ctx) and
-                _list_eq(a.left_exprs, b.left_exprs) and
-                _list_eq(a.right_exprs, b.right_exprs))
-    if isinstance(a, KLetWhile):
-        return (_phis_eq(a.phis, b.phis) and terms_equal(a.cond, b.cond) and
-                ctxs_equal(a.body_ctx, b.body_ctx) and
-                _list_eq(a.init_exprs, b.init_exprs))
-    return False
-
-
-def _phis_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for p, q in zip(a, b):
-        if type(p) is not type(q):
+        if not hasattr(a, "nid"):
+            return values_equal(a, b)
+        a = normalize(a, joins)
+        b = normalize(b, joins)
+        if a.__class__ is not b.__class__:
             return False
-        if isinstance(p, PhiIf):
-            if p.phi != q.phi:
+        fields, chain = _SHAPES[a.__class__]
+        for name in fields:
+            x, y = getattr(a, name), getattr(b, name)
+            if x is not y and not terms_equal(x, y, joins):
                 return False
-        else:
-            if (p.phi, p.next) != (q.phi, q.next):
-                return False
+        if chain is None or not whole:
+            return True
+        a, b = getattr(a, chain), getattr(b, chain)
     return True
-
-
-def _list_eq(a, b) -> bool:
-    return len(a) == len(b) and all(terms_equal(x, y) for x, y in zip(a, b))
-
-
-def _vals_list_eq(a, b) -> bool:
-    return len(a) == len(b) and all(map(values_equal, a, b))
 
 
 def heaps_equal(h1: Heap, h2: Heap) -> bool:
@@ -364,7 +323,8 @@ def heaps_equal(h1: Heap, h2: Heap) -> bool:
         if type(o1) is not type(o2):
             return False
         if isinstance(o1, HArr):
-            if not _vals_list_eq(o1.elems, o2.elems):
+            if len(o1.elems) != len(o2.elems) or \
+                    not all(map(values_equal, o1.elems, o2.elems)):
                 return False
         elif isinstance(o1, HObj):
             if o1.cname != o2.cname or set(o1.fields) != set(o2.fields):

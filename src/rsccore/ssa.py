@@ -16,7 +16,7 @@ from .syntax import (
     KLetIn, KLetWhile,
     MethodDecl, NO_SPAN, PhiIf, PhiWhile, Program, SAssign, SExprStmt,
     SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SourceSpan, Stmt,
-    assigned_names, expr_children, next_node_id,
+    assigned_names, children, next_node_id,
 )
 from .frontend.prelude import BUILTIN_NAMES
 
@@ -568,7 +568,7 @@ def _binders_and_uses(e: Expr, bound: set, binders: list, errs: list,
         for c in e.args:
             _binders_and_uses(c, bound, binders, errs, globals_)
         return
-    for c in expr_children(e):
+    for c in children(e):
         _binders_and_uses(c, bound, binders, errs, globals_)
 
 

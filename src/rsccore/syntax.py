@@ -1008,7 +1008,9 @@ def body_str(b: Body, ind: str = "") -> str:
 def subtree_fields(cls: type) -> tuple:
     """The names of the fields of node class `cls` that can hold a subtree,
     in declaration order: every field but the `nid` and `span` each node
-    carries.  Computed once per class.
+    carries.  Computed once per class.  This is the one per-class rule of
+    the node trees: the walks below and the simulation's structural
+    equality all read it.
 
     A subtree is a value with a `nid` (a node) or a list of such values.
     The rule is applied to each value, not to the field: a field can hold
@@ -1027,6 +1029,16 @@ def walk_tree(tree) -> Iterator:
         yield tree
         for name in subtree_fields(type(tree)):
             yield from walk_tree(getattr(tree, name))
+
+
+def children(node) -> Iterator:
+    """The nodes held in the subtree fields of `node`, in field order."""
+    for name in subtree_fields(type(node)):
+        v = getattr(node, name)
+        if isinstance(v, list):
+            yield from (c for c in v if hasattr(c, "nid"))
+        elif hasattr(v, "nid"):
+            yield v
 
 
 def clone_tree(tree):
@@ -1063,45 +1075,11 @@ def replace_in_tree(tree, repl) -> None:
                 replace_in_tree(v, repl)
 
 
-def expr_children(e: Expr) -> list:
-    if isinstance(e, (EVar, EConst, EThis, EArgsLen)):
-        return []
-    if isinstance(e, EFieldRead):
-        return [e.obj]
-    if isinstance(e, EMethodCall):
-        return [e.obj, *e.args]
-    if isinstance(e, EFuncCall):
-        return [e.callee, *e.args]
-    if isinstance(e, ENew):
-        return list(e.args)
-    if isinstance(e, ECast):
-        return [e.expr]
-    if isinstance(e, EClosure):
-        return list(e.captures)
-    if isinstance(e, EFieldAssign):
-        return [e.obj, e.rhs]
-    if isinstance(e, ECtxApply):
-        return []
-    raise TypeError(e)
-
-
-def walk_stmts(s: Stmt) -> Iterator[Stmt]:
-    yield s
-    if isinstance(s, SIte):
-        yield from walk_stmts(s.then_s)
-        yield from walk_stmts(s.else_s)
-    elif isinstance(s, SWhile):
-        yield from walk_stmts(s.body)
-    elif isinstance(s, SSeq):
-        yield from walk_stmts(s.first)
-        yield from walk_stmts(s.second)
-
-
 def assigned_names(s: Stmt, outer: set[str]) -> list[str]:
     """Variables from `outer` that s updates anywhere (assignment, or a
     re-declaration of a live name), in first-update order."""
     seen: list[str] = []
-    for node in walk_stmts(s):
+    for node in walk_tree(s):
         if isinstance(node, (SVarDecl, SAssign)):
             if node.name in outer and node.name not in seen:
                 seen.append(node.name)
