@@ -55,8 +55,7 @@ class FrscMachine(ExprStepper):
         if isinstance(e, EWhileRun):
             return self._step_whilerun(c, e)
         if isinstance(e, ECast):
-            r = self._step_children(c, [e.expr], lambda ch: ECast(
-                e.rtype, ch[0], nid=e.nid, span=e.span))
+            r = self._step_children(c, e)
             if r[0] != "vals":
                 return r
             v = r[1][0]
@@ -83,21 +82,15 @@ class FrscMachine(ExprStepper):
         if isinstance(k, KLetIn):
             v = val_of(k.expr)
             if v is MISSING:
-                r = self._step_expr(c, k.expr)
-                return ("new", ECtxApply(
-                    KLetIn(k.name, r[1], k.rest, nid=k.nid, span=k.span),
-                    e.expr, nid=e.nid, span=e.span))
+                return self._wrap(self._wrap(self._step_expr(c, k.expr), k,
+                                             "expr"), e, "ctx")
             return ("new", subst_expr(mk_ctxapply(k.rest, e.expr),
                                       {k.name: mk_val(v)}))
         if isinstance(k, KLetIf):
             v = val_of(k.cond)
             if v is MISSING:
-                r = self._step_expr(c, k.cond)
-                return ("new", ECtxApply(
-                    KLetIf(k.phis, r[1], k.then_ctx, k.else_ctx, k.rest,
-                           k.left_exprs, k.right_exprs,
-                           nid=k.nid, span=k.span), e.expr, nid=e.nid,
-                    span=e.span))
+                return self._wrap(self._wrap(self._step_expr(c, k.cond), k,
+                                             "cond"), e, "ctx")
             if v is True:
                 branch = k.then_ctx
                 names = {p.phi: x for p, x in zip(k.phis, k.left_exprs)}
@@ -126,9 +119,8 @@ class FrscMachine(ExprStepper):
     def _step_whilerun(self, c: FrscConfig, e: EWhileRun):
         v = val_of(e.cond_focus)
         if v is MISSING:
-            r = self._step_expr(c, e.cond_focus)
-            return ("new", EWhileRun(r[1], e.cur_vals, e.phis, e.cond_orig,
-                                     e.body_ctx, e.cont, nid=0))
+            return self._wrap(self._step_expr(c, e.cond_focus), e,
+                              "cond_focus")
         phim = {p.phi: mk_val(val) for p, val in zip(e.phis, e.cur_vals)}
         if v is True:
             body, _ = subst_ctx(e.body_ctx, phim)

@@ -8,13 +8,12 @@ runtime (loop unrollings, value statements) carry node id 0.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from ..syntax import (
     BIte, BReturn, BSeq, EArgsLen, ECast, EClosure, EThis, EVar, Expr,
     SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile,
-    Stmt, subtree_fields,
+    Stmt, subtree_fields, with_field,
 )
 from .stepper import ExprStepper, field_object
 from .values import Heap, MISSING, StuckError, VClosure, mk_val, val_of
@@ -43,13 +42,12 @@ class IrscConfig:
 
 
 def plug(tree, filling):
-    """Replace the EHole in tree by `filling`, rebuilding only the path to
-    it: a hole-free subtree comes back as the same object."""
+    """Replace the one EHole in tree by `filling`, rebuilding only the path
+    to it: a hole-free subtree comes back as the same object."""
     if isinstance(tree, EHole):
         return filling
     if not hasattr(tree, "nid"):
         return tree
-    new = None
     for name in subtree_fields(type(tree)):
         v = getattr(tree, name)
         if isinstance(v, list):
@@ -60,10 +58,8 @@ def plug(tree, filling):
             nv = plug(v, filling)
             if nv is v:
                 continue
-        if new is None:
-            new = copy.copy(tree)
-        setattr(new, name, nv)
-    return tree if new is None else new
+        return with_field(tree, name, nv)
+    return tree
 
 
 class IrscMachine(ExprStepper):
@@ -128,15 +124,13 @@ class IrscMachine(ExprStepper):
             v = val_of(b.expr)
             if v is not MISSING:
                 return self._return(c, v)
-            r = self._step_expr(c, b.expr)
             return self._finish(c, self._wrap(
-                r, lambda e: BReturn(e, nid=b.nid, span=b.span)))
+                self._step_expr(c, b.expr), b, "expr"))
         if isinstance(b, BSeq):
             if isinstance(b.stmt, SSkip):
                 return self._ok(c, b.rest)
-            r = self._step_stmt(c, b.stmt)
             return self._finish(c, self._wrap(
-                r, lambda s: BSeq(s, b.rest, nid=b.nid, span=b.span)))
+                self._step_stmt(c, b.stmt), b, "stmt"))
         if isinstance(b, BIte):
             v = val_of(b.cond)
             if v is not MISSING:
@@ -145,10 +139,8 @@ class IrscMachine(ExprStepper):
                 if v is False:
                     return self._ok(c, b.else_b)
                 raise StuckError("conditional on a non-boolean")
-            r = self._step_expr(c, b.cond)
             return self._finish(c, self._wrap(
-                r, lambda e: BIte(e, b.then_b, b.else_b, nid=b.nid,
-                                  span=b.span)))
+                self._step_expr(c, b.cond), b, "cond"))
         raise AssertionError(b)
 
     # -- statements -----------------------------------------------------------
@@ -157,17 +149,13 @@ class IrscMachine(ExprStepper):
         if isinstance(s, SSeq):
             if isinstance(s.first, SSkip):
                 return ("new", s.second)
-            r = self._step_stmt(c, s.first)
-            return self._wrap(
-                r, lambda x: SSeq(x, s.second, nid=s.nid, span=s.span))
+            return self._wrap(self._step_stmt(c, s.first), s, "first")
         if isinstance(s, SVarDecl):
             v = val_of(s.expr)
             if v is not MISSING:
                 c.store[s.name] = v
                 return ("new", SSkip(nid=0))
-            r = self._step_expr(c, s.expr)
-            return self._wrap(
-                r, lambda e: SVarDecl(s.name, e, nid=s.nid, span=s.span))
+            return self._wrap(self._step_expr(c, s.expr), s, "expr")
         if isinstance(s, SAssign):
             v = val_of(s.expr)
             if v is not MISSING:
@@ -175,13 +163,9 @@ class IrscMachine(ExprStepper):
                     raise StuckError(f"assignment to unbound {s.name!r}")
                 c.store[s.name] = v
                 return ("new", SExprStmt(mk_val(v), nid=s.nid))
-            r = self._step_expr(c, s.expr)
-            return self._wrap(
-                r, lambda e: SAssign(s.name, e, nid=s.nid, span=s.span))
+            return self._wrap(self._step_expr(c, s.expr), s, "expr")
         if isinstance(s, SFieldAssign):
-            r = self._step_children(c, [s.obj, s.rhs], lambda ch:
-                                    SFieldAssign(ch[0], s.fname, ch[1],
-                                                 nid=s.nid, span=s.span))
+            r = self._step_children(c, s)
             if r[0] != "vals":
                 return r
             vo, vr = r[1]
@@ -191,9 +175,7 @@ class IrscMachine(ExprStepper):
             v = val_of(s.expr)
             if v is not MISSING:
                 return ("new", SSkip(nid=0))
-            r = self._step_expr(c, s.expr)
-            return self._wrap(
-                r, lambda e: SExprStmt(e, nid=s.nid, span=s.span))
+            return self._wrap(self._step_expr(c, s.expr), s, "expr")
         if isinstance(s, SIte):
             v = val_of(s.cond)
             if v is not MISSING:
@@ -202,10 +184,7 @@ class IrscMachine(ExprStepper):
                 if v is False:
                     return ("new", s.else_s)
                 raise StuckError("conditional on a non-boolean")
-            r = self._step_expr(c, s.cond)
-            return self._wrap(
-                r, lambda e: SIte(e, s.then_s, s.else_s, nid=s.nid,
-                                  span=s.span))
+            return self._wrap(self._step_expr(c, s.cond), s, "cond")
         if isinstance(s, SWhile):
             unrolled = SIte(s.cond,
                             SSeq(s.body, s, nid=0),
@@ -231,15 +210,13 @@ class IrscMachine(ExprStepper):
                 raise StuckError("arguments.length outside a function")
             return ("new", mk_val(c.store["#argc"]))
         if isinstance(e, ECast):
-            r = self._step_children(c, [e.expr], lambda ch: ECast(
-                e.rtype, ch[0], nid=e.nid, span=e.span))
+            r = self._step_children(c, e)
             if r[0] != "vals":
                 return r
             # the source machine erases casts once the subject is a value
             return ("new", mk_val(r[1][0]))
         if isinstance(e, EClosure):
-            r = self._step_children(c, list(e.captures), lambda ch: EClosure(
-                e.fname, ch, nid=e.nid, span=e.span))
+            r = self._step_children(c, e)
             if r[0] != "vals":
                 return r
             return ("new", mk_val(VClosure(e.fname, tuple(r[1]))))

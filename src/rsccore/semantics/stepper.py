@@ -1,12 +1,15 @@
 """The expression forms the SSA translation copies unchanged (field reads
 and writes, method and function calls, `new`), stepped by one owner for
-both machines under the leftmost-unevaluated-child rule.
+both machines under the leftmost-unevaluated-child rule.  A node's
+children are stepped in the order of its fields (`subtree_fields`), which
+is the source order of every stepped form.
 
 A step returns ("new", e), the expression rewritten to e, or ("call",
 frame, body, ctx), enter `body` under the variables `frame` and resume
 `ctx` with its result; only the source machine, which keeps a frame stack,
 returns the second.  In both the last component is the rewritten
-expression, so a parent wraps a child's step by rebuilding that component.
+expression, so a parent wraps a child's step by copying itself with that
+component in the child's field (`with_field`).
 Each machine supplies `_step_expr`, its own forms first, the rest handed to
 `_step_shared`, and `_enter`, how a callee's code runs in a frame.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 from ..frontend.prelude import BUILTIN_NAMES
 from ..syntax import (
     EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew, EVar,
+    subtree_fields, with_field,
 )
 from .tables import RuntimeTables
 from .values import (
@@ -44,34 +48,41 @@ class ExprStepper:
     def _enter(self, c, code, frame: dict):
         raise NotImplementedError
 
-    def _wrap(self, r, rebuild):
-        return (*r[:-1], rebuild(r[-1]))
+    def _wrap(self, r, node, name: str):
+        """Step `r` of the child in field `name`, as a step of `node`."""
+        return (*r[:-1], with_field(node, name, r[-1]))
 
-    def _step_children(self, c, children: list, rebuild):
-        """Step the leftmost child that is not a value yet, or return
+    def _step_children(self, c, node, names=None):
+        """Step the leftmost child of `node` that is not a value yet, in
+        the order of its subtree fields (or of `names`), or return
         ("vals", values) when all of them are."""
         vals = []
-        for i, ch in enumerate(children):
-            v = val_of(ch)
-            if v is MISSING:
-                r = self._step_expr(c, ch)
-                return (*r[:-1], rebuild(children[:i] + [r[-1]] +
-                                         children[i + 1:]))
-            vals.append(v)
+        for name in names or subtree_fields(type(node)):
+            v = getattr(node, name)
+            if isinstance(v, list):
+                for i, ch in enumerate(v):
+                    cv = val_of(ch)
+                    if cv is MISSING:
+                        r = self._step_expr(c, ch)
+                        return (*r[:-1], with_field(
+                            node, name, [*v[:i], r[-1], *v[i + 1:]]))
+                    vals.append(cv)
+            elif hasattr(v, "nid"):
+                cv = val_of(v)
+                if cv is MISSING:
+                    return self._wrap(self._step_expr(c, v), node, name)
+                vals.append(cv)
         return ("vals", vals)
 
     def _step_shared(self, c, e):
         if isinstance(e, EFuncCall):
             callee = e.callee
             if isinstance(callee, EVar) and callee.name in self.t.globals:
-                r = self._step_children(c, e.args, lambda ch: EFuncCall(
-                    callee, ch, nid=e.nid, span=e.span))
+                r = self._step_children(c, e, ("args",))
                 if r[0] != "vals":
                     return r
                 return self._dispatch_call(c, callee.name, r[1])
-            r = self._step_children(c, [callee, *e.args], lambda ch:
-                                    EFuncCall(ch[0], ch[1:], nid=e.nid,
-                                              span=e.span))
+            r = self._step_children(c, e)
             if r[0] != "vals":
                 return r
             vf, *argv = r[1]
@@ -80,33 +91,27 @@ class ExprStepper:
             return self._dispatch_call(c, vf.fname, [*vf.caps, *argv],
                                        len(vf.caps))
         if isinstance(e, EFieldRead):
-            r = self._step_children(c, [e.obj], lambda ch: EFieldRead(
-                ch[0], e.fname, nid=e.nid, span=e.span))
+            r = self._step_children(c, e)
             if r[0] != "vals":
                 return r
             obj = field_object(c.heap, r[1][0], e.fname, "read")
             return ("new", mk_val(obj.fields[e.fname]))
         if isinstance(e, EFieldAssign):
-            r = self._step_children(c, [e.obj, e.rhs], lambda ch:
-                                    EFieldAssign(ch[0], e.fname, ch[1],
-                                                 nid=e.nid, span=e.span))
+            r = self._step_children(c, e)
             if r[0] != "vals":
                 return r
             vo, vr = r[1]
             field_object(c.heap, vo, e.fname, "write").fields[e.fname] = vr
             return ("new", mk_val(vr))
         if isinstance(e, EMethodCall):
-            r = self._step_children(c, [e.obj, *e.args], lambda ch:
-                                    EMethodCall(ch[0], e.mname, ch[1:],
-                                                nid=e.nid, span=e.span))
+            r = self._step_children(c, e)
             if r[0] != "vals":
                 return r
             vo, *argv = r[1]
             sm = self.t.resolve_method(c.heap, vo, e.mname)
             return self._invoke(c, sm, vo, argv)
         if isinstance(e, ENew):
-            r = self._step_children(c, e.args, lambda ch: ENew(
-                e.cname, ch, nid=e.nid, span=e.span))
+            r = self._step_children(c, e)
             if r[0] != "vals":
                 return r
             argv = r[1]

@@ -16,7 +16,7 @@ from .syntax import (
     KLetIn, KLetWhile,
     MethodDecl, NO_SPAN, PhiIf, PhiWhile, Program, SAssign, SExprStmt,
     SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SourceSpan, Stmt,
-    assigned_names, children, next_node_id,
+    assigned_names, children, next_node_id, with_field,
 )
 from .frontend.prelude import BUILTIN_NAMES
 
@@ -85,23 +85,10 @@ class SsaProgram:
     globals: frozenset  # the names a callee means globally
 
 
-def with_rest(k: Ctx, rest: Ctx) -> Ctx:
-    """The frame `k` on its own, with `rest` in place of its rest."""
-    if isinstance(k, KLetIn):
-        return KLetIn(k.name, k.expr, rest, span=k.span, nid=k.nid)
-    if isinstance(k, KLetIf):
-        return KLetIf(k.phis, k.cond, k.then_ctx, k.else_ctx, rest,
-                      k.left_exprs, k.right_exprs, span=k.span, nid=k.nid)
-    if isinstance(k, KLetWhile):
-        return KLetWhile(k.phis, k.cond, k.body_ctx, rest, k.init_exprs,
-                         span=k.span, nid=k.nid)
-    raise TypeError(k)
-
-
 def ctx_compose(k1: Ctx, k2: Ctx) -> Ctx:
     if isinstance(k1, KHole):
         return k2
-    return with_rest(k1, ctx_compose(k1.rest, k2))
+    return with_field(k1, "rest", ctx_compose(k1.rest, k2))
 
 
 def mk_ctxapply(k: Ctx, e: Expr, span: SourceSpan = NO_SPAN,
@@ -127,12 +114,10 @@ def fold(elements: list, span: SourceSpan = NO_SPAN, nid: int = 0) -> Expr:
     ctx = KHole(nid=0)
     for el in reversed(ctxs):
         if isinstance(el, EWhileRun):
-            tail = EWhileRun(el.cond_focus, el.cur_vals, el.phis,
-                             el.cond_orig, el.body_ctx,
-                             mk_ctxapply(ctx, tail), nid=0)
+            tail = with_field(el, "cont", mk_ctxapply(ctx, tail))
             ctx = KHole(nid=0)
         else:
-            ctx = with_rest(el, ctx)
+            ctx = with_field(el, "rest", ctx)
     return mk_ctxapply(ctx, tail, span=span, nid=nid)
 
 
@@ -153,8 +138,7 @@ def subst_expr(e, m: dict):
     if isinstance(e, EConst):
         return e
     if isinstance(e, EFieldRead):
-        return EFieldRead(subst_expr(e.obj, m), e.fname, nid=e.nid,
-                          span=e.span)
+        return with_field(e, "obj", subst_expr(e.obj, m))
     if isinstance(e, EMethodCall):
         return EMethodCall(subst_expr(e.obj, m), e.mname,
                            [subst_expr(a, m) for a in e.args], nid=e.nid,
@@ -164,13 +148,12 @@ def subst_expr(e, m: dict):
                          [subst_expr(a, m) for a in e.args], nid=e.nid,
                          span=e.span)
     if isinstance(e, ENew):
-        return ENew(e.cname, [subst_expr(a, m) for a in e.args], nid=e.nid,
-                    span=e.span)
+        return with_field(e, "args", [subst_expr(a, m) for a in e.args])
     if isinstance(e, ECast):
-        return ECast(e.rtype, subst_expr(e.expr, m), nid=e.nid, span=e.span)
+        return with_field(e, "expr", subst_expr(e.expr, m))
     if isinstance(e, EClosure):
-        return EClosure(e.fname, [subst_expr(c, m) for c in e.captures],
-                        nid=e.nid, span=e.span)
+        return with_field(e, "captures",
+                          [subst_expr(c, m) for c in e.captures])
     if isinstance(e, EFieldAssign):
         return EFieldAssign(subst_expr(e.obj, m), e.fname,
                             subst_expr(e.rhs, m), nid=e.nid, span=e.span)
@@ -394,7 +377,7 @@ class SsaRules:
         ctxs, env = _drain(self.frames(env, s))
         ctx = KHole(nid=self.nid())
         for k in reversed(ctxs):
-            ctx = with_rest(k, ctx)
+            ctx = with_field(k, "rest", ctx)
         return ctx, env
 
     # -- bodies ---------------------------------------------------------------

@@ -13,7 +13,6 @@ mutable dataclasses carrying a node id and a source span.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 from dataclasses import dataclass, field, fields
@@ -1041,14 +1040,23 @@ def children(node) -> Iterator:
             yield v
 
 
+def with_field(node, name: str, value):
+    """A copy of `node` with field `name` set to `value`: the same class,
+    and every other field, `nid` and `span` included, shared with `node`.
+    This is the one way a node is copied."""
+    new = object.__new__(node.__class__)
+    new.__dict__.update(node.__dict__)
+    new.__dict__[name] = value
+    return new
+
+
 def clone_tree(tree):
     """A deep copy of `tree` with fresh node ids, allocated in pre-order."""
     if isinstance(tree, list):
         return [clone_tree(x) for x in tree]
     if not hasattr(tree, "nid"):
         return tree
-    new = copy.copy(tree)
-    new.nid = next_node_id()
+    new = with_field(tree, "nid", next_node_id())
     for name in subtree_fields(type(tree)):
         setattr(new, name, clone_tree(getattr(tree, name)))
     return new

@@ -854,6 +854,46 @@ def test_simulate_random_programs_small():
         assert rep.frsc_steps <= rep.irsc_steps
 
 
+_ORDER = """
+class L {
+  n : number;
+  constructor(n: number) { this.n = n; }
+  m(a: number, b: number) : number { return a + b; }
+}
+class P {
+  a : number;
+  b : number;
+  constructor(a: number, b: number) { this.a = a; this.b = b; }
+}
+function t(l, d) { l.n = l.n * 10 + d; return d; }
+function at(l, x, d) { l.n = l.n * 10 + d; return x; }
+function g(a, b) { return a; }
+function e(x) { var l = new L(0); %s return l.n; }
+"""
+
+
+@pytest.mark.parametrize("body,expected", [
+    ("var r = g(t(l, 1), t(l, 2));", 12),
+    ("function h(y, z) { return y; }"
+     " var r = at(l, h, 1)(t(l, 2), t(l, 3));", 123),
+    ("var r = at(l, l, 1).m(t(l, 2), t(l, 3));", 123),
+    ("var p = new P(t(l, 1), t(l, 2));", 12),
+    ("var p = new P(0, 0); at(l, p, 1).a = t(l, 2);", 12),
+    ("var r = g(<number> t(l, 1), <number> t(l, 2));", 12),
+    ("var a = t(l, 1); var b = t(l, 2); function h(z) { return a * 10 + b; }"
+     " l.n = l.n * 100 + h(0);", 1212),
+], ids=["call", "closure-call", "method-call", "new", "field-write", "cast",
+        "closure-captures"])
+def test_children_are_stepped_in_source_order(body, expected):
+    """Both machines step a form's children left to right, in the order of
+    its fields: each child appends its position to the counter `l.n`."""
+    sp, theta = _ssa_text(_ORDER % body)
+    for machine in ("irsc", "frsc"):
+        r = run(sp, entry="e", args=[0], machine=machine)
+        assert (r.status, r.value) == ("terminal", expected), machine
+    assert simulate(sp, theta, entry="e", args=[0]).status == "ok"
+
+
 def _holes(x) -> int:
     from rsccore.semantics.irsc import EHole
     if isinstance(x, EHole):

@@ -156,6 +156,36 @@ def test_only_syntax_reads_dataclass_fields():
     assert offenders == []
 
 
+def test_only_syntax_copies_a_node():
+    """A node is copied by `syntax.with_field`, and a machine rebuilds a
+    stepped node by the name of the child's field: no module copies with
+    `copy` or `dataclasses.replace`, and no step is wrapped by a lambda."""
+    import ast
+    src = ROOT / "src" / "rsccore"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(src)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import) and \
+                    any(a.name == "copy" for a in node.names):
+                offenders.append(where)
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module == "copy" or node.module == "dataclasses"
+                     and any(a.name == "replace" for a in node.names)):
+                offenders.append(where)
+            if isinstance(node, ast.Attribute) and node.attr == "replace" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "dataclasses":
+                offenders.append(where)
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in ("_wrap", "_step_children") and \
+                    any(isinstance(a, ast.Lambda) for a in
+                        [*node.args, *(k.value for k in node.keywords)]):
+                offenders.append(where)
+    assert offenders == []
+
+
 def _undefined_globals(text: str, fname: str) -> list:
     """The names module `text` reads as globals, in any scope, that it
     neither defines nor imports and that are not builtins."""
