@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..logic import TypeEnv
+from ..logic import Bind, TypeEnv
 from ..syntax import RType, SourceSpan, pred_str, type_str
 
 
@@ -27,7 +27,6 @@ class Constraint:
 
     def to_json(self) -> dict:
         env_items = []
-        from ..logic import Bind, Guard
         for item in self.env.items:
             if isinstance(item, Bind):
                 env_items.append({"bind": item.name,

@@ -20,11 +20,11 @@ from ..syntax import (
     BArr, BBot, BClass, BPrim, BVar, Base, EArgsLen, ECast, EClosure,
     EConst, ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall,
     ENew, EThis, EVar, Expr, KHole, KLetIf, KLetIn, KLetWhile, NULL,
-    P_TRUE, PAtom, PNot, RBase, RExists, RFun, RInter, RType,
-    R_BOOL, R_BOT, R_UNDEF, R_NULL, SourceSpan, TBuiltin,
+    PRIM_TAG, P_TRUE, PAtom, PNot, RBase, RExists, RFun, RInter, RType,
+    R_BOOL, R_BOT, R_UNDEF, SourceSpan, TBuiltin,
     TConst, TField, TThis, TUF, TValueVar, TVar, Term, UNDEFINED,
-    base_str, base_subst, conjuncts_of, p_and, p_eq, pred_subst,
-    trivially_refine, type_str, type_subst,
+    base_of_value, base_str, base_subst, conjuncts_of, p_and, p_eq,
+    pred_subst, trivially_refine, type_str, type_subst,
 )
 from .constraints import Constraint, Diagnostic
 
@@ -197,10 +197,8 @@ class Checker:
                 b2.name in ("number", "bool", "string"):
             # a generic value flows into a primitive position: the tag must
             # be provable (how typeof guards discharge)
-            tag = {"number": "number", "bool": "boolean",
-                   "string": "string"}[b2.name]
-            goal = p_and(p_eq(TUF("ttag", (TValueVar(),)), TConst(tag)),
-                         t2.pred)
+            goal = p_and(p_eq(TUF("ttag", (TValueVar(),)),
+                              TConst(PRIM_TAG[b2.name])), t2.pred)
             self.emit_sub_atomic(env, t1, RBase(b1, goal), span, rule)
             return
         self.abort(span, rule, f"base type mismatch: {base_str(b1)} is not"
@@ -736,17 +734,9 @@ class Checker:
 
 
 def _const_type(v) -> RType:
-    if isinstance(v, bool):
-        return RBase(BPrim("bool"), p_eq(TValueVar(), TConst(v)))
-    if isinstance(v, int):
-        return RBase(BPrim("number"), p_eq(TValueVar(), TConst(v)))
-    if isinstance(v, str):
-        return RBase(BPrim("string"), p_eq(TValueVar(), TConst(v)))
-    if v is UNDEFINED:
-        return R_UNDEF
-    if v is NULL:
-        return R_NULL
-    raise TypeError(v)
+    if v is UNDEFINED or v is NULL:
+        return trivially_refine(base_of_value(v))
+    return RBase(base_of_value(v), p_eq(TValueVar(), TConst(v)))
 
 
 def _same_base(b1: Base, b2: Base) -> bool:

@@ -11,9 +11,9 @@ from typing import Optional
 from ..syntax import (
     BArr, BBot, BClass, BPrim, BVar, BIte, BReturn, BSeq, Body, EArgsLen,
     ECast, EClosure, EConst, EFieldRead, EFuncCall, EMethodCall, ENew,
-    EThis, EVar, Expr, RBase, RExists, RFun, RInter, RType, SAssign,
+    EThis, EVar, Expr, P_TRUE, RBase, RExists, RFun, RInter, RType, SAssign,
     SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, Stmt,
-    UNDEFINED, next_node_id,
+    base_of_value, next_node_id,
 )
 
 
@@ -130,16 +130,8 @@ class ShapeChecker:
                 raise ShapeError(f"unbound {e.name!r} in this overload")
             return env[e.name]
         if isinstance(e, EConst):
-            v = e.value
-            if isinstance(v, bool):
-                return ("bool",)
-            if isinstance(v, int):
-                return ("num",)
-            if isinstance(v, str):
-                return ("str",)
-            if v is UNDEFINED:
-                return ("undef",)
-            return ("null",)
+            return self.shape_of_type(
+                RBase(base_of_value(e.value), P_TRUE), rigid)
         if isinstance(e, EThis):
             if "this" not in env:
                 raise ShapeError("this outside a method")

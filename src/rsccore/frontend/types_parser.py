@@ -43,8 +43,6 @@ PRIMS = {
     "void": B_UNDEF,  # functions without a meaningful result return undefined
 }
 
-KNOWN_UFS = {"len", "ttag", "instanceof"}
-
 PLACEHOLDER = "★"  # the qualifier hole
 
 

@@ -261,13 +261,13 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
     assign = initial_assignment(registry, qualifiers)
     sizes = {k: len(v) for k, v in assign.items()}
 
-    # clauses are work items by position in khead; by_hyp and by_head map
-    # a kvar to the clauses reading it and to those weakening it
+    # clauses are work items by position in khead; by_hyp maps a kvar to
+    # the clauses reading it.  A weakened kvar re-queues only those: a
+    # clause that merely weakens it too has already validated every goal
+    # it still holds, under the same hypothesis.
     khead = [cl for cl in clauses if cl.head[0] == "k"]
     by_hyp: dict[int, list] = {}
-    by_head: dict[int, list] = {}
     for i, cl in enumerate(khead):
-        by_head.setdefault(cl.head[1], []).append(i)
         for kid, _ in cl.hyp_kapps:
             by_hyp.setdefault(kid, []).append(i)
 
@@ -298,7 +298,7 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
             assign[kid] = kept
             if trace is not None:
                 trace.append((cl.cid, kid, len(kept)))
-            for dep in by_hyp.get(kid, []) + by_head[kid]:
+            for dep in by_hyp.get(kid, []):
                 if dep not in queued:
                     queued.add(dep)
                     work.append(dep)

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    BArr, BBot, BClass, BPrim, BVar, Base, ClassDecl, MethodDecl, P_TRUE,
-    PAnd, PAtom, PKvar, PNot, Pred, Program, RBase, RExists, RFun, RInter,
-    RType, TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term,
-    UNDEFINED, NULL, conjuncts_of, p_and, p_eq, pred_subst, type_subst,
+    BArr, BBot, BClass, BPrim, BVar, Base, ClassDecl, MethodDecl, PRIM_TAG,
+    P_TRUE, PAnd, PAtom, PKvar, PNot, Pred, Program, RBase, RExists, RFun,
+    RInter, RType, TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar,
+    Term, UNDEFINED, NULL, base_of_value, conjuncts_of, p_and, p_eq,
+    pred_subst, type_subst,
 )
 
 # ---------------------------------------------------------------------------
@@ -337,17 +338,12 @@ class TypeEnv:
     def _axioms(self, b: Base, w: Term, raw_class: bool) -> list:
         tag = TUF("ttag", (w,))
         if isinstance(b, BPrim):
-            if b.name == "number":
-                return [p_eq(tag, TConst("number"))]
-            if b.name == "bool":
-                return [p_eq(tag, TConst("boolean"))]
-            if b.name == "string":
-                return [p_eq(tag, TConst("string"))]
-            if b.name == "undefined":
-                return [p_eq(tag, TConst("undefined")),
-                        p_eq(w, TConst(UNDEFINED))]
-            if b.name == "null":
-                return [p_eq(tag, TConst("object")), p_eq(w, TConst(NULL))]
+            out = [p_eq(tag, TConst(PRIM_TAG[b.name]))]
+            if b.name in ("undefined", "null"):
+                # the one value of the base
+                out.append(p_eq(w, TConst(
+                    UNDEFINED if b.name == "undefined" else NULL)))
+            return out
         if isinstance(b, BArr):
             return [p_eq(tag, TConst("object")),
                     PAtom(TBuiltin("le", (TConst(0), TUF("len", (w,)))))]
@@ -407,16 +403,8 @@ def sort_of_term(env: TypeEnv, t: Term, vee_base: Optional[Base],
                 raise WfViolation("this unbound in refinement")
             return sort_of_base(b), b
         if isinstance(u, TConst):
-            v = u.value
-            if isinstance(v, bool):
-                return S_BOOL, BPrim("bool")
-            if isinstance(v, int):
-                return S_INT, BPrim("number")
-            if isinstance(v, str):
-                return S_STR, BPrim("string")
-            if v is UNDEFINED:
-                return S_UNDEF, BPrim("undefined")
-            return S_NULL, BPrim("null")
+            b = base_of_value(u.value)
+            return sort_of_base(b), b
         if isinstance(u, TField):
             _, bbase = sort_and_base(u.base)
             if not isinstance(bbase, BClass):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from ..ssa import mk_ctxapply, subst_ctx, subst_expr
 from ..syntax import (
     BArr, BClass, BPrim, ECast, ECtxApply, EVar, EWhileRun, Expr, KHole,
-    KLetIf, KLetIn, KLetWhile, P_TRUE, RBase, RExists, RType,
+    KLetIf, KLetIn, KLetWhile, PRIM_TAG, P_TRUE, RBase, RExists, RType,
 )
 from .evalpred import eval_pred
 from .stepper import ExprStepper
@@ -158,9 +158,7 @@ class FrscMachine(ExprStepper):
                         f"cast failure: invariant of {decl.name} does not"
                         " hold")
         elif isinstance(base, BPrim):
-            tag = {"number": "number", "bool": "boolean", "string": "string",
-                   "undefined": "undefined", "null": "object"}[base.name]
-            if type_tag(v) != tag:
+            if type_tag(v) != PRIM_TAG[base.name]:
                 raise StuckError(f"cast failure: value is not {base.name}")
         elif isinstance(base, BArr):
             if deref(c.heap, v, HArr) is None:

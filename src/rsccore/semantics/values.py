@@ -10,7 +10,9 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..syntax import EClosure, EConst, NULL, UNDEFINED, literal_str
+from ..syntax import (
+    EClosure, EConst, NULL, PRIM_TAG, UNDEFINED, base_of_value, literal_str,
+)
 
 
 @dataclass(frozen=True)
@@ -145,19 +147,11 @@ def value_str(v: Value, heap: Optional[Heap] = None) -> str:
 
 
 def type_tag(v: Value) -> str:
-    if isinstance(v, bool):
-        return "boolean"
-    if isinstance(v, int):
-        return "number"
-    if isinstance(v, str):
-        return "string"
-    if v is UNDEFINED:
-        return "undefined"
-    if v is NULL:
-        return "object"
     if isinstance(v, VClosure):
         return "function"
-    return "object"
+    if isinstance(v, VLoc):
+        return "object"
+    return PRIM_TAG[base_of_value(v).name]
 
 
 def _num(v: Value, what: str) -> int:

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from typing import Union
 from weakref import WeakValueDictionary
 
-from ..logic import S_BOOL, S_INT, S_STR, Sort
+from ..logic import S_BOOL, S_INT, S_STR, Sort, sort_of_base
 from ..semantics.values import ARITH, COMPARE, StuckError, values_equal
 from ..syntax import (
     NULL, PAnd, PAtom, PKvar, PNot, Pred, TBuiltin, TConst, TField, TThis,
-    TUF, TValueVar, TVar, Term, UNDEFINED, literal_str, p_and, term_str,
+    TUF, TValueVar, TVar, Term, UNDEFINED, base_of_value, literal_str, p_and,
+    term_str,
 )
 
 
@@ -124,16 +125,7 @@ def infer_sort(t: Term, sorts: dict) -> Sort:
             raise NormError("no sort for this")
         return sorts["this"]
     if isinstance(t, TConst):
-        v = t.value
-        if isinstance(v, bool):
-            return S_BOOL
-        if isinstance(v, int):
-            return S_INT
-        if isinstance(v, str):
-            return S_STR
-        if v is UNDEFINED:
-            return Sort("undefined")
-        return Sort("null")
+        return sort_of_base(base_of_value(t.value))
     if isinstance(t, TField):
         # field paths are normalized to per-field unary functions; their
         # result sort is provided by the query's field-sort table

@@ -150,8 +150,6 @@ class TBuiltin:
 
 Term = Union[TVar, TConst, TValueVar, TThis, TField, TUF, TBuiltin]
 
-VV = TValueVar()
-
 
 # ---------------------------------------------------------------------------
 # Predicates
@@ -281,6 +279,25 @@ B_STR = BPrim("string")
 B_UNDEF = BPrim("undefined")
 B_NULL = BPrim("null")
 
+# the `typeof` tag of the values of each primitive base
+PRIM_TAG = {"number": "number", "bool": "boolean", "string": "string",
+            "undefined": "undefined", "null": "object"}
+
+
+def base_of_value(v) -> BPrim:
+    """The primitive base of literal `v`."""
+    if isinstance(v, bool):
+        return B_BOOL
+    if isinstance(v, int):
+        return B_NUM
+    if isinstance(v, str):
+        return B_STR
+    if v is UNDEFINED:
+        return B_UNDEF
+    if v is NULL:
+        return B_NULL
+    raise TypeError(v)
+
 
 @dataclass(frozen=True)
 class RBase:
@@ -318,7 +335,6 @@ def trivially_refine(base: Base) -> RType:
 
 R_NUM = trivially_refine(B_NUM)
 R_BOOL = trivially_refine(B_BOOL)
-R_STR = trivially_refine(B_STR)
 R_UNDEF = trivially_refine(B_UNDEF)
 R_NULL = trivially_refine(B_NULL)
 R_BOT = RBase(BBot(), P_FALSE)

@@ -541,5 +541,5 @@ def test_corpus_solver_counters(monkeypatch):
                     monkeypatch.setattr(mod, attr, counted_fm_solve)
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
-    assert dict(counts) == {"queries": 1209, "valid": 487, "invalid": 510,
+    assert dict(counts) == {"queries": 1176, "valid": 454, "invalid": 510,
                             "unknown": 212, "runs": 1158, "fm": 1007}

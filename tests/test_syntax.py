@@ -223,6 +223,59 @@ def test_no_module_reads_an_undefined_global():
     assert found == []
 
 
+def _unread_imports(text: str, fname: str) -> list:
+    """The names module `text` imports and never reads.  A name listed in
+    `__all__` or spelled in a string annotation counts as read."""
+    import ast
+    tree = ast.parse(text)
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)}
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            for c in ast.walk(ann) if ann is not None else ():
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    read |= {n.id for n in ast.walk(ast.parse(
+                        c.value, mode="eval")) if isinstance(n, ast.Name)}
+    return [f"{fname}:{line}:{name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """With no linter installed, an import left behind by a deleted use
+    shows nowhere: scan every module for one."""
+    assert _unread_imports(
+        "from __future__ import annotations\nimport os.path\n"
+        "from x import a, b as c, d, e\n__all__ = ['d']\n"
+        "def f(y: 'e') -> None:\n    return a\n", "t.py") == ["t.py:2:os",
+                                                            "t.py:3:c"]
+    src = ROOT / "src" / "rsccore"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        found += _unread_imports(path.read_text(),
+                                 str(path.relative_to(src)))
+    assert found == []
+
+
 def test_clone_tree_fresh_ids_in_preorder():
     p = parse(CORPUS / "minindex.rsc")
     body = p.functions[0].body
