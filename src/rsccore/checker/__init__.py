@@ -13,8 +13,8 @@ from ..logic import ClassTable, NameSupply, TypeEnv, WfViolation, wf_pred, wf_ty
 from ..solver import SolverConfig
 from ..ssa import SsaErrors, ssa_program, subst_expr
 from ..syntax import (
-    BClass, ClassDecl, EConst, FuncDecl, P_TRUE, Program, RBase, RExists,
-    RFun, RInter, RType, SourceSpan, trivially_refine, walk_tree,
+    BClass, ClassDecl, EConst, FuncDecl, P_TRUE, Program, RBase, RFun, RInter,
+    RType, SourceSpan, exists_core, trivially_refine, walk_tree, with_field,
 )
 from .constraints import Constraint, Diagnostic
 from .core import CheckAbort, Checker
@@ -157,8 +157,7 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
         t_body = _check_unit(checker, diags, f.name, TypeEnv(classes, supply),
                              sig, sf.body, f.span, prefix.get(f.name, ""))
         if sig.ret is None and t_body is not None:
-            newsig = RFun(sig.params, _trivial_ret(t_body), sig.tyvars,
-                          sig.precond)
+            newsig = with_field(sig, "ret", _trivial_ret(t_body))
             f.signature = newsig
             checker.fn_sigs[f.name] = newsig
 
@@ -172,7 +171,7 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
             env = TypeEnv(classes, supply).bind_raw(
                 "this", trivially_refine(BClass(c.name)), raw_class=m.is_ctor)
             _check_unit(checker, diags, f"{c.name}.{m.name}", env,
-                        RFun(tuple(m.params), m.ret, m.tyvars, m.precond),
+                        m.signature,
                         sm.body, m.span, ret_rule=not m.is_ctor)
     checker._current_ctor = None
 
@@ -249,8 +248,7 @@ def _check_unit(checker: Checker, diags: list, unit: str, env: TypeEnv,
 
 
 def _trivial_ret(t: RType) -> RType:
-    while isinstance(t, RExists):
-        t = t.body
+    t = exists_core(t)
     if isinstance(t, RBase):
         return trivially_refine(t.base)
     return t

@@ -17,14 +17,14 @@ from ..logic import (
 from ..solver import Query, SolverConfig, check_valid
 from ..ssa import CTOR_INIT, subst_expr
 from ..syntax import (
-    BArr, BBot, BClass, BPrim, BVar, Base, EArgsLen, ECast, EClosure,
-    EConst, ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall,
-    ENew, EThis, EVar, Expr, KHole, KLetIf, KLetIn, KLetWhile, NULL,
-    PRIM_TAG, P_TRUE, PAtom, PNot, RBase, RExists, RFun, RInter, RType,
-    R_BOOL, R_BOT, R_UNDEF, SourceSpan, TBuiltin,
-    TConst, TField, TThis, TUF, TValueVar, TVar, Term, UNDEFINED,
-    base_of_value, base_str, base_subst, conjuncts_of, p_and, p_eq,
-    pred_subst, trivially_refine, type_str, type_subst,
+    BArr, BBot, BClass, BPrim, BVar, Base, EArgsLen, ECast, EClosure, EConst,
+    ECtxApply, EFieldAssign, EFieldRead, EFuncCall, EMethodCall, ENew, EThis,
+    EVar, Expr, KHole, KLetIf, KLetIn, KLetWhile, NULL, PRIM_TAG, P_TRUE,
+    PAtom, PNot, RBase, RExists, RFun, RInter, RType, R_BOOL, R_BOT, R_UNDEF,
+    SourceSpan, TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term,
+    UNDEFINED, base_of_value, base_str, base_subst, conjuncts_of, exists_core,
+    map_core, map_type, p_and, p_eq, pred_subst, trivially_refine, type_str,
+    type_subst, with_field,
 )
 from .constraints import Constraint, Diagnostic
 
@@ -226,8 +226,7 @@ class Checker:
                        span: SourceSpan):
         """Def.: t1 can be cast to t2 when the target's class invariants
         follow from t1's refinement; returns (ok, reason)."""
-        while isinstance(t2, RExists):
-            t2 = t2.body
+        t2 = exists_core(t2)
         if not isinstance(t2, RBase):
             return False, "cast target must be a base type"
         env2, t = env.open(t1)
@@ -448,12 +447,8 @@ class Checker:
                         base, env, ("tyvar", self.current_unit, tv,
                                     span.line, span.col))
                     self.emit_wf(env, bsub[tv], span, rule)
-            sig = RFun(
-                tuple((n, base_subst(pt, bsub))
-                      for n, pt in sig.params),
-                base_subst(sig.ret, bsub) if sig.ret is not None
-                else None,
-                (), sig.precond)
+            sig = with_field(map_type(sig, lambda t: base_subst(t, bsub),
+                                      lambda p: p), "tyvars", ())
         # dependent parameter passing
         env2 = env
         subst: dict = {}
@@ -512,10 +507,9 @@ class Checker:
                 self.abort(e.span, "LQ-CHK-CLOSURE",
                            "captured value must be a simple variable")
             subst[pn] = term
-        rest = sig.params[len(e.captures):]
-        return RFun(tuple((n, type_subst(t, subst)) for n, t in rest),
-                    type_subst(sig.ret, subst) if sig.ret is not None
-                    else None, sig.tyvars, pred_subst(sig.precond, subst))
+        rest = with_field(sig, "params", sig.params[len(e.captures):])
+        return map_type(rest, lambda t: type_subst(t, subst),
+                        lambda p: pred_subst(p, subst))
 
     def _check_closure_against(self, env: TypeEnv, e: EClosure,
                                expected: RFun, span: SourceSpan):
@@ -585,7 +579,7 @@ class Checker:
             if fname in imm and pname in subst:
                 conj.append(p_eq(TField(TValueVar(), fname), subst[pname]))
         refined = RBase(BClass(cname), p_and(*conj))
-        return _replace_core(result, refined)
+        return map_core(result, lambda _: refined)
 
     # -- casts, field writes -----------------------------------------------------
 
@@ -771,10 +765,7 @@ def _package(env: TypeEnv, inner: TypeEnv, t: RType) -> RType:
 
 
 def _unify_bases(param: RType, arg: RType, tyvars: set, inst: dict):
-    while isinstance(param, RExists):
-        param = param.body
-    while isinstance(arg, RExists):
-        arg = arg.body
+    param, arg = exists_core(param), exists_core(arg)
     if isinstance(param, RBase) and isinstance(arg, RBase):
         pb, ab = param.base, arg.base
         if isinstance(pb, BVar) and pb.name in tyvars:
@@ -789,10 +780,4 @@ def _unify_bases(param: RType, arg: RType, tyvars: set, inst: dict):
             _unify_bases(p, a, tyvars, inst)
         if param.ret is not None and arg.ret is not None:
             _unify_bases(param.ret, arg.ret, tyvars, inst)
-
-
-def _replace_core(t: RType, core: RBase) -> RType:
-    if isinstance(t, RExists):
-        return RExists(t.name, t.bound, _replace_core(t.body, core))
-    return core
 

@@ -14,12 +14,11 @@ from typing import Optional
 from ..logic import ClassTable
 from ..ssa import CTOR_INIT
 from ..syntax import (
-    BArr, BClass, BIte, BPrim, BReturn, BSeq, Body, ClassDecl, EConst,
-    EFieldRead, EFuncCall, EMethodCall, EThis, EVar, Expr, MethodDecl,
-    P_TRUE, PAnd, PAtom, PKvar, PNot, Pred, RBase, RExists, RFun, RType,
-    SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SAssign,
-    Stmt, TBuiltin, TConst, TField, TThis, TUF, TVar, Term, UNDEFINED,
-    next_node_id, p_and, walk_tree,
+    BClass, BIte, BPrim, BReturn, BSeq, Body, ClassDecl, EConst, EFieldRead,
+    EFuncCall, EMethodCall, EThis, EVar, Expr, MethodDecl, P_TRUE, PAnd, PAtom,
+    PNot, Pred, RBase, RFun, RType, SExprStmt, SFieldAssign, SIte, SSeq, SSkip,
+    SVarDecl, SWhile, SAssign, Stmt, TConst, TField, TThis, TUF, TVar, Term,
+    UNDEFINED, map_pred, map_term, map_type, next_node_id, p_and, walk_tree,
 )
 
 
@@ -42,45 +41,25 @@ def _field_param(f: str) -> str:
     return f"_{f}"
 
 
-def _paths_to_params(t, fields: list):
-    """Replace this.f paths by the corresponding local parameter name in a
-    type or predicate."""
-    # handled via a term-level rewrite: TField(TThis, f) -> TVar(_f)
+def _paths_to_params(fields: list) -> tuple:
+    """The rewrites, of a type and of a predicate, that replace each this.f
+    path by the corresponding local parameter name."""
     def rw_term(u: Term) -> Term:
-        if isinstance(u, TField) and isinstance(u.base, TThis):
-            if u.fname in fields:
-                return TVar(_field_param(u.fname))
-            return u
-        if isinstance(u, TField):
-            return TField(rw_term(u.base), u.fname)
-        if isinstance(u, TBuiltin):
-            return TBuiltin(u.op, tuple(rw_term(a) for a in u.args))
-        if isinstance(u, TUF):
-            return TUF(u.fname, tuple(rw_term(a) for a in u.args))
-        return u
+        if isinstance(u, TField) and isinstance(u.base, TThis) and \
+                u.fname in fields:
+            return TVar(_field_param(u.fname))
+        return map_term(u, rw_term)
+
+    def rw_leaf(p: Pred) -> Pred:
+        return PAtom(rw_term(p.term)) if isinstance(p, PAtom) else p
 
     def rw_pred(p: Pred) -> Pred:
-        if isinstance(p, PAnd):
-            return PAnd(tuple(rw_pred(c) for c in p.conjuncts))
-        if isinstance(p, PNot):
-            return PNot(rw_pred(p.pred))
-        if isinstance(p, PKvar):
-            return p
-        return PAtom(rw_term(p.term))
+        return map_pred(p, rw_leaf)
 
-    def rw_type(ty: RType) -> RType:
-        if isinstance(ty, RBase):
-            b = ty.base
-            if isinstance(b, BArr):
-                b = BArr(rw_type(b.elem), b.mut)
-            return RBase(b, rw_pred(ty.pred))
-        if isinstance(ty, RExists):
-            return RExists(ty.name, rw_type(ty.bound), rw_type(ty.body))
-        return ty
+    def rw_type(t: RType) -> RType:
+        return map_type(t, rw_type, rw_pred)
 
-    if isinstance(t, (RBase,)) or hasattr(t, "body"):
-        return rw_type(t)
-    return rw_pred(t)
+    return rw_type, rw_pred
 
 
 def ctor_init_signature(classes: ClassTable, cname: str) -> CtorInfo:
@@ -90,12 +69,10 @@ def ctor_init_signature(classes: ClassTable, cname: str) -> CtorInfo:
     invariant becomes its precondition."""
     fields = classes.fields_of(RBase(BClass(cname), P_TRUE), TThis(),
                                strengthen_with_refinement=False)
-    fnames = [n for _, n, _ in fields]
-    params = []
-    for mut, name, ft in fields:
-        params.append((_field_param(name), _paths_to_params(ft, fnames)))
+    rw_type, rw_pred = _paths_to_params([n for _, n, _ in fields])
+    params = [(_field_param(name), rw_type(ft)) for _, name, ft in fields]
     inv = classes.declared_inv(cname, TThis())
-    precond = _paths_to_params(inv, fnames) if inv != P_TRUE else P_TRUE
+    precond = rw_pred(inv) if inv != P_TRUE else P_TRUE
     # `this` does not exist yet at initialization time; invariant conjuncts
     # about raw inclusion hold by construction
     precond = _strip_structural(precond, classes, cname)

@@ -10,10 +10,10 @@ from typing import Optional
 
 from ..syntax import (
     BArr, BBot, BClass, BPrim, BVar, BIte, BReturn, BSeq, Body, EArgsLen,
-    ECast, EClosure, EConst, EFieldRead, EFuncCall, EMethodCall, ENew,
-    EThis, EVar, Expr, P_TRUE, RBase, RExists, RFun, RInter, RType, SAssign,
-    SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, Stmt,
-    base_of_value, next_node_id,
+    ECast, EClosure, EConst, EFieldRead, EFuncCall, EMethodCall, ENew, EThis,
+    EVar, Expr, P_TRUE, RBase, RFun, RInter, RType, SAssign, SExprStmt,
+    SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, Stmt, base_of_value,
+    exists_core, next_node_id,
 )
 
 
@@ -84,8 +84,7 @@ class ShapeChecker:
     # -- instantiation -----------------------------------------------------------
 
     def shape_of_type(self, t: RType, rigid: set, inst: Optional[dict] = None):
-        if isinstance(t, RExists):
-            return self.shape_of_type(t.body, rigid, inst)
+        t = exists_core(t)
         if isinstance(t, RBase):
             b = t.base
             if isinstance(b, BPrim):

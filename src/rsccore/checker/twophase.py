@@ -49,8 +49,7 @@ def make_shape_checker(program: Program) -> ShapeChecker:
         for decl in ct.chain(c.name):
             for m in decl.methods:
                 if not m.is_ctor:
-                    methods[m.name] = RFun(tuple(m.params), m.ret, m.tyvars,
-                                           m.precond)
+                    methods[m.name] = m.signature
         class_methods[c.name] = methods
     return checker
 
@@ -76,9 +75,7 @@ def two_phase_expand(fn: FuncDecl, program: Program) -> list:
         ret_shape = checker.shape_of_type(conj.ret, rigid) \
             if conj.ret is not None else checker.fresh()
         body = checker.check_body(env, body, ret_shape, rigid)
-        decl = FuncDecl(f"{fn.name}@{i}", [n for n, _ in conj.params],
-                        RFun(conj.params, conj.ret, conj.tyvars,
-                             conj.precond),
+        decl = FuncDecl(f"{fn.name}@{i}", [n for n, _ in conj.params], conj,
                         body, fn.span)
         clones.append(OverloadClone(fn.name, i, conj, decl))
     return clones

@@ -5,9 +5,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..syntax import (
-    BArr, BVar, Body, ClassDecl, ECast, FieldDecl, FuncDecl, MethodDecl,
-    NO_SPAN, P_TRUE, Program, R_UNDEF, RBase, RExists, RFun, RInter, RType,
-    SourceSpan, TVar, TypeAliasDecl, pred_subst, type_subst, walk_tree,
+    BVar, Body, ClassDecl, ECast, FieldDecl, FuncDecl, MethodDecl, NO_SPAN,
+    P_TRUE, Program, R_UNDEF, RBase, RFun, RInter, RType, SourceSpan, TVar,
+    TypeAliasDecl, pred_subst, type_children, type_subst, walk_tree,
+    with_field,
 )
 from .desugar import (hoist_stmts, lift_nested, merge_redeclarations, to_body, wrap_global_fn_refs)
 from .lexer import LexError
@@ -40,25 +41,13 @@ def _collect_tyvars(sig: RFun) -> tuple:
     order: list[str] = list(sig.tyvars)
 
     def visit(t):
-        if isinstance(t, RBase):
-            if isinstance(t.base, BVar) and t.base.name not in order:
-                order.append(t.base.name)
-            if isinstance(t.base, BArr):
-                visit(t.base.elem)
-        elif isinstance(t, RExists):
-            visit(t.bound)
-            visit(t.body)
-        elif isinstance(t, RFun):
-            for _, pt in t.params:
-                visit(pt)
-            visit(t.ret)
-        elif isinstance(t, RInter):
-            for c in t.conjuncts:
-                visit(c)
+        if isinstance(t, RBase) and isinstance(t.base, BVar) and \
+                t.base.name not in order:
+            order.append(t.base.name)
+        for c in type_children(t):
+            visit(c)
 
-    for _, pt in sig.params:
-        visit(pt)
-    visit(sig.ret)
+    visit(sig)
     return tuple(order)
 
 
@@ -123,7 +112,7 @@ def _build_signature(raw: RawFunc, resolver: TypeResolver,
 
 
 def _with_tyvars(sig: RFun) -> RFun:
-    return RFun(sig.params, sig.ret, _collect_tyvars(sig), sig.precond)
+    return with_field(sig, "tyvars", _collect_tyvars(sig))
 
 
 def _finish_body(stmts: list, span: SourceSpan, result: str = "undefined",

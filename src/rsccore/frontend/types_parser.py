@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..syntax import (
-    BArr, BClass, BVar, B_BOOL, B_NULL, B_NUM, B_STR, B_UNDEF, NULL,
-    P_TRUE, PAtom, Pred, RBase, RExists, RFun, RInter, RType, SourceSpan,
-    TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term, UNDEFINED,
-    base_subst, p_and, p_implies, p_not, p_or, type_subst,
-    trivially_refine,
+    BArr, BClass, BVar, B_BOOL, B_NULL, B_NUM, B_STR, B_UNDEF, NULL, P_TRUE,
+    PAtom, Pred, RBase, RFun, RInter, RType, SourceSpan, TBuiltin, TConst,
+    TField, TThis, TUF, TValueVar, TVar, Term, UNDEFINED, base_subst, map_type,
+    p_and, p_implies, p_not, p_or, type_children, type_subst, trivially_refine,
+    with_field,
 )
 from .lexer import Token, TokenStream, lex
 
@@ -302,7 +302,7 @@ class TypeParser:
 
     def _conjoin(self, t: RType, pred: Pred, span: SourceSpan) -> RType:
         if isinstance(t, RBase):
-            return RBase(t.base, p_and(t.pred, pred))
+            return with_field(t, "pred", p_and(t.pred, pred))
         raise TypeParseError("refinements only apply to base types", span)
 
     def _postfix(self, t: RType) -> RType:
@@ -314,7 +314,7 @@ class TypeParser:
         if ts.at("+") and isinstance(t, RBase) and isinstance(t.base, BArr):
             # T[]+ : non-empty array sugar
             ts.next()
-            t = RBase(t.base, p_and(t.pred, PAtom(
+            t = with_field(t, "pred", p_and(t.pred, PAtom(
                 TBuiltin("lt", (TConst(0), TUF("len", (TValueVar(),)))))))
         return t
 
@@ -389,54 +389,28 @@ class TypeResolver:
         return kinds
 
     def _occurs_in_type_pos(self, t: RType, name: str) -> bool:
-        if isinstance(t, RBase):
+        if isinstance(t, RBase) and isinstance(t.base, BNamed):
             b = t.base
-            if isinstance(b, BNamed):
-                if b.name == name and not b.args:
+            if b.name == name and not b.args:
+                return True
+            for a in b.args:
+                if a.rtype is not None and \
+                        self._occurs_in_type_pos(a.rtype, name):
                     return True
-                for a in b.args:
-                    if a.rtype is not None and \
-                            self._occurs_in_type_pos(a.rtype, name):
-                        return True
-                    if a.rtype is not None and a.term is not None:
-                        # ambiguous bare name: not decisive
-                        continue
-                return False
-            if isinstance(b, BArr):
-                return self._occurs_in_type_pos(b.elem, name)
+                if a.rtype is not None and a.term is not None:
+                    # ambiguous bare name: not decisive
+                    continue
             return False
-        if isinstance(t, RExists):
-            return self._occurs_in_type_pos(t.bound, name) or \
-                self._occurs_in_type_pos(t.body, name)
-        if isinstance(t, RFun):
-            return any(self._occurs_in_type_pos(pt, name)
-                       for _, pt in t.params) or \
-                self._occurs_in_type_pos(t.ret, name)
-        if isinstance(t, RInter):
-            return any(self._occurs_in_type_pos(c, name) for c in t.conjuncts)
-        return False
+        return any(self._occurs_in_type_pos(c, name)
+                   for c in type_children(t))
 
     def resolve(self, t: RType, span: SourceSpan, tyvars: set[str] = frozenset()) -> RType:
-        if isinstance(t, RBase):
-            b = t.base
-            if isinstance(b, BNamed):
-                return self._resolve_named(b, t.pred, span, tyvars)
-            if isinstance(b, BArr):
-                return RBase(BArr(self.resolve(b.elem, span, tyvars), b.mut),
-                             t.pred)
-            return t
-        if isinstance(t, RExists):
-            return RExists(t.name, self.resolve(t.bound, span, tyvars),
-                           self.resolve(t.body, span, tyvars))
+        if isinstance(t, RBase) and isinstance(t.base, BNamed):
+            return self._resolve_named(t.base, t.pred, span, tyvars)
         if isinstance(t, RFun):
-            tv = tyvars | set(t.tyvars)
-            return RFun(tuple((n, self.resolve(pt, span, tv))
-                              for n, pt in t.params),
-                        self.resolve(t.ret, span, tv), t.tyvars, t.precond)
-        if isinstance(t, RInter):
-            return RInter(tuple(self.resolve(c, span, tyvars)
-                                for c in t.conjuncts))
-        raise TypeError(t)
+            tyvars = tyvars | set(t.tyvars)
+        return map_type(t, lambda c: self.resolve(c, span, tyvars),
+                        lambda p: p)
 
     def _resolve_named(self, b: BNamed, outer_pred: Pred, span: SourceSpan,
                        tyvars: set[str]) -> RType:
@@ -476,7 +450,7 @@ class TypeResolver:
                     raise ResolveError(
                         f"alias {b.name} does not denote a refinable base",
                         span)
-                body = RBase(body.base, p_and(body.pred, outer_pred))
+                body = with_field(body, "pred", p_and(body.pred, outer_pred))
             return body
         if b.args:
             raise ResolveError(f"{b.name} does not take type arguments", span)

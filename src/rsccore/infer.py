@@ -9,6 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from .frontend.types_parser import PLACEHOLDER, parse_qualifier_line
 from .logic import TypeEnv, WfViolation, wf_pred
 from .solver import Query, SolverConfig, Verdict, check_valid
 from .syntax import (
@@ -16,8 +17,6 @@ from .syntax import (
     TUF, TValueVar, TVar, Term, conjuncts_of, p_and, pred_free_vars,
     pred_str, pred_subst, term_str,
 )
-
-PLACEHOLDER = "★"
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ def default_qualifiers() -> list:
 
 
 def load_qualifier_file(path: str) -> list:
-    from .frontend.types_parser import parse_qualifier_line
     out = []
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:

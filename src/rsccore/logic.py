@@ -12,9 +12,9 @@ from typing import Optional
 from .syntax import (
     BArr, BBot, BClass, BPrim, BVar, Base, ClassDecl, MethodDecl, PRIM_TAG,
     P_TRUE, PAnd, PAtom, PKvar, PNot, Pred, Program, RBase, RExists, RFun,
-    RInter, RType, TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar,
-    Term, UNDEFINED, NULL, base_of_value, conjuncts_of, p_and, p_eq,
-    pred_subst, type_subst,
+    RInter, RType, TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term,
+    UNDEFINED, NULL, base_of_value, exists_core, map_core, p_and, p_eq,
+    pred_leaves, pred_subst, type_subst, with_field,
 )
 
 # ---------------------------------------------------------------------------
@@ -38,6 +38,11 @@ S_NULL = Sort("null")
 S_OBJ = Sort("obj")
 S_ARR = Sort("arr")
 S_BOT = Sort("bot")
+
+# the result sort of each built-in function of the refinement logic, and
+# the arithmetic operators; every other operator yields a boolean
+FUNC_SORTS = {"len": S_INT, "ttag": S_STR, "instanceof": S_BOOL}
+ARITH_OPS = frozenset(("add", "sub", "mul", "div", "mod"))
 
 
 def sort_of_base(b: Base) -> Sort:
@@ -89,9 +94,7 @@ class ClassTable:
         self.field_sorts: dict[str, Sort] = {}
         for c in self.decls.values():
             for f in c.fields:
-                t = f.rtype
-                while isinstance(t, RExists):
-                    t = t.body
+                t = exists_core(f.rtype)
                 if isinstance(t, RBase):
                     self.field_sorts.setdefault(f"%field:{f.name}",
                                                 sort_of_base(t.base))
@@ -204,8 +207,7 @@ class ClassTable:
 
 
 def _base_and_pred(t: RType):
-    while isinstance(t, RExists):
-        t = t.body
+    t = exists_core(t)
     if isinstance(t, RBase):
         return t.base, t.pred
     raise WfViolation("expected a base-shaped type")
@@ -218,11 +220,12 @@ def _base_and_pred(t: RType):
 def strengthen(t: RType, p: Pred) -> RType:
     if p == P_TRUE:
         return t
-    if isinstance(t, RBase):
-        return RBase(t.base, p_and(t.pred, p))
-    if isinstance(t, RExists):
-        return RExists(t.name, t.bound, strengthen(t.body, p))
-    raise WfViolation("cannot strengthen a function type")
+
+    def conjoin(core: RType) -> RType:
+        if not isinstance(core, RBase):
+            raise WfViolation("cannot strengthen a function type")
+        return with_field(core, "pred", p_and(core.pred, p))
+    return map_core(t, conjoin)
 
 
 def selfify(t: RType, w: Term) -> RType:
@@ -387,6 +390,8 @@ class TypeEnv:
 
 def sort_of_term(env: TypeEnv, t: Term, vee_base: Optional[Base],
                  this_base: Optional[Base] = None) -> Sort:
+    # a term's base is known for a variable, a constant or a field path,
+    # and None otherwise; it is read only under a field path
     def sort_and_base(u: Term):
         if isinstance(u, TVar):
             b = env.base_of(u.name)
@@ -419,16 +424,13 @@ def sort_of_term(env: TypeEnv, t: Term, vee_base: Optional[Base],
             fb, _ = _base_and_pred(ft)
             return sort_of_base(fb), fb
         if isinstance(u, TUF):
-            if u.fname == "len":
-                s, _ = sort_and_base(u.args[0])
-                if s.kind not in ("arr", "tyvar"):
-                    raise WfViolation("len applies to arrays")
-                return S_INT, BPrim("number")
-            if u.fname == "ttag":
-                sort_and_base(u.args[0])
-                return S_STR, BPrim("string")
+            if u.fname not in FUNC_SORTS:
+                raise WfViolation(
+                    f"unknown function {u.fname!r} in refinement")
+            s, _ = sort_and_base(u.args[0])
+            if u.fname == "len" and s.kind not in ("arr", "tyvar"):
+                raise WfViolation("len applies to arrays")
             if u.fname == "instanceof":
-                s, _ = sort_and_base(u.args[0])
                 if s.kind not in ("obj", "tyvar"):
                     raise WfViolation("instanceof applies to objects")
                 a2 = u.args[1]
@@ -437,41 +439,38 @@ def sort_of_term(env: TypeEnv, t: Term, vee_base: Optional[Base],
                 if not env.classes.has_class(a2.value):
                     raise WfViolation(f"unknown class {a2.value!r} in"
                                       " instanceof")
-                return S_BOOL, BPrim("bool")
-            raise WfViolation(f"unknown function {u.fname!r} in refinement")
+            return FUNC_SORTS[u.fname], None
         if isinstance(u, TBuiltin):
             op = u.op
-            if op in ("add", "sub", "mul", "div", "mod"):
+            if op in ARITH_OPS:
                 for a in u.args:
                     s, _ = sort_and_base(a)
                     if s.kind not in ("int", "tyvar"):
                         raise WfViolation(f"arithmetic on non-number term")
-                return S_INT, BPrim("number")
+                return S_INT, None
             if op in ("lt", "le", "gt", "ge"):
                 for a in u.args:
                     s, _ = sort_and_base(a)
                     if s.kind not in ("int", "tyvar"):
                         raise WfViolation("comparison on non-number term")
-                return S_BOOL, BPrim("bool")
-            if op in ("eq", "ne"):
+            elif op in ("eq", "ne"):
                 s1, _ = sort_and_base(u.args[0])
                 s2, _ = sort_and_base(u.args[1])
                 if s1 != s2 and "tyvar" not in (s1.kind, s2.kind):
                     raise WfViolation(
                         f"equality between different sorts {s1} and {s2}")
-                return S_BOOL, BPrim("bool")
-            if op in ("and", "or", "implies"):
+            elif op in ("and", "or", "implies"):
                 for a in u.args:
                     s, _ = sort_and_base(a)
                     if s.kind != "bool":
                         raise WfViolation("boolean operator on non-boolean")
-                return S_BOOL, BPrim("bool")
-            if op == "not":
+            elif op == "not":
                 s, _ = sort_and_base(u.args[0])
                 if s.kind != "bool":
                     raise WfViolation("negation of a non-boolean")
-                return S_BOOL, BPrim("bool")
-            raise WfViolation(f"unknown operator {op!r}")
+            else:
+                raise WfViolation(f"unknown operator {op!r}")
+            return S_BOOL, None
         raise TypeError(u)
 
     s, _ = sort_and_base(t)
@@ -481,30 +480,16 @@ def sort_of_term(env: TypeEnv, t: Term, vee_base: Optional[Base],
 def wf_pred(env: TypeEnv, p: Pred, vee_base: Optional[Base]) -> list:
     """Well-formedness violations of a predicate (empty list = ok)."""
     out: list[str] = []
-    for c in conjuncts_of(p) or [p]:
-        out.extend(_wf_pred_one(env, c, vee_base))
+    for a in pred_leaves(p):
+        if isinstance(a, PAtom):
+            try:
+                s = sort_of_term(env, a.term, vee_base)
+            except WfViolation as e:
+                out.append(e.reason)
+                continue
+            if s.kind not in ("bool", "tyvar"):
+                out.append(f"refinement atom is not boolean: {s}")
     return out
-
-
-def _wf_pred_one(env: TypeEnv, p: Pred, vee_base) -> list:
-    if isinstance(p, PAnd):
-        out = []
-        for c in p.conjuncts:
-            out.extend(_wf_pred_one(env, c, vee_base))
-        return out
-    if isinstance(p, PNot):
-        return _wf_pred_one(env, p.pred, vee_base)
-    if isinstance(p, PKvar):
-        return []
-    if isinstance(p, PAtom):
-        try:
-            s = sort_of_term(env, p.term, vee_base)
-        except WfViolation as e:
-            return [e.reason]
-        if s.kind not in ("bool", "tyvar"):
-            return [f"refinement atom is not boolean: {s}"]
-        return []
-    raise TypeError(p)
 
 
 def wf_type(env: TypeEnv, t: RType) -> list:

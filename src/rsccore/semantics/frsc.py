@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from ..ssa import mk_ctxapply, subst_ctx, subst_expr
 from ..syntax import (
     BArr, BClass, BPrim, ECast, ECtxApply, EVar, EWhileRun, Expr, KHole,
-    KLetIf, KLetIn, KLetWhile, PRIM_TAG, P_TRUE, RBase, RExists, RType,
+    KLetIf, KLetIn, KLetWhile, PRIM_TAG, P_TRUE, RBase, RType, exists_core,
 )
 from .evalpred import eval_pred
 from .stepper import ExprStepper
@@ -137,9 +137,7 @@ class FrscMachine(ExprStepper):
     # -- checked casts and preconditions --------------------------------------
 
     def _check_cast(self, c: FrscConfig, rt: RType, v: Value):
-        t = rt
-        while isinstance(t, RExists):
-            t = t.body  # inferred casts are existential-free in practice
+        t = exists_core(rt)  # inferred casts are existential-free in practice
         if not isinstance(t, RBase):
             raise StuckError("cast to a non-base type")
         base = t.base

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Union
 from weakref import WeakValueDictionary
 
-from ..logic import S_BOOL, S_INT, S_STR, Sort, sort_of_base
+from ..logic import ARITH_OPS, FUNC_SORTS, S_BOOL, S_INT, Sort, sort_of_base
 from ..semantics.values import ARITH, COMPARE, StuckError, values_equal
 from ..syntax import (
-    NULL, PAnd, PAtom, PKvar, PNot, Pred, TBuiltin, TConst, TField, TThis,
-    TUF, TValueVar, TVar, Term, UNDEFINED, base_of_value, literal_str, p_and,
-    term_str,
+    NULL, PAnd, PAtom, PKvar, PNot, Pred, TBuiltin, TConst, TField, TThis, TUF,
+    TValueVar, TVar, Term, UNDEFINED, base_of_value, literal_str, map_term,
+    p_and, term_str,
 )
 
 
@@ -35,8 +35,9 @@ def _is_int(v) -> bool:
 
 def const_fold(t: Term) -> Term:
     """Evaluate constant subterms; shapes like x+0 and 1*x simplify."""
+    t = map_term(t, const_fold)
     if isinstance(t, TBuiltin):
-        args = tuple(const_fold(a) for a in t.args)
+        args = t.args
         op = t.op
         vals = [a.value if isinstance(a, TConst) else None for a in args]
         if op in ARITH and all(_is_int(v) for v in vals):
@@ -84,11 +85,6 @@ def const_fold(t: Term) -> Term:
                 return TConst(True)
             if vals[0] is True:
                 return args[1]
-        return TBuiltin(op, args)
-    if isinstance(t, TUF):
-        return TUF(t.fname, tuple(const_fold(a) for a in t.args))
-    if isinstance(t, TField):
-        return TField(const_fold(t.base), t.fname)
     return t
 
 
@@ -134,20 +130,14 @@ def infer_sort(t: Term, sorts: dict) -> Sort:
             raise NormError(f"no sort for field path .{t.fname}")
         return sorts[key]
     if isinstance(t, TUF):
-        if t.fname == "len":
-            return S_INT
-        if t.fname == "ttag":
-            return S_STR
-        if t.fname == "instanceof":
-            return S_BOOL
+        if t.fname in FUNC_SORTS:
+            return FUNC_SORTS[t.fname]
         key = f"%uf:{t.fname}"
         if key not in sorts:
             raise NormError(f"no sort for function {t.fname!r}")
         return sorts[key]
     if isinstance(t, TBuiltin):
-        if t.op in ("add", "sub", "mul", "div", "mod"):
-            return S_INT
-        return S_BOOL
+        return S_INT if t.op in ARITH_OPS else S_BOOL
     raise TypeError(t)
 
 

@@ -341,47 +341,136 @@ R_BOT = RBase(BBot(), P_FALSE)
 
 
 # ---------------------------------------------------------------------------
+# Structural maps over terms, predicates and types
+#
+# The one place that says which fields of a logic value hold its parts.
+# A walker handles its own cases (binders, simplifications) and passes
+# every other case to a map, which rebuilds the value, or reads its parts
+# through an iterator.
+
+
+def map_term(t: Term, f) -> Term:
+    """`t` rebuilt with `f` applied to each immediate subterm; a leaf is
+    returned as it is."""
+    if isinstance(t, TBuiltin):
+        return TBuiltin(t.op, tuple(map(f, t.args)))
+    if isinstance(t, TUF):
+        return TUF(t.fname, tuple(map(f, t.args)))
+    if isinstance(t, TField):
+        return TField(f(t.base), t.fname)
+    return t
+
+
+def term_children(t: Term) -> tuple:
+    """The immediate subterms of `t`, in the order `map_term` visits them."""
+    if isinstance(t, (TBuiltin, TUF)):
+        return t.args
+    if isinstance(t, TField):
+        return (t.base,)
+    return ()
+
+
+def map_pred(p: Pred, leaf) -> Pred:
+    """`p` rebuilt with `leaf` applied to each atom and refinement-variable
+    application; conjunctions and negations keep their shape."""
+    if isinstance(p, PAnd):
+        return PAnd(tuple(map_pred(c, leaf) for c in p.conjuncts))
+    if isinstance(p, PNot):
+        return PNot(map_pred(p.pred, leaf))
+    if isinstance(p, (PAtom, PKvar)):
+        return leaf(p)
+    raise TypeError(p)
+
+
+def pred_leaves(p: Pred) -> Iterator:
+    """The atoms and refinement-variable applications of `p`, in the order
+    `map_pred` visits them."""
+    if isinstance(p, PAnd):
+        for c in p.conjuncts:
+            yield from pred_leaves(c)
+    elif isinstance(p, PNot):
+        yield from pred_leaves(p.pred)
+    elif isinstance(p, (PAtom, PKvar)):
+        yield p
+    else:
+        raise TypeError(p)
+
+
+def map_type(t: RType, on_type, on_pred) -> RType:
+    """`t` rebuilt one level down: `on_type` applied to each immediate
+    subtype (an array base's element, an existential's bound and body, a
+    function's parameter types and its return when it has one, an
+    intersection's conjuncts) and `on_pred` to each immediate predicate (a
+    base's refinement, a function's precondition), in that order."""
+    if isinstance(t, RBase):
+        base = t.base
+        if isinstance(base, BArr):
+            base = BArr(on_type(base.elem), base.mut)
+        return RBase(base, on_pred(t.pred))
+    if isinstance(t, RExists):
+        return RExists(t.name, on_type(t.bound), on_type(t.body))
+    if isinstance(t, RFun):
+        return RFun(tuple((n, on_type(pt)) for n, pt in t.params),
+                    None if t.ret is None else on_type(t.ret), t.tyvars,
+                    on_pred(t.precond))
+    if isinstance(t, RInter):
+        return RInter(tuple(on_type(c) for c in t.conjuncts))
+    raise TypeError(t)
+
+
+def type_children(t: RType) -> tuple:
+    """The immediate subtypes of `t`, in the order `map_type` visits them."""
+    if isinstance(t, RBase):
+        return (t.base.elem,) if isinstance(t.base, BArr) else ()
+    if isinstance(t, RExists):
+        return (t.bound, t.body)
+    if isinstance(t, RFun):
+        ret = () if t.ret is None else (t.ret,)
+        return tuple(pt for _, pt in t.params) + ret
+    if isinstance(t, RInter):
+        return t.conjuncts
+    raise TypeError(t)
+
+
+def exists_core(t: RType) -> RType:
+    """The core of `t`: the type under its existential wrappers."""
+    while isinstance(t, RExists):
+        t = t.body
+    return t
+
+
+def map_core(t: RType, f) -> RType:
+    """`t` with its core replaced by `f(core)` inside the same existential
+    wrappers."""
+    if isinstance(t, RExists):
+        return RExists(t.name, t.bound, map_core(t.body, f))
+    return f(t)
+
+
+# ---------------------------------------------------------------------------
 # Free variables and substitution over terms / predicates / types
 
 
 def term_free_vars(t: Term) -> set[str]:
     if isinstance(t, TVar):
         return {t.name}
-    if isinstance(t, TField):
-        return term_free_vars(t.base)
-    if isinstance(t, (TUF, TBuiltin)):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_free_vars(a)
-        return out
-    return set()
+    out: set[str] = set()
+    for a in term_children(t):
+        out |= term_free_vars(a)
+    return out
 
 
 def pred_free_vars(p: Pred) -> set[str]:
-    if isinstance(p, PAnd):
-        out: set[str] = set()
-        for c in p.conjuncts:
-            out |= pred_free_vars(c)
-        return out
-    if isinstance(p, PNot):
-        return pred_free_vars(p.pred)
-    if isinstance(p, PAtom):
-        return term_free_vars(p.term)
-    if isinstance(p, PKvar):
-        out = set()
-        for _, t in p.subst:
+    out: set[str] = set()
+    for a in pred_leaves(p):
+        terms = (a.term,) if isinstance(a, PAtom) else [t for _, t in a.subst]
+        for t in terms:
             out |= term_free_vars(t)
-        return out
-    raise TypeError(p)
+    return out
 
 
 def free_type_vars(t: RType) -> set[str]:
     """Logical variables occurring free in the type's predicates."""
-    if isinstance(t, RBase):
-        out = pred_free_vars(t.pred)
-        if isinstance(t.base, BArr):
-            out |= free_type_vars(t.base.elem)
-        return out
     if isinstance(t, RExists):
         return free_type_vars(t.bound) | (free_type_vars(t.body) - {t.name})
     if isinstance(t, RFun):
@@ -392,12 +481,10 @@ def free_type_vars(t: RType) -> set[str]:
             bound.add(name)
         out |= free_type_vars(t.ret) - bound
         return out
-    if isinstance(t, RInter):
-        out = set()
-        for c in t.conjuncts:
-            out |= free_type_vars(c)
-        return out
-    raise TypeError(t)
+    out = pred_free_vars(t.pred) if isinstance(t, RBase) else set()
+    for c in type_children(t):
+        out |= free_type_vars(c)
+    return out
 
 
 def term_subst(t: Term, m: dict) -> Term:
@@ -409,27 +496,18 @@ def term_subst(t: Term, m: dict) -> Term:
         return m.get("v", t)
     if isinstance(t, TThis):
         return m.get("this", t)
-    if isinstance(t, TField):
-        return TField(term_subst(t.base, m), t.fname)
-    if isinstance(t, TUF):
-        return TUF(t.fname, tuple(term_subst(a, m) for a in t.args))
-    if isinstance(t, TBuiltin):
-        return TBuiltin(t.op, tuple(term_subst(a, m) for a in t.args))
-    return t
+    return map_term(t, lambda a: term_subst(a, m))
 
 
 def pred_subst(p: Pred, m: dict) -> Pred:
     if not m:
         return p
-    if isinstance(p, PAnd):
-        return PAnd(tuple(pred_subst(c, m) for c in p.conjuncts))
-    if isinstance(p, PNot):
-        return PNot(pred_subst(p.pred, m))
-    if isinstance(p, PAtom):
-        return PAtom(term_subst(p.term, m))
-    if isinstance(p, PKvar):
-        return PKvar(p.kid, tuple((n, term_subst(t, m)) for n, t in p.subst))
-    raise TypeError(p)
+
+    def leaf(a):
+        if isinstance(a, PAtom):
+            return PAtom(term_subst(a.term, m))
+        return PKvar(a.kid, tuple((n, term_subst(t, m)) for n, t in a.subst))
+    return map_pred(p, leaf)
 
 
 _fresh_alpha = itertools.count(1)
@@ -439,11 +517,6 @@ def type_subst(t: RType, m: dict) -> RType:
     """Capture-avoiding substitution of terms for free logical names."""
     if not m:
         return t
-    if isinstance(t, RBase):
-        base = t.base
-        if isinstance(base, BArr):
-            base = BArr(type_subst(base.elem, m), base.mut)
-        return RBase(base, pred_subst(t.pred, m))
     if isinstance(t, RExists):
         binder = t.name
         body = t.body
@@ -464,36 +537,24 @@ def type_subst(t: RType, m: dict) -> RType:
             m2.pop(name, None)
         return RFun(tuple(params), type_subst(t.ret, m2), t.tyvars,
                     pred_subst(t.precond, m2))
-    if isinstance(t, RInter):
-        return RInter(tuple(type_subst(c, m) for c in t.conjuncts))
-    raise TypeError(t)
+    return map_type(t, lambda c: type_subst(c, m), lambda p: pred_subst(p, m))
 
 
 def base_subst(t: RType, m: dict) -> RType:
     """Substitute refinement types for type-variable bases."""
     if not m:
         return t
-    if isinstance(t, RBase):
-        base = t.base
-        if isinstance(base, BVar) and base.name in m:
-            inst = m[base.name]
-            if isinstance(inst, RBase):
-                return RBase(inst.base, p_and(inst.pred, t.pred))
-            if t.pred == P_TRUE:
-                return inst
-            raise TypeError(f"cannot refine instantiation of {base.name}")
-        if isinstance(base, BArr):
-            return RBase(BArr(base_subst(base.elem, m), base.mut), t.pred)
-        return t
-    if isinstance(t, RExists):
-        return RExists(t.name, base_subst(t.bound, m), base_subst(t.body, m))
+    if isinstance(t, RBase) and isinstance(t.base, BVar) and \
+            t.base.name in m:
+        inst = m[t.base.name]
+        if isinstance(inst, RBase):
+            return RBase(inst.base, p_and(inst.pred, t.pred))
+        if t.pred == P_TRUE:
+            return inst
+        raise TypeError(f"cannot refine instantiation of {t.base.name}")
     if isinstance(t, RFun):
-        m2 = {k: v for k, v in m.items() if k not in t.tyvars}
-        return RFun(tuple((n, base_subst(pt, m2)) for n, pt in t.params),
-                    base_subst(t.ret, m2), t.tyvars, t.precond)
-    if isinstance(t, RInter):
-        return RInter(tuple(base_subst(c, m) for c in t.conjuncts))
-    raise TypeError(t)
+        m = {k: v for k, v in m.items() if k not in t.tyvars}
+    return map_type(t, lambda c: base_subst(c, m), lambda p: p)
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +845,10 @@ class MethodDecl:
     span: SourceSpan = NO_SPAN
     is_ctor: bool = False
 
+    @property
+    def signature(self) -> RFun:
+        return RFun(tuple(self.params), self.ret, self.tyvars, self.precond)
+
 
 @dataclass
 class ClassDecl:
@@ -1059,7 +1124,7 @@ def children(node) -> Iterator:
 def with_field(node, name: str, value):
     """A copy of `node` with field `name` set to `value`: the same class,
     and every other field, `nid` and `span` included, shared with `node`.
-    This is the one way a node is copied."""
+    This is the one way a node, or a logic value, is copied."""
     new = object.__new__(node.__class__)
     new.__dict__.update(node.__dict__)
     new.__dict__[name] = value

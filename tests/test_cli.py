@@ -378,3 +378,38 @@ def test_intersection_with_a_loop_verifies_and_runs(tmp_path):
             r = rsc("run", str(src), "--entry", "add", "--machine", machine,
                     "--args", *args)
             assert (r.returncode, r.stdout) == (0, out), (args, machine)
+
+
+def _fn_field_program(ret: str) -> str:
+    return ("class P {\n"
+            f"  immutable f : (x: number) => {ret};\n"
+            f"  constructor(f: (x: number) => {ret}) {{ this.f = f; }}\n"
+            "}\n"
+            "/*@ (n: number) => number */\n"
+            "function id(n) { return n; }\n"
+            "/*@ () => P */\n"
+            "function mk() { return new P(id); }\n")
+
+
+def test_a_function_typed_field_checks_runs_and_simulates(tmp_path):
+    """A field of function type is rewritten like any other field type in
+    the constructor's initializer signature."""
+    src = tmp_path / "fnfield.rsc"
+    src.write_text(_fn_field_program("number"))
+    r = rsc("check", str(src))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "VERIFIED\n")
+    r = rsc("run", str(src), "--entry", "mk")
+    assert (r.returncode, r.stdout) == (0, "P {f: <function id>}\n")
+    r = rsc("simulate", str(src), "--entry", "mk")
+    assert r.returncode == 0, r.stdout
+    assert json.loads(r.stdout)["status"] == "ok"
+
+
+def test_a_function_typed_field_too_weak_is_an_error(tmp_path):
+    src = tmp_path / "fnfield.rsc"
+    src.write_text(_fn_field_program("{v: number | 0 <= v}"))
+    r = rsc("check", str(src))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"{src}:8:30: error[LQ-CHK-NEW]: ")
+    assert r.stderr.endswith("\nERRORS\n")

@@ -290,3 +290,76 @@ def test_clone_tree_fresh_ids_in_preorder():
     assert ids[0] > max(nid for _, nid in before)
     assert [(type(n), n.nid) for n in walk_tree(body)] == before
     assert not {id(n) for n in nodes} & {id(n) for n in walk_tree(body)}
+
+
+_LOGIC_CLASSES = ["TField", "TUF", "TBuiltin", "PAnd", "PNot", "RExists",
+                  "RFun", "RBase", "BArr"]
+
+# rebuilds kept outside syntax.py: (module, class, enclosing function)
+_KEPT_REBUILDS = {
+    # the constructor's call signature, made from its MethodDecl with the
+    # class as the return type and no type variables
+    ("checker/core.py", "RFun", "_check_new"),
+    # these two rebuild conjunctions with p_and, which drops the `true`
+    # they leave behind, where map_pred keeps every conjunct
+    ("checker/ctor.py", "PNot", "_strip_structural"),
+    # a negation flips the polarity of the refinement variables under it
+    ("logic.py", "PNot", "drop_kvars"),
+}
+
+
+def _logic_rebuilds(text: str, fname: str) -> list:
+    """The calls in module `text` that rebuild a logic value of one of
+    `_LOGIC_CLASSES` from the same-named fields of another value: for one
+    variable `o`, two of the call's arguments (the one argument of a
+    one-field class) each read `o.f` for the field `f` they fill.
+    Returned as (fname, class, enclosing function, line)."""
+    import ast
+    import dataclasses
+    import rsccore.syntax as syntax
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _LOGIC_CLASSES:
+            names = [f.name for f in
+                     dataclasses.fields(getattr(syntax, node.func.id))]
+            slots = list(zip(names, node.args)) + \
+                [(k.arg, k.value) for k in node.keywords]
+            filled: dict = {}
+            for slot, arg in slots:
+                for a in ast.walk(arg):
+                    if isinstance(a, ast.Attribute) and a.attr == slot and \
+                            isinstance(a.value, ast.Name):
+                        filled.setdefault(a.value.id, set()).add(slot)
+            if any(len(s) >= min(2, len(names)) for s in filled.values()):
+                out.append((fname, node.func.id, func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(text), None)
+    return out
+
+
+def test_only_syntax_rebuilds_a_logic_value():
+    """How a term, a predicate or a type breaks into parts has one owner:
+    outside syntax.py a walker maps them with `map_term`, `map_pred`,
+    `map_type` or `map_core`, or copies one field with `with_field`."""
+    assert [r[:3] for r in _logic_rebuilds(
+        "def f(t, u, b):\n"
+        "    a = TField(g(t.base), t.fname)\n"
+        "    c = PNot(h(u.pred))\n"
+        "    d = RBase(b.base, t.pred)\n"
+        "    return RExists(t.name, u, k(t.body))\n", "t.py")] == [
+        ("t.py", "TField", "f"), ("t.py", "PNot", "f"),
+        ("t.py", "RExists", "f")]
+    src = ROOT / "src" / "rsccore"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path != src / "syntax.py":
+            found += _logic_rebuilds(path.read_text(),
+                                     str(path.relative_to(src)))
+    assert [r for r in found if r[:3] not in _KEPT_REBUILDS] == []
+    assert {r[:3] for r in found} == _KEPT_REBUILDS
