@@ -241,12 +241,17 @@ def _apply_kapp(assign: dict, kid: int, subst: dict) -> Pred:
     return conj
 
 
-def clause_query(cl: HornClause, assign: dict, goal: Pred) -> Query:
-    hyp = cl.hyp_pred
-    parts = [hyp]
+def clause_queries(cl: HornClause, assign: dict, goals: list) -> list:
+    """One query for each goal, under the clause's hypothesis with every
+    refinement-variable application solved by `assign`."""
+    parts = [cl.hyp_pred]
     for kid, subst in cl.hyp_kapps:
         parts.append(_apply_kapp(assign, kid, subst))
-    return Query.make(cl.sorts, p_and(*parts), goal)
+    return Query.per_goal(cl.sorts, p_and(*parts), goals)
+
+
+def clause_query(cl: HornClause, assign: dict, goal: Pred) -> Query:
+    return clause_queries(cl, assign, [goal])[0]
 
 
 def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
@@ -257,7 +262,6 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
     Returns (KvarAssignment, [SolveFailure])."""
     config = config or SolverConfig()
     assign = initial_assignment(registry, qualifiers)
-    sizes = {k: len(v) for k, v in assign.items()}
 
     # clauses are work items by position in khead; by_hyp maps a kvar to
     # the clauses reading it.  A weakened kvar re-queues only those: a
@@ -279,20 +283,18 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
         cl = khead[i]
         _, kid, hsubst = cl.head
         current = assign.get(kid, [])
+        goals = [pred_subst(q, hsubst) for q in current] if hsubst \
+            else current
         kept = []
-        changed = False
-        for q in current:
-            goal = pred_subst(q, hsubst) if hsubst else q
-            verdict = check_valid(clause_query(cl, assign, goal), config)
+        for q, query in zip(current, clause_queries(cl, assign, goals)):
+            verdict = check_valid(query, config)
             if verdict.status == "valid":
                 kept.append(q)
-            else:
-                if verdict.status == "unknown" and strict_unknown:
-                    raise WfViolation(
-                        f"solver unknown during inference: {verdict.reason}")
-                changed = True
-        if changed:
-            assert len(kept) < len(assign[kid]), "weakening must shrink"
+            elif verdict.status == "unknown" and strict_unknown:
+                raise WfViolation(
+                    f"solver unknown during inference: {verdict.reason}")
+        # kept is a sublist of current, so the assignment only shrinks
+        if len(kept) < len(current):
             assign[kid] = kept
             if trace is not None:
                 trace.append((cl.cid, kid, len(kept)))
@@ -300,8 +302,6 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
                 if dep not in queued:
                     queued.add(dep)
                     work.append(dep)
-        total = sum(len(v) for v in assign.values())
-        assert total <= sum(sizes.values()), "assignment grew"
         if rounds > 10_000:
             raise FixpointBoundError("fixpoint iteration bound exceeded")
 

@@ -4,7 +4,9 @@ The internal backend negates the query, walks the boolean structure, and
 refutes every branch with congruence closure plus Fourier-Motzkin; a
 branch it cannot refute must produce a concrete verified countermodel to
 answer Invalid, otherwise the verdict is Unknown.  Valid answers are
-therefore sound, and Invalid answers carry a real model.
+therefore sound, and Invalid answers carry a real model.  A config
+lowers each hypothesis to its branches once and checks every goal asked
+under it against them.
 
 The external backend serializes the query to SMT-LIB2 and asks a solver
 subprocess."""
@@ -36,8 +38,13 @@ class Query:
 
     @staticmethod
     def make(sorts: dict, hyp: Pred, goal: Pred) -> "Query":
-        return Query(tuple(sorted(sorts.items(), key=lambda kv: kv[0])),
-                     hyp, goal)
+        return Query.per_goal(sorts, hyp, [goal])[0]
+
+    @staticmethod
+    def per_goal(sorts: dict, hyp: Pred, goals: list) -> list:
+        """One query for each goal, all under one hypothesis."""
+        table = tuple(sorted(sorts.items(), key=lambda kv: kv[0]))
+        return [Query(table, hyp, goal) for goal in goals]
 
     def sort_map(self) -> dict:
         return dict(self.sorts)
@@ -60,21 +67,44 @@ class SolverConfig:
     command: Optional[str] = None
     timeout_ms: int = 10_000
 
-    # Query -> Verdict; a config's backend is fixed at construction
-    _cache: dict = field(default_factory=dict, repr=False)
+    # (sorts, hyp) -> _Hypothesis; a config's backend is fixed at
+    # construction
+    _hypotheses: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass
+class _Hypothesis:
+    """One hypothesis under one sort table, with the verdict given for
+    each goal asked under it.  The internal backend lowers it once, to at
+    most _MAX_BRANCHES + 1 boolean branches, or to the reason lowering
+    failed."""
+
+    sorts: dict
+    branches: list = field(default_factory=list)
+    error: Optional[str] = None
+    verdicts: dict = field(default_factory=dict)  # goal -> Verdict
 
 
 def check_valid(q: Query, config: Optional[SolverConfig] = None) -> Verdict:
     config = config or SolverConfig()
-    hit = config._cache.get(q)
-    if hit is not None:
-        return hit
-    if config.backend == "external":
-        from .smtlib import check_external
-        v = check_external(q, config)
-    else:
-        v = _check_internal(q)
-    config._cache[q] = v
+    key = (q.sorts, q.hyp)
+    h = config._hypotheses.get(key)
+    if h is None:
+        h = _Hypothesis(q.sort_map())
+        if config.backend != "external":
+            try:
+                h.branches = _lower(q.hyp, h.sorts, True)
+            except NormError as e:
+                h.error = str(e)
+        config._hypotheses[key] = h
+    v = h.verdicts.get(q.goal)
+    if v is None:
+        if config.backend == "external":
+            from .smtlib import check_external
+            v = check_external(q, config)
+        else:
+            v = _check_internal(h, q.goal)
+        h.verdicts[q.goal] = v
     return v
 
 
@@ -85,23 +115,28 @@ def check_valid(q: Query, config: Optional[SolverConfig] = None) -> Verdict:
 _MAX_BRANCHES = 4096
 
 
-def _check_internal(q: Query) -> Verdict:
-    sorts = q.sort_map()
+def _lower(p: Pred, sorts: dict, positive: bool) -> list:
+    """The branches of `p` (of its negation unless `positive`), after
+    folding; _MAX_BRANCHES + 1 of them are all that a check can use."""
+    f = build_formula(fold_pred(p), sorts, positive)
+    return list(itertools.islice(_branches(f), _MAX_BRANCHES + 1))
+
+
+def _check_internal(h: _Hypothesis, goal: Pred) -> Verdict:
+    """Refute every branch of the hypothesis joined with every branch of
+    the negated goal."""
+    if h.error is not None:
+        return Verdict("unknown", reason=h.error)
     try:
-        hyp = fold_pred(q.hyp)
-        goal = fold_pred(q.goal)
-        f_hyp = build_formula(hyp, sorts, True)
-        f_ngoal = build_formula(goal, sorts, False)
+        ngoal = _lower(goal, h.sorts, False)
     except NormError as e:
         return Verdict("unknown", reason=str(e))
-    formula = ("and", [f_hyp, f_ngoal])
     unknown_reason = None
-    count = 0
-    for lits in _branches(formula):
-        count += 1
+    combos = itertools.product(h.branches, ngoal)
+    for count, (hb, gb) in enumerate(combos, 1):
         if count > _MAX_BRANCHES:
             return Verdict("unknown", reason="boolean branch limit exceeded")
-        r = _theory_check(lits)
+        r = _theory_check(hb + gb)
         if r[0] == "unsat":
             continue
         if r[0] == "sat":

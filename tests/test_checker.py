@@ -543,3 +543,76 @@ def test_corpus_solver_counters(monkeypatch):
         check_program(parse(path), SolverConfig())
     assert dict(counts) == {"queries": 1176, "valid": 454, "invalid": 510,
                             "unknown": 212, "runs": 1158, "fm": 1007}
+
+
+def _swap_everywhere(monkeypatch, replacements: dict):
+    """Replace each function wherever an rsccore module binds it by
+    name, recursive calls within its own module included."""
+    import sys
+
+    for name, mod in list(sys.modules.items()):
+        if name == "rsccore" or name.startswith("rsccore."):
+            for attr, value in list(vars(mod).items()):
+                for fn, wrapper in replacements.items():
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+
+
+def test_corpus_lowers_each_hypothesis_once(monkeypatch):
+    """Checking the corpus, each file with a fresh solver config, folds
+    and lowers each of its 319 distinct hypotheses once and the negated
+    goal of each of its 1158 internal runs once."""
+    import collections
+
+    from rsccore.solver import SolverConfig, normal
+
+    counts = collections.Counter()
+    depth = collections.Counter()
+
+    def top_level(fn, key):
+        def counted(*args, **kwargs):
+            if not depth[fn]:
+                counts[key(*args, **kwargs)] += 1
+            depth[fn] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[fn] -= 1
+        return counted
+
+    def lowered(p, sorts, positive=True):
+        return "hypotheses" if positive else "negated_goals"
+
+    _swap_everywhere(monkeypatch, {
+        normal.fold_pred: top_level(normal.fold_pred, lambda p: "folds"),
+        normal.build_formula: top_level(normal.build_formula, lowered),
+    })
+    for path in sorted(CORPUS.glob("*.rsc")):
+        check_program(parse(path), SolverConfig())
+    assert dict(counts) == {"folds": 1477, "hypotheses": 319,
+                            "negated_goals": 1158}
+
+
+def test_corpus_verdicts_match_fresh_configs(monkeypatch):
+    """Every query that checking the corpus asks gets the same verdict
+    from the file's shared config, where its hypothesis was lowered for
+    an earlier goal, as from a config of its own."""
+    from rsccore import solver
+    from rsccore.solver import SolverConfig
+
+    check_valid = solver.check_valid
+    asked = []
+
+    def recorded(q, config=None):
+        verdict = check_valid(q, config)
+        asked.append((q, verdict))
+        return verdict
+
+    _swap_everywhere(monkeypatch, {check_valid: recorded})
+    for path in sorted(CORPUS.glob("*.rsc")):
+        check_program(parse(path), SolverConfig())
+    assert len(asked) == 1176
+    for q, verdict in asked:
+        alone = check_valid(q, SolverConfig())
+        assert (alone.status, alone.model, alone.reason) == \
+            (verdict.status, verdict.model, verdict.reason), q

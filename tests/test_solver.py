@@ -23,7 +23,8 @@ from rsccore.solver import (
     Query, SolverConfig, Verdict, check_valid, const_fold, emit_smtlib,
 )
 from rsccore.syntax import (
-    P_TRUE, PAtom, PNot, TBuiltin, TConst, TUF, TValueVar, TVar, p_and, p_eq,
+    P_FALSE, P_TRUE, PAtom, PKvar, PNot, TBuiltin, TConst, TUF, TValueVar,
+    TVar, p_and, p_eq, p_or,
 )
 
 V = TValueVar()
@@ -108,6 +109,113 @@ def test_verdict_cache_tells_apart_queries_that_print_alike():
                        cfg).status == "valid"
     assert check_valid(_q(sorts, p_eq(x, TConst(1)), p_eq(x, TConst(True))),
                        cfg).status == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# one hypothesis, many goals
+
+
+def _lt(a, b):
+    return PAtom(TBuiltin("lt", (a, b)))
+
+
+def _wide_hypothesis(width):
+    """Integer sorts and a hypothesis of 2**width boolean branches, each
+    refuted by the contradiction `y < y`."""
+    xs = [TVar(f"x{i}") for i in range(width)]
+    y = TVar("y")
+    cases = [p_or(_lt(x, TConst(0)), _lt(TConst(-1), x)) for x in xs]
+    sorts = {x.name: S_INT for x in xs}
+    sorts["y"] = S_INT
+    return sorts, p_and(*cases, _lt(y, y))
+
+
+def test_branch_limit_counts_hypothesis_branches():
+    sorts, hyp = _wide_hypothesis(13)
+    v = check_valid(_q(sorts, hyp, P_FALSE))
+    assert v == Verdict("unknown", reason="boolean branch limit exceeded")
+    # a goal of true leaves no branch to refute at all
+    assert check_valid(_q(sorts, hyp, P_TRUE)) == Verdict("valid")
+
+
+def test_branch_limit_counts_hypothesis_goal_combinations():
+    """128 hypothesis branches are within the limit, and so are the 64
+    branches of the negated goal; their 8192 combinations are not."""
+    sorts, hyp = _wide_hypothesis(7)
+    zs = [TVar(f"z{i}") for i in range(6)]
+    sorts.update({z.name: S_INT for z in zs})
+    goal = P_FALSE
+    for z in zs:
+        goal = p_or(goal, p_and(_lt(z, TConst(0)), _lt(TConst(5), z)))
+    cfg = SolverConfig()
+    assert check_valid(_q(sorts, hyp, P_FALSE), cfg) == Verdict("valid")
+    assert check_valid(_q(sorts, hyp, goal), cfg) == \
+        Verdict("unknown", reason="boolean branch limit exceeded")
+
+
+def test_unlowerable_hypothesis_gives_every_goal_its_reason():
+    """A refinement variable in the hypothesis makes every goal Unknown
+    with the hypothesis's reason, even a goal that cannot be lowered
+    itself and the goal true."""
+    x, z = TVar("x"), TVar("z")
+    sorts = {"x": S_INT}
+    hyp = p_and(p_eq(x, TConst(0)), PKvar(0, ()))
+    cfg = SolverConfig()
+    for goal in (p_eq(x, TConst(0)), P_FALSE, p_eq(z, TConst(1)), P_TRUE):
+        assert check_valid(_q(sorts, hyp, goal), cfg) == Verdict(
+            "unknown", reason="refinement variable reached the solver")
+
+
+def test_hypothesis_folding_to_false_makes_every_goal_valid():
+    """Every goal that lowers is Valid; a goal that does not lower keeps
+    its own Unknown reason."""
+    x, z = TVar("x"), TVar("z")
+    sorts = {"x": S_INT}
+    hyp = p_and(p_eq(x, TConst(1)), _lt(TConst(1), TConst(0)))
+    cfg = SolverConfig()
+    for goal in (P_FALSE, p_eq(x, TConst(2)), P_TRUE, _lt(x, x)):
+        assert check_valid(_q(sorts, hyp, goal), cfg) == Verdict("valid")
+    assert check_valid(_q(sorts, hyp, p_eq(z, TConst(1))), cfg) == \
+        Verdict("unknown", reason="no sort for symbol 'z'")
+
+
+def test_goals_under_one_hypothesis_in_either_order():
+    """Under one config, the goals asked under one hypothesis get the
+    verdicts that fresh configs give, in whichever order they come."""
+    x, n = TVar("x"), TVar("n")
+    sorts = {"x": S_INT, "n": S_INT}
+    hyp = p_and(PAtom(TBuiltin("le", (TConst(0), x))), _lt(x, n))
+    goals = [
+        _lt(x, TBuiltin("add", (n, TConst(1)))),
+        p_eq(x, TConst(0)),
+        PAtom(TBuiltin("le", (TConst(0), TBuiltin("mul", (x, n))))),
+        p_eq(TVar("z"), TConst(0)),
+        P_TRUE,
+        P_FALSE,
+    ]
+    fresh = [check_valid(_q(sorts, hyp, g), SolverConfig()) for g in goals]
+    assert [v.status for v in fresh] == ["valid", "invalid", "unknown",
+                                         "unknown", "valid", "invalid"]
+    for order in (goals, goals[::-1]):
+        cfg = SolverConfig()
+        got = {g: check_valid(_q(sorts, hyp, g), cfg) for g in order}
+        assert [got[g] for g in goals] == fresh
+
+
+def test_one_hypothesis_under_two_sort_tables():
+    x = TVar("x")
+    hyp = goal = p_eq(x, TConst(0))
+    cfg = SolverConfig()
+    assert check_valid(_q({}, hyp, goal), cfg) == \
+        Verdict("unknown", reason="no sort for symbol 'x'")
+    assert check_valid(_q({"x": S_INT}, hyp, goal), cfg) == Verdict("valid")
+
+
+def test_goal_true_is_valid():
+    x = TVar("x")
+    sorts = {"x": S_INT}
+    for hyp in (P_TRUE, p_eq(x, TConst(1)), _lt(TConst(0), x)):
+        assert check_valid(_q(sorts, hyp, P_TRUE)) == Verdict("valid")
 
 
 def test_const_fold_grid_size():
