@@ -56,7 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dump-ssa", action="store_true",
                     help="pretty-print the functional SSA program")
     pc.add_argument("--strict-unknown", action="store_true",
-                    help="treat solver unknowns during inference as errors")
+                    help="treat solver unknowns during inference as "
+                         "errors; a candidate that a checked countermodel "
+                         "refutes is dropped without a query, so it reports "
+                         "no unknown")
     pc.add_argument("--format", choices=["text", "json"], default="text")
 
     pr = sub.add_parser("run", help="execute a program")

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .frontend.types_parser import PLACEHOLDER, parse_qualifier_line
 from .logic import TypeEnv, WfViolation, wf_pred
-from .solver import Query, SolverConfig, Verdict, check_valid
+from .solver import Query, SolverConfig, Verdict, check_valid, filter_valid
 from .syntax import (
     Base, P_TRUE, PAtom, PKvar, Pred, RBase, RType, TBuiltin, TConst,
     TUF, TValueVar, TVar, Term, conjuncts_of, p_and, pred_free_vars,
@@ -286,8 +286,10 @@ def solve(clauses: list, qualifiers: list, registry: KvarRegistry,
         goals = [pred_subst(q, hsubst) for q in current] if hsubst \
             else current
         kept = []
-        for q, query in zip(current, clause_queries(cl, assign, goals)):
-            verdict = check_valid(query, config)
+        queries = clause_queries(cl, assign, goals)
+        for q, verdict in zip(current, filter_valid(queries, config)):
+            if verdict is None:
+                continue  # refuted by an earlier candidate's countermodel
             if verdict.status == "valid":
                 kept.append(q)
             elif verdict.status == "unknown" and strict_unknown:

@@ -6,7 +6,9 @@ branch it cannot refute must produce a concrete verified countermodel to
 answer Invalid, otherwise the verdict is Unknown.  Valid answers are
 therefore sound, and Invalid answers carry a real model.  A config
 lowers each hypothesis to its branches once and checks every goal asked
-under it against them.
+under it against them; `filter_valid` asks a batch of goals under one
+hypothesis and does not ask a goal that an earlier countermodel of the
+batch already refutes.
 
 The external backend serializes the query to SMT-LIB2 and asks a solver
 subprocess."""
@@ -26,8 +28,8 @@ from .normal import (
     EufLit, LinCmp, NormError, Skel, build_formula, const_fold, fold_pred,
 )
 
-__all__ = ["Query", "Verdict", "SolverConfig", "check_valid", "const_fold",
-           "emit_smtlib"]
+__all__ = ["Query", "Verdict", "SolverConfig", "check_valid", "filter_valid",
+           "const_fold", "emit_smtlib"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,17 @@ class Verdict:
     status: str  # "valid" | "invalid" | "unknown"
     model: Optional[str] = None
     reason: Optional[str] = None
+    # an internal Invalid answer's checked countermodel: the value of each
+    # non-constant solver term its literals read; `model` renders it
+    valuation: Optional[dict] = None
+
+    @staticmethod
+    def countermodel(valuation: dict) -> "Verdict":
+        sketch = ", ".join(f"{k} = {v}" for k, v in sorted(
+            ((str(k), v) for k, v in valuation.items()),
+            key=lambda kv: kv[0]))
+        return Verdict("invalid", model=sketch or "trivial model",
+                       valuation=valuation)
 
     @property
     def is_valid(self) -> bool:
@@ -83,10 +96,12 @@ class _Hypothesis:
     branches: list = field(default_factory=list)
     error: Optional[str] = None
     verdicts: dict = field(default_factory=dict)  # goal -> Verdict
+    # goal -> its negated lowering, made by filter_valid for the
+    # _check_internal run that follows
+    lowered: dict = field(default_factory=dict)
 
 
-def check_valid(q: Query, config: Optional[SolverConfig] = None) -> Verdict:
-    config = config or SolverConfig()
+def _context(q: Query, config: SolverConfig) -> _Hypothesis:
     key = (q.sorts, q.hyp)
     h = config._hypotheses.get(key)
     if h is None:
@@ -97,6 +112,12 @@ def check_valid(q: Query, config: Optional[SolverConfig] = None) -> Verdict:
             except NormError as e:
                 h.error = str(e)
         config._hypotheses[key] = h
+    return h
+
+
+def check_valid(q: Query, config: Optional[SolverConfig] = None) -> Verdict:
+    config = config or SolverConfig()
+    h = _context(q, config)
     v = h.verdicts.get(q.goal)
     if v is None:
         if config.backend == "external":
@@ -106,6 +127,31 @@ def check_valid(q: Query, config: Optional[SolverConfig] = None) -> Verdict:
             v = _check_internal(h, q.goal)
         h.verdicts[q.goal] = v
     return v
+
+
+def filter_valid(queries: list, config: Optional[SolverConfig] = None) -> list:
+    """The verdict of each query, in order, for queries that share one
+    hypothesis and sort table.  A goal that the checked countermodel of an
+    earlier Invalid verdict in the batch refutes is not valid, so it is
+    not asked: its entry is None, and the config keeps no verdict for it.
+    Each negated goal is lowered at most once."""
+    config = config or SolverConfig()
+    h = _context(queries[0], config) if queries else None
+    out: list = []
+    refuters: list = []  # valuations of the batch's Invalid verdicts
+    for q in queries:
+        if refuters and q.goal not in h.verdicts:
+            ngoal = _negated_goal(q.goal, h.sorts)
+            if not isinstance(ngoal, str) and \
+                    any(_refutes(m, ngoal) for m in refuters):
+                out.append(None)
+                continue
+            h.lowered[q.goal] = ngoal
+        v = check_valid(q, config)
+        if v.valuation is not None:
+            refuters.append(v.valuation)
+        out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +168,24 @@ def _lower(p: Pred, sorts: dict, positive: bool) -> list:
     return list(itertools.islice(_branches(f), _MAX_BRANCHES + 1))
 
 
+def _negated_goal(goal: Pred, sorts: dict):
+    """The branches of the negated goal, or the reason it does not lower."""
+    try:
+        return _lower(goal, sorts, False)
+    except NormError as e:
+        return str(e)
+
+
 def _check_internal(h: _Hypothesis, goal: Pred) -> Verdict:
     """Refute every branch of the hypothesis joined with every branch of
     the negated goal."""
     if h.error is not None:
         return Verdict("unknown", reason=h.error)
-    try:
-        ngoal = _lower(goal, h.sorts, False)
-    except NormError as e:
-        return Verdict("unknown", reason=str(e))
+    ngoal = h.lowered.pop(goal, None)
+    if ngoal is None:
+        ngoal = _negated_goal(goal, h.sorts)
+    if isinstance(ngoal, str):
+        return Verdict("unknown", reason=ngoal)
     unknown_reason = None
     combos = itertools.product(h.branches, ngoal)
     for count, (hb, gb) in enumerate(combos, 1):
@@ -140,7 +195,7 @@ def _check_internal(h: _Hypothesis, goal: Pred) -> Verdict:
         if r[0] == "unsat":
             continue
         if r[0] == "sat":
-            return Verdict("invalid", model=r[1])
+            return Verdict.countermodel(r[1])
         unknown_reason = r[1]
     if unknown_reason is not None:
         return Verdict("unknown", reason=unknown_reason)
@@ -286,7 +341,9 @@ def _skel_linear(sk: Skel, sign: int) -> dict:
 
 def _verify_model(lits: list, cc: CongruenceClosure, model: dict) -> tuple:
     """Check the Fourier-Motzkin point really satisfies every literal once
-    uninterpreted classes get concrete values; only then report sat."""
+    uninterpreted classes get concrete values, and that those values make
+    every uninterpreted function a function; only then report sat, with
+    the value of each non-constant term the literals read."""
     values: dict = {}
     class_vals: dict = {}
     fresh = itertools.count(10_000_019, 7919)
@@ -328,32 +385,95 @@ def _verify_model(lits: list, cc: CongruenceClosure, model: dict) -> tuple:
 
     try:
         for lit in lits:
-            if isinstance(lit, EufLit):
-                v1, v2 = value_of(lit.t1), value_of(lit.t2)
-                if (v1 == v2) != lit.eq:
+            try:
+                if not _holds(lit, value_of):
                     return ("unknown", f"candidate model unverified: {lit}")
-            else:
-                acc = lit.const
-                for k, c in lit.coeffs:
-                    v = value_of(k)
-                    if not isinstance(v, int):
-                        return ("unknown",
-                                f"non-numeric valuation in: {lit}")
-                    acc += c * v
-                ok = {"le": acc <= 0, "lt": acc < 0, "eq": acc == 0,
-                      "ne": acc != 0}[lit.op]
-                if not ok:
-                    return ("unknown", f"candidate model unverified: {lit}")
+            except _NonNumeric:
+                return ("unknown", f"non-numeric valuation in: {lit}")
+        # the argument values the congruence check adds are not shown
+        valuation = {k: v for k, v in values.items() if k.kind != "const"}
+        clash = _congruence_clash(lits, value_of)
     except _NonIntegral:
         return ("unknown", "rational-only countermodel (integrality gap)")
     except _Mismatch as e:
         return ("unknown", f"candidate model disagrees with arithmetic:"
                            f" {e}")
-    sketch = ", ".join(
-        f"{k} = {v}" for k, v in sorted(
-            ((str(k), v) for k, v in values.items() if k.kind != "const"),
-            key=lambda kv: kv[0]))
-    return ("sat", sketch or "trivial model")
+    if clash is not None:
+        return ("unknown", f"candidate model not congruent: {clash}")
+    return ("sat", valuation)
+
+
+def _holds(lit, value) -> bool:
+    """Whether `lit` is true when each term `t` it reads has the value
+    `value(t)`; the one reading of a literal, for checking a countermodel
+    and for evaluating another goal under it.  Raises _NonNumeric when an
+    arithmetic term has no integer value."""
+    if isinstance(lit, EufLit):
+        return (value(lit.t1) == value(lit.t2)) == lit.eq
+    acc = lit.const
+    for k, c in lit.coeffs:
+        v = value(k)
+        if not isinstance(v, int):
+            raise _NonNumeric()
+        acc += c * v
+    if lit.op == "le":
+        return acc <= 0
+    if lit.op == "lt":
+        return acc < 0
+    if lit.op == "eq":
+        return acc == 0
+    return acc != 0
+
+
+def _congruence_clash(lits: list, value_of):
+    """Two uninterpreted applications in `lits`, subterms included, of one
+    head and sort whose arguments have equal sorts and values but whose
+    own values differ, shown as text; None when there are none."""
+    seen: set = set()
+    results: dict = {}  # (head, sort, argument sorts and values) -> app
+
+    def visit(sk: Skel):
+        if sk.kind != "app" or sk in seen:
+            return None
+        seen.add(sk)
+        for a in sk.args:
+            clash = visit(a)
+            if clash is not None:
+                return clash
+        if _interpreted(sk):
+            return None
+        # the sort is part of the key: True == 1 in Python
+        key = (sk.head, sk.sort,
+               tuple((a.sort, value_of(a)) for a in sk.args))
+        other = results.setdefault(key, sk)
+        if value_of(other) != value_of(sk):
+            return (f"{other} = {value_of(other)}, "
+                    f"{sk} = {value_of(sk)}")
+        return None
+
+    for lit in lits:
+        terms = (lit.t1, lit.t2) if isinstance(lit, EufLit) else \
+            (k for k, _ in lit.coeffs)
+        for t in terms:
+            clash = visit(t)
+            if clash is not None:
+                return clash
+    return None
+
+
+def _refutes(valuation: dict, ngoal: list) -> bool:
+    """Whether `valuation` makes every literal of some branch of a negated
+    goal true, reading only terms it gives a value."""
+    def value(sk: Skel):
+        return sk.head if sk.kind == "const" else valuation[sk]
+
+    for branch in ngoal:
+        try:
+            if all(_holds(lit, value) for lit in branch):
+                return True
+        except (KeyError, _NonNumeric):  # KeyError: a term without a value
+            pass
+    return False
 
 
 class _NonIntegral(Exception):
@@ -361,6 +481,10 @@ class _NonIntegral(Exception):
 
 
 class _Mismatch(Exception):
+    pass
+
+
+class _NonNumeric(Exception):
     pass
 
 

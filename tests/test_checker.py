@@ -504,7 +504,8 @@ def test_corpus_solver_counters(monkeypatch):
     """Checking the corpus, each file with a fresh solver config, makes
     a fixed number of validity queries, verdicts, cache misses (internal
     solver runs) and Fourier-Motzkin calls; an optimization of the solver
-    must leave all of them equal."""
+    must leave all of them equal.  The fixpoint asks no candidate that an
+    earlier countermodel of its visit refutes."""
     import collections
     import sys
 
@@ -541,8 +542,8 @@ def test_corpus_solver_counters(monkeypatch):
                     monkeypatch.setattr(mod, attr, counted_fm_solve)
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
-    assert dict(counts) == {"queries": 1176, "valid": 454, "invalid": 510,
-                            "unknown": 212, "runs": 1158, "fm": 1007}
+    assert dict(counts) == {"queries": 887, "valid": 454, "invalid": 221,
+                            "unknown": 212, "runs": 872, "fm": 718}
 
 
 def _swap_everywhere(monkeypatch, replacements: dict):
@@ -560,10 +561,13 @@ def _swap_everywhere(monkeypatch, replacements: dict):
 
 def test_corpus_lowers_each_hypothesis_once(monkeypatch):
     """Checking the corpus, each file with a fresh solver config, folds
-    and lowers each of its 319 distinct hypotheses once and the negated
-    goal of each of its 1158 internal runs once."""
+    and lowers each of its 319 distinct hypotheses once, and a negated
+    goal once per goal and fixpoint visit: once for each of the 872
+    internal runs and once for each of the 289 goals that a countermodel
+    refutes without a run."""
     import collections
 
+    from rsccore import infer, solver
     from rsccore.solver import SolverConfig, normal
 
     counts = collections.Counter()
@@ -583,14 +587,28 @@ def test_corpus_lowers_each_hypothesis_once(monkeypatch):
     def lowered(p, sorts, positive=True):
         return "hypotheses" if positive else "negated_goals"
 
+    def run(*args, **kwargs):
+        counts["runs"] += 1
+        return check_internal(*args, **kwargs)
+
+    def refuted(queries, config=None):
+        verdicts = filter_valid(queries, config)
+        counts["refuted"] += verdicts.count(None)
+        return verdicts
+
+    check_internal, filter_valid = solver._check_internal, infer.filter_valid
     _swap_everywhere(monkeypatch, {
         normal.fold_pred: top_level(normal.fold_pred, lambda p: "folds"),
         normal.build_formula: top_level(normal.build_formula, lowered),
+        check_internal: run,
+        filter_valid: refuted,
     })
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
-    assert dict(counts) == {"folds": 1477, "hypotheses": 319,
-                            "negated_goals": 1158}
+    assert dict(counts) == {"folds": 1480, "hypotheses": 319,
+                            "negated_goals": 1161, "runs": 872,
+                            "refuted": 289}
+    assert counts["negated_goals"] == counts["runs"] + counts["refuted"]
 
 
 def test_corpus_verdicts_match_fresh_configs(monkeypatch):
@@ -611,7 +629,7 @@ def test_corpus_verdicts_match_fresh_configs(monkeypatch):
     _swap_everywhere(monkeypatch, {check_valid: recorded})
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
-    assert len(asked) == 1176
+    assert len(asked) == 887
     for q, verdict in asked:
         alone = check_valid(q, SolverConfig())
         assert (alone.status, alone.model, alone.reason) == \

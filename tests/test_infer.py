@@ -5,18 +5,18 @@ import itertools
 
 import pytest
 
-from conftest import CORPUS, check, parse
+from conftest import CORPUS, check, parse, parse_text
 
 from rsccore.checker import check_program
 from rsccore.infer import (
     KvarRegistry, default_qualifiers, load_qualifier_file, preds_equivalent,
     recheck_all, solve, split_horn,
 )
-from rsccore.logic import ClassTable, NameSupply, TypeEnv
-from rsccore.solver import SolverConfig, check_valid
+from rsccore.logic import S_INT, ClassTable, NameSupply, TypeEnv
+from rsccore.solver import Query, SolverConfig, check_valid, filter_valid
 from rsccore.syntax import (
     BArr, B_NUM, PAtom, PKvar, RBase, TBuiltin, TConst, TUF, TValueVar,
-    TVar, p_and, pred_str, trivially_refine,
+    TVar, p_and, p_eq, pred_str, trivially_refine,
 )
 
 
@@ -202,3 +202,79 @@ def test_strict_unknown_flag():
     assert r.verdict == "errors"
     assert any(d.rule == "SOLVE" or "unknown" in d.message.lower()
                for d in r.errors())
+
+
+# a while loop carrying two accumulators across its join
+_LOOP_K2 = """\
+/*@ (a: number[]) => number */
+function f(a) {
+  var i = 0;
+  var s0 = 0;
+  var s1 = 0;
+  while (i < a.length) {
+    var x = a[i];
+    s0 = s0 + x;
+    s1 = s1 + x;
+    i = i + 1;
+  }
+  return i;
+}
+"""
+
+
+def test_candidates_a_countermodel_drops_are_not_valid(monkeypatch):
+    """Every candidate that the fixpoint drops without a query, because a
+    countermodel of its visit refutes it, is not valid when asked alone
+    with a fresh config; on the corpus and on a loop program."""
+    from rsccore import infer
+
+    refute = infer.filter_valid
+    dropped = []
+
+    def recorded(queries, config=None):
+        verdicts = refute(queries, config)
+        dropped.extend(q for q, v in zip(queries, verdicts) if v is None)
+        return verdicts
+
+    monkeypatch.setattr(infer, "filter_valid", recorded)
+    for path in sorted(CORPUS.glob("*.rsc")):
+        check_program(parse(path), SolverConfig())
+    from_corpus = len(dropped)
+    assert check_program(parse_text(_LOOP_K2), SolverConfig()).verdict == \
+        "verified"
+    assert from_corpus and len(dropped) > from_corpus
+    for q in dropped:
+        assert check_valid(q, SolverConfig()).status != "valid", q
+
+
+def test_a_countermodel_refutes_later_candidates_of_its_visit(monkeypatch):
+    """One visit's candidates under x = 5.  The first, x < 0, is Invalid
+    with the model x = 5, which refutes x <= 3: that one is not asked and
+    gets no verdict, so asking it later runs the solver.  x < z reads z,
+    which the model leaves without a value, so it is asked, and so is
+    0 <= x, which the model does not refute."""
+    from rsccore import solver
+
+    check_internal = solver._check_internal
+    runs = []
+
+    def run(h, goal):
+        runs.append(goal)
+        return check_internal(h, goal)
+
+    monkeypatch.setattr(solver, "_check_internal", run)
+    x, z = TVar("x"), TVar("z")
+    goals = [PAtom(TBuiltin("lt", (x, TConst(0)))),
+             PAtom(TBuiltin("le", (x, TConst(3)))),
+             PAtom(TBuiltin("lt", (x, z))),
+             PAtom(TBuiltin("le", (TConst(0), x)))]
+    queries = Query.per_goal({"x": S_INT, "z": S_INT}, p_eq(x, TConst(5)),
+                             goals)
+    config = SolverConfig()
+    verdicts = filter_valid(queries, config)
+    assert [v and v.status for v in verdicts] == \
+        ["invalid", None, "invalid", "valid"]
+    assert verdicts[0].model == "x = 5"
+    assert runs == [goals[0], goals[2], goals[3]]
+    assert check_valid(queries[1], config).status == "invalid"
+    assert runs[-1] == goals[1]

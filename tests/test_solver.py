@@ -21,6 +21,7 @@ from rsccore.semantics.evalpred import eval_term
 from rsccore.semantics.values import Heap, StuckError, apply_builtin
 from rsccore.solver import (
     Query, SolverConfig, Verdict, check_valid, const_fold, emit_smtlib,
+    filter_valid,
 )
 from rsccore.syntax import (
     P_FALSE, P_TRUE, PAtom, PKvar, PNot, TBuiltin, TConst, TUF, TValueVar,
@@ -331,6 +332,21 @@ def test_external_backend_subprocess_protocol(tmp_path):
                            command=f"{sys.executable} {stub}")
         v = check_valid(head_vc(), cfg)
         assert v.status == status, (answer, v)
+
+
+def test_external_backend_refutes_nothing(tmp_path):
+    """An external answer carries no valuation, so a batch under one
+    hypothesis asks every goal."""
+    stub = tmp_path / "solver_sat.py"
+    stub.write_text("import sys\nsys.stdin.read()\nprint('sat')\n")
+    cfg = SolverConfig(backend="external", command=f"{sys.executable} {stub}")
+    x = TVar("x")
+    goals = [PAtom(TBuiltin("lt", (x, TConst(0)))),
+             PAtom(TBuiltin("le", (x, TConst(3))))]
+    verdicts = filter_valid(Query.per_goal({"x": S_INT}, p_eq(x, TConst(5)),
+                                           goals), cfg)
+    assert [(v.status, v.valuation) for v in verdicts] == \
+        [("invalid", None), ("invalid", None)]
 
 
 def test_external_backend_missing_command():
@@ -929,3 +945,44 @@ def test_check_does_not_depend_on_interning_history():
     fresh = run([target])
     assert '"verdict": "verified"' in fresh
     assert run([*rest, target]) == fresh
+
+
+def test_invalid_verdict_renders_its_valuation():
+    """An Invalid answer keeps the value of each term its literals read,
+    and its model is their rendering.  The value the congruence check
+    gives the argument `a` of len(a) is not part of it."""
+    a = TVar("a")
+    v = check_valid(_q({"a": S_ARR}, p_eq(TUF("len", (a,)), TConst(3)),
+                       PAtom(TBuiltin("lt", (TUF("len", (a,)), TConst(0))))))
+    assert v.status == "invalid"
+    assert {str(k): value for k, value in v.valuation.items()} == \
+        {"len(a)": 3}
+    assert v.model == "len(a) = 3"
+    assert Verdict.countermodel(v.valuation) == v
+
+
+def test_non_congruent_model_is_unknown():
+    """x <= y && y <= x && ttag(x) = "number" implies ttag(y) = "number".
+    The Fourier-Motzkin point makes x = y, which congruence closure never
+    learns, so the two ttag applications get different values: that is
+    no model, and the answer is Unknown, never Invalid."""
+    x, y = TVar("x"), TVar("y")
+    hyp = p_and(PAtom(TBuiltin("le", (x, y))), PAtom(TBuiltin("le", (y, x))),
+                p_eq(TUF("ttag", (x,)), TConst("number")))
+    v = check_valid(_q({"x": S_INT, "y": S_INT}, hyp,
+                       p_eq(TUF("ttag", (y,)), TConst("number"))))
+    assert v.status == "unknown"
+    assert v.reason == ("candidate model not congruent: "
+                        "ttag(x) = number, ttag(y) = @10000019")
+
+
+def test_congruence_check_keeps_argument_sorts_apart():
+    """f(b) and f(n) with b = true and n = 1 may differ: their arguments
+    are of different sorts, although True == 1 in Python."""
+    b, n = TVar("b"), TVar("n")
+    f_b, f_n = TUF("f", (b,)), TUF("f", (n,))
+    hyp = p_and(p_eq(b, TConst(True)), p_eq(n, TConst(1)),
+                p_eq(f_b, TConst(1)), p_eq(f_n, TConst(2)))
+    v = check_valid(_q({"b": S_BOOL, "n": S_INT, "%uf:f": S_INT}, hyp,
+                       P_FALSE))
+    assert v.status == "invalid", v
