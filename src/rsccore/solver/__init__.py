@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Optional
 
 from ..semantics.values import ARITH, StuckError
-from ..syntax import Pred
+from ..syntax import PAnd, Pred
 from .euf import CongruenceClosure
-from .fm import solve as fm_solve
+from .fm import solve as fm_solve, table as fm_table
 from .normal import (
     EufLit, LinCmp, NormError, Skel, build_formula, const_fold, fold_pred,
 )
@@ -83,6 +83,9 @@ class SolverConfig:
     # (sorts, hyp) -> _Hypothesis; a config's backend is fixed at
     # construction
     _hypotheses: dict = field(default_factory=dict, repr=False)
+    # hypothesis conjunct -> [(the sort entries its lowering read, the
+    # lowered formula)]
+    _conjuncts: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -93,7 +96,7 @@ class _Hypothesis:
     failed."""
 
     sorts: dict
-    branches: list = field(default_factory=list)
+    branches: list = field(default_factory=list)  # [_Branch]
     error: Optional[str] = None
     verdicts: dict = field(default_factory=dict)  # goal -> Verdict
     # goal -> its negated lowering, made by filter_valid for the
@@ -108,7 +111,8 @@ def _context(q: Query, config: SolverConfig) -> _Hypothesis:
         h = _Hypothesis(q.sort_map())
         if config.backend != "external":
             try:
-                h.branches = _lower(q.hyp, h.sorts, True)
+                h.branches = [_Branch(b) for b in _lower_hypothesis(
+                    q.hyp, h.sorts, config._conjuncts)]
             except NormError as e:
                 h.error = str(e)
         config._hypotheses[key] = h
@@ -161,19 +165,49 @@ def filter_valid(queries: list, config: Optional[SolverConfig] = None) -> list:
 _MAX_BRANCHES = 4096
 
 
-def _lower(p: Pred, sorts: dict, positive: bool) -> list:
-    """The branches of `p` (of its negation unless `positive`), after
-    folding; _MAX_BRANCHES + 1 of them are all that a check can use."""
-    f = build_formula(fold_pred(p), sorts, positive)
-    return list(itertools.islice(_branches(f), _MAX_BRANCHES + 1))
+def _lower_hypothesis(hyp: Pred, sorts: dict, lowered: dict) -> list:
+    """The branches of `hyp`, after folding, from the lowering of each of
+    its conjuncts; _MAX_BRANCHES + 1 of them are all that a check can use.
+    `lowered` keeps each conjunct's lowering, made again only under a sort
+    table that differs on a symbol the lowering read."""
+    parts = []
+    for p in hyp.conjuncts if isinstance(hyp, PAnd) else (hyp,):
+        made = lowered.setdefault(p, [])
+        for reads, f in made:
+            if all(sorts.get(name) == s for name, s in reads):
+                break
+        else:
+            seen = _SortReads(sorts)
+            f = build_formula(fold_pred(p), seen, True)
+            made.append((tuple(seen.read.items()), f))
+        parts.append(f)
+    return list(itertools.islice(_branches(("and", parts)),
+                                 _MAX_BRANCHES + 1))
+
+
+class _SortReads:
+    """A sort table that records each entry read from it."""
+
+    def __init__(self, sorts: dict):
+        self.sorts = sorts
+        self.read: dict = {}
+
+    def __contains__(self, name) -> bool:
+        return name in self.sorts
+
+    def __getitem__(self, name):
+        s = self.read[name] = self.sorts[name]
+        return s
 
 
 def _negated_goal(goal: Pred, sorts: dict):
-    """The branches of the negated goal, or the reason it does not lower."""
+    """The branches of the negated goal, after folding, or the reason it
+    does not lower."""
     try:
-        return _lower(goal, sorts, False)
+        f = build_formula(fold_pred(goal), sorts, False)
     except NormError as e:
         return str(e)
+    return list(itertools.islice(_branches(f), _MAX_BRANCHES + 1))
 
 
 def _check_internal(h: _Hypothesis, goal: Pred) -> Verdict:
@@ -191,7 +225,7 @@ def _check_internal(h: _Hypothesis, goal: Pred) -> Verdict:
     for count, (hb, gb) in enumerate(combos, 1):
         if count > _MAX_BRANCHES:
             return Verdict("unknown", reason="boolean branch limit exceeded")
-        r = _theory_check(hb + gb)
+        r = _theory_check(hb, gb)
         if r[0] == "unsat":
             continue
         if r[0] == "sat":
@@ -227,10 +261,43 @@ def _branches(f):
     raise AssertionError(kind)
 
 
-def _theory_check(lits: list) -> tuple:
-    # split integer disequalities into strict cases
-    ne_lits = [l for l in lits if isinstance(l, LinCmp) and l.op == "ne"]
-    base = [l for l in lits if not (isinstance(l, LinCmp) and l.op == "ne")]
+def _is_ne(lit) -> bool:
+    return isinstance(lit, LinCmp) and lit.op == "ne"
+
+
+class _Branch:
+    """One branch of a hypothesis, the shared prefix of every theory check
+    made under it: its integer disequalities (`ne`), its other literals
+    (`lits`) and, prepared on first use, the context those make, which
+    each goal branch extends: their congruence closure, closed and with
+    constants propagated (None when they conflict), and their tightened
+    arithmetic rows."""
+
+    __slots__ = ("lits", "ne", "_cc", "_rows")
+
+    def __init__(self, lits: list):
+        self.ne = [l for l in lits if _is_ne(l)]
+        self.lits = [l for l in lits if not _is_ne(l)]
+        self._rows = None
+
+    def context(self) -> tuple:
+        if self._rows is None:
+            cc = CongruenceClosure()
+            arith = _extend(cc, self.lits)
+            self._cc = cc if arith is not None else None
+            self._rows = fm_table(_rows(arith or []))
+        return self._cc, self._rows
+
+
+def _theory_check(hb: _Branch, gb: list) -> tuple:
+    """Check a hypothesis branch joined with a goal branch, splitting
+    their integer disequalities into strict cases, the hypothesis's
+    first."""
+    cc, rows = hb.context()
+    if cc is None:
+        return ("unsat",)
+    ne_lits = hb.ne + [l for l in gb if _is_ne(l)]
+    base = [l for l in gb if not _is_ne(l)]
     if ne_lits:
         reasons = []
         for signs in itertools.product((1, -1), repeat=len(ne_lits)):
@@ -238,7 +305,7 @@ def _theory_check(lits: list) -> tuple:
             for lit, sg in zip(ne_lits, signs):
                 coeffs = tuple((k, sg * c) for k, c in lit.coeffs)
                 case.append(LinCmp("lt", coeffs, sg * lit.const))
-            r = _theory_check_conj(case)
+            r = _theory_check_conj(hb, case)
             if r[0] == "sat":
                 return r
             if r[0] == "unknown":
@@ -246,11 +313,36 @@ def _theory_check(lits: list) -> tuple:
         if reasons:
             return ("unknown", reasons[0])
         return ("unsat",)
-    return _theory_check_conj(base)
+    return _theory_check_conj(hb, base)
 
 
-def _theory_check_conj(lits: list) -> tuple:
-    cc = CongruenceClosure()
+def _theory_check_conj(hb: _Branch, lits: list) -> tuple:
+    """Check the prepared context of `hb` extended by `lits`, which hold
+    no disequality, on a copy of its closure."""
+    cc, prepared = hb.context()
+    cc = cc.copy()
+    arith = _extend(cc, lits)
+    if arith is None:
+        return ("unsat",)
+    rows = _rows(arith)
+    for a, b in cc.int_equalities():
+        coeffs = _skel_linear(a, 1)
+        for k, c in _skel_linear(b, -1).items():
+            coeffs[k] = coeffs.get(k, 0) + c
+        const = coeffs.pop("%const", 0)
+        coeffs = {k: c for k, c in coeffs.items() if c != 0}
+        rows.append((coeffs, -const, "eq"))
+    r = fm_solve(rows, prepared)
+    if r[0] == "unsat":
+        return ("unsat",)
+    return _verify_model(hb.lits + lits, cc, r[1])
+
+
+def _extend(cc: CongruenceClosure, lits: list) -> Optional[list]:
+    """Assert `lits` into `cc`, close it and propagate constants through
+    interpreted arithmetic applications (so products over pinned operands
+    become pinned themselves).  The arithmetic literals of `lits`, or
+    None on a conflict."""
     arith: list = []
     for lit in lits:
         if isinstance(lit, EufLit):
@@ -260,9 +352,7 @@ def _theory_check_conj(lits: list) -> tuple:
                 cc.add(k)
             arith.append(lit)
     if not cc.close():
-        return ("unsat",)
-    # constant propagation through interpreted arithmetic applications
-    # (so products over pinned operands become pinned themselves)
+        return None
     for lit in arith:
         if lit.op == "eq" and len(lit.coeffs) == 1 and \
                 lit.coeffs[0][1] == 1:
@@ -270,7 +360,7 @@ def _theory_check_conj(lits: list) -> tuple:
             cc.add(key)
             cc.merge(key, Skel("const", -lit.const, (), "int"))
     if not cc.close():
-        return ("unsat",)
+        return None
     changed = True
     while changed:
         changed = False
@@ -294,30 +384,13 @@ def _theory_check_conj(lits: list) -> tuple:
                 cc.merge(t, cs)
                 changed = True
         if cc.conflict or not cc.close():
-            return ("unsat",)
-    rows = []
-    for lit in arith:
-        coeffs = dict(lit.coeffs)
-        if lit.op == "eq":
-            rows.append((coeffs, -lit.const, "eq"))
-        elif lit.op == "le":
-            rows.append((coeffs, -lit.const, "le"))
-        elif lit.op == "lt":
-            rows.append((coeffs, -lit.const, "lt"))
-        else:
-            raise AssertionError(lit.op)
-    for a, b in cc.int_equalities():
-        coeffs = _skel_linear(a, 1)
-        for k, c in _skel_linear(b, -1).items():
-            coeffs[k] = coeffs.get(k, 0) + c
-        const = coeffs.pop("%const", 0)
-        coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        rows.append((coeffs, -const, "eq"))
-    r = fm_solve(rows)
-    if r[0] == "unsat":
-        return ("unsat",)
-    model = r[1]
-    return _verify_model(lits, cc, model)
+            return None
+    return arith
+
+
+def _rows(arith: list) -> list:
+    """Fourier-Motzkin rows of eq/le/lt literals."""
+    return [(dict(lit.coeffs), -lit.const, lit.op) for lit in arith]
 
 
 def _skel_linear(sk: Skel, sign: int) -> dict:

@@ -28,6 +28,21 @@ class CongruenceClosure:
         self.conflict: bool = False
         self._classes: dict | None = None
 
+    def copy(self) -> "CongruenceClosure":
+        """An independent closure in the same state, to extend while this
+        one stays as it is."""
+        new = CongruenceClosure.__new__(CongruenceClosure)
+        new.parent = dict(self.parent)
+        new.uses = {rep: list(apps) for rep, apps in self.uses.items()}
+        new.sigs = dict(self.sigs)
+        new.terms = set(self.terms)
+        new.diseqs = list(self.diseqs)
+        new.conflict = self.conflict
+        # shared until either side's partition changes: classes() builds
+        # a new map then, and neither mutates one
+        new._classes = self._classes
+        return new
+
     # -- union-find -----------------------------------------------------------
 
     def add(self, t: Skel):

@@ -7,8 +7,9 @@ vector once: a parallel row merges into the kept one, which takes the
 tighter bound and counts how many rows of plain elimination it stands for
 (`mult`).  The variable order sums those counts, so it, the rows that
 survive and the candidate point are those of elimination without merging.
-Sound for unsatisfiability; satisfiable outcomes come with a candidate
-point for model checking."""
+Rows shared by many systems are tightened once into a table (`table`)
+that `solve` extends without changing it.  Sound for unsatisfiability;
+satisfiable outcomes come with a candidate point for model checking."""
 
 from __future__ import annotations
 
@@ -44,29 +45,35 @@ def _tighten(coeffs: dict, bound, strict: bool) -> Row:
     by the gcd, floor."""
     scale = lcm(bound.denominator,
                 *(c.denominator for c in coeffs.values()))
-    ib = int(bound * scale)
+    if scale == 1:
+        coeffs = {k: int(c) for k, c in coeffs.items()}
+        ib = int(bound)
+    else:
+        coeffs = {k: int(c * scale) for k, c in coeffs.items()}
+        ib = int(bound * scale)
     if strict:
         # integer-sorted atoms: sum < b  =>  sum <= b - 1
         ib -= 1
-    return _primitive({k: int(c * scale) for k, c in coeffs.items()}, ib)
+    return _primitive(coeffs, ib)
 
 
 def _add(rows: dict, row: Row) -> None:
-    """Insert `row`, merging it into a kept row with the same coefficients:
-    the tighter bound wins and the multiplicities add."""
+    """Insert `row`, merging it with a kept row of the same coefficients
+    into a new row: the tighter bound wins and the multiplicities add.  A
+    kept row may belong to a table, so it is never changed."""
     key = frozenset(row.coeffs.items())
     kept = rows.get(key)
     if kept is None:
         rows[key] = row
     else:
-        kept.bound = min(kept.bound, row.bound)
-        kept.mult += row.mult
+        rows[key] = Row(kept.coeffs, min(kept.bound, row.bound),
+                        kept.mult + row.mult)
 
 
-def solve(rows_in: list) -> tuple:
-    """rows_in: list of (coeffs dict, bound int or Fraction, op in
-    le/lt/eq).  Returns ("unsat",) or ("sat", model dict key->Fraction)."""
-    rows: dict = {}  # frozenset(coeffs.items()) -> Row, in insertion order
+def table(rows_in: list, rows: Optional[dict] = None) -> dict:
+    """The tightened rows of `rows_in`, added to a copy of the table
+    `rows`: frozenset(coeffs.items()) -> Row, in insertion order."""
+    rows = {} if rows is None else dict(rows)
     for coeffs, bound, op in rows_in:
         if op == "eq":
             _add(rows, _tighten(coeffs, bound, False))
@@ -74,6 +81,24 @@ def solve(rows_in: list) -> tuple:
                                 False))
         else:
             _add(rows, _tighten(coeffs, bound, op == "lt"))
+    return rows
+
+
+def _quotient(a, b: int):
+    """a / b for a positive int `b`, an int when it divides exactly."""
+    if a.__class__ is int and not a % b:
+        return a // b
+    return Fraction(a, b)
+
+
+def solve(rows_in: list, prepared: Optional[dict] = None) -> tuple:
+    """rows_in: list of (coeffs dict, bound int or Fraction, op in
+    le/lt/eq), solved together with the rows of the table `prepared`,
+    which is left as it was.  Returns ("unsat",) or ("sat", model dict
+    key -> int, or Fraction where no integer was found)."""
+    rows = table(rows_in, prepared)
+    # the names that order eliminations; elimination adds no key
+    names = {k: str(k) for r in rows.values() for k in r.coeffs}
     eliminated: list[tuple] = []  # (key, lower rows, upper rows)
     while True:
         trivial = rows.pop(frozenset(), None)
@@ -91,7 +116,7 @@ def solve(rows_in: list) -> tuple:
             break
         # cheapest elimination first: fewest combined rows, then by name;
         # an exact tie goes to the key that appeared first
-        var = min(signs, key=lambda k: (signs[k][0] * signs[k][1], str(k)))
+        var = min(signs, key=lambda k: (signs[k][0] * signs[k][1], names[k]))
         uppers = []  # var <= expr
         lowers = []  # var >= expr
         new_rows: dict = {}
@@ -118,38 +143,36 @@ def solve(rows_in: list) -> tuple:
                 _add(new_rows, _primitive(coeffs, cl * up.bound +
                                           cu * lo.bound, up.mult * lo.mult))
         rows = new_rows
-    # back-substitute a candidate point, preferring integers
+    # back-substitute a candidate point, preferring integers; it stays in
+    # int until a division is inexact
     model: dict = {}
 
-    def val(expr_coeffs: dict, bound, sign: int) -> Fraction:
-        acc = bound
-        for k, c in expr_coeffs.items():
-            # keys whose rows were discarded by a one-sided elimination
-            # default to zero; the caller re-verifies the model anyway
-            acc -= c * model.setdefault(k, Fraction(0))
-        return acc * sign
+    def rest(r: Row, var):
+        # bound - sum(c * k) over the row's other keys; keys whose rows
+        # were discarded by a one-sided elimination default to zero, and
+        # the caller re-verifies the model anyway
+        acc = r.bound
+        for k, c in r.coeffs.items():
+            if k != var:
+                acc -= c * model.setdefault(k, 0)
+        return acc
 
     for var, lowers, uppers in reversed(eliminated):
-        lo_bound: Optional[Fraction] = None
-        hi_bound: Optional[Fraction] = None
+        lo_bound = hi_bound = None
         for r in uppers:
-            cu = r.coeffs[var]
-            rest = {k: c for k, c in r.coeffs.items() if k != var}
-            b = Fraction(val(rest, r.bound, 1), cu)
+            b = _quotient(rest(r, var), r.coeffs[var])
             hi_bound = b if hi_bound is None else min(hi_bound, b)
         for r in lowers:
-            cl = -r.coeffs[var]
-            rest = {k: c for k, c in r.coeffs.items() if k != var}
-            b = Fraction(-val(rest, r.bound, 1), cl)
+            b = _quotient(-rest(r, var), -r.coeffs[var])
             lo_bound = b if lo_bound is None else max(lo_bound, b)
         if lo_bound is None and hi_bound is None:
-            model[var] = Fraction(0)
+            model[var] = 0
         elif lo_bound is None:
-            model[var] = Fraction(floor(hi_bound))
+            model[var] = floor(hi_bound)
         elif hi_bound is None:
-            model[var] = Fraction(-floor(-lo_bound))
+            model[var] = -floor(-lo_bound)
         else:
-            c = Fraction(-floor(-lo_bound))  # ceil(lo)
+            c = -floor(-lo_bound)  # ceil(lo)
             model[var] = c if c <= hi_bound else \
-                Fraction(lo_bound + hi_bound, 2)
+                _quotient(lo_bound + hi_bound, 2)
     return ("sat", model)

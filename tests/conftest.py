@@ -8,6 +8,23 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 sys.path.insert(0, str(ROOT / "src"))
 
+# a while loop carrying two accumulators across its join
+LOOP_K2 = """\
+/*@ (a: number[]) => number */
+function f(a) {
+  var i = 0;
+  var s0 = 0;
+  var s1 = 0;
+  while (i < a.length) {
+    var x = a[i];
+    s0 = s0 + x;
+    s1 = s1 + x;
+    i = i + 1;
+  }
+  return i;
+}
+"""
+
 
 @pytest.fixture(scope="session")
 def corpus():

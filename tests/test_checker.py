@@ -561,10 +561,11 @@ def _swap_everywhere(monkeypatch, replacements: dict):
 
 def test_corpus_lowers_each_hypothesis_once(monkeypatch):
     """Checking the corpus, each file with a fresh solver config, folds
-    and lowers each of its 319 distinct hypotheses once, and a negated
-    goal once per goal and fixpoint visit: once for each of the 872
-    internal runs and once for each of the 289 goals that a countermodel
-    refutes without a run."""
+    and lowers each distinct conjunct of its hypotheses once per config,
+    1,032 of them over the 319 distinct hypotheses, and a negated goal
+    once per goal and fixpoint visit: once for each of the 872 internal
+    runs and once for each of the 289 goals that a countermodel refutes
+    without a run.  Every fold is that of one lowering."""
     import collections
 
     from rsccore import infer, solver
@@ -585,7 +586,7 @@ def test_corpus_lowers_each_hypothesis_once(monkeypatch):
         return counted
 
     def lowered(p, sorts, positive=True):
-        return "hypotheses" if positive else "negated_goals"
+        return "conjuncts" if positive else "negated_goals"
 
     def run(*args, **kwargs):
         counts["runs"] += 1
@@ -598,6 +599,8 @@ def test_corpus_lowers_each_hypothesis_once(monkeypatch):
 
     check_internal, filter_valid = solver._check_internal, infer.filter_valid
     _swap_everywhere(monkeypatch, {
+        solver._lower_hypothesis: top_level(solver._lower_hypothesis,
+                                            lambda *a: "hypotheses"),
         normal.fold_pred: top_level(normal.fold_pred, lambda p: "folds"),
         normal.build_formula: top_level(normal.build_formula, lowered),
         check_internal: run,
@@ -605,10 +608,11 @@ def test_corpus_lowers_each_hypothesis_once(monkeypatch):
     })
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
-    assert dict(counts) == {"folds": 1480, "hypotheses": 319,
-                            "negated_goals": 1161, "runs": 872,
+    assert dict(counts) == {"hypotheses": 319, "folds": 2193,
+                            "conjuncts": 1032, "negated_goals": 1161, "runs": 872,
                             "refuted": 289}
     assert counts["negated_goals"] == counts["runs"] + counts["refuted"]
+    assert counts["folds"] == counts["conjuncts"] + counts["negated_goals"]
 
 
 def test_corpus_verdicts_match_fresh_configs(monkeypatch):

@@ -413,3 +413,37 @@ def test_a_function_typed_field_too_weak_is_an_error(tmp_path):
     assert r.stdout == ""
     assert r.stderr.startswith(f"{src}:8:30: error[LQ-CHK-NEW]: ")
     assert r.stderr.endswith("\nERRORS\n")
+
+
+
+# checks each file named on the command line in turn, in this one process
+_CHECK_EACH = """
+import contextlib, io, sys
+from rsccore.cli import main
+for path in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--format", "json", "--dump-solution", path])
+    print(path, code, out.getvalue(), err.getvalue())
+"""
+
+
+def test_check_output_does_not_depend_on_the_hash_seed():
+    """`rsc check --format json --dump-solution` on each corpus file, all
+    in one process, prints the same bytes under two hash seeds.  The
+    order in which a congruence closure's term set iterates follows the
+    seed, and a copied closure's differs from that of one built afresh,
+    so no output may read it."""
+    files = sorted(map(str, CORPUS.glob("*.rsc")))
+    outputs = []
+    for seed in ("1", "2"):
+        r = subprocess.run(
+            [sys.executable, "-c", _CHECK_EACH, *files],
+            capture_output=True, text=True, cwd=str(ROOT),
+            env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin",
+                 "PYTHONHASHSEED": seed}, timeout=600)
+        assert r.returncode == 0, r.stderr
+        outputs.append(r.stdout)
+    assert len(files) == 14
+    assert outputs[0].count('"rsc/solution/v1"') == 14
+    assert outputs[0] == outputs[1]

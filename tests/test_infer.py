@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from conftest import CORPUS, check, parse, parse_text
+from conftest import CORPUS, LOOP_K2, check, parse, parse_text
 
 from rsccore.checker import check_program
 from rsccore.infer import (
@@ -204,24 +204,6 @@ def test_strict_unknown_flag():
                for d in r.errors())
 
 
-# a while loop carrying two accumulators across its join
-_LOOP_K2 = """\
-/*@ (a: number[]) => number */
-function f(a) {
-  var i = 0;
-  var s0 = 0;
-  var s1 = 0;
-  while (i < a.length) {
-    var x = a[i];
-    s0 = s0 + x;
-    s1 = s1 + x;
-    i = i + 1;
-  }
-  return i;
-}
-"""
-
-
 def test_candidates_a_countermodel_drops_are_not_valid(monkeypatch):
     """Every candidate that the fixpoint drops without a query, because a
     countermodel of its visit refutes it, is not valid when asked alone
@@ -240,7 +222,7 @@ def test_candidates_a_countermodel_drops_are_not_valid(monkeypatch):
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
     from_corpus = len(dropped)
-    assert check_program(parse_text(_LOOP_K2), SolverConfig()).verdict == \
+    assert check_program(parse_text(LOOP_K2), SolverConfig()).verdict == \
         "verified"
     assert from_corpus and len(dropped) > from_corpus
     for q in dropped:

@@ -986,3 +986,186 @@ def test_congruence_check_keeps_argument_sorts_apart():
     v = check_valid(_q({"b": S_BOOL, "n": S_INT, "%uf:f": S_INT}, hyp,
                        P_FALSE))
     assert v.status == "invalid", v
+
+
+# ---------------------------------------------------------------------------
+# prepared hypothesis branches: a closed prefix extended per goal branch
+
+
+def _scratch_theory_check(lits: list) -> tuple:
+    """Reference oracle: the theory check of a whole literal list built
+    from scratch, as it was before hypothesis branches were prepared."""
+    from itertools import product
+    from rsccore.solver.normal import LinCmp
+    ne_lits = [l for l in lits if isinstance(l, LinCmp) and l.op == "ne"]
+    base = [l for l in lits if not (isinstance(l, LinCmp) and l.op == "ne")]
+    if not ne_lits:
+        return _scratch_theory_check_conj(base)
+    reasons = []
+    for signs in product((1, -1), repeat=len(ne_lits)):
+        case = list(base)
+        for lit, sg in zip(ne_lits, signs):
+            coeffs = tuple((k, sg * c) for k, c in lit.coeffs)
+            case.append(LinCmp("lt", coeffs, sg * lit.const))
+        r = _scratch_theory_check_conj(case)
+        if r[0] == "sat":
+            return r
+        if r[0] == "unknown":
+            reasons.append(r[1])
+    return ("unknown", reasons[0]) if reasons else ("unsat",)
+
+
+def _scratch_theory_check_conj(lits: list) -> tuple:
+    from rsccore import solver
+    from rsccore.solver import fm
+    cc = CongruenceClosure()
+    arith = []
+    for lit in lits:
+        if isinstance(lit, EufLit):
+            cc.assert_lit(lit)
+        else:
+            for k, _ in lit.coeffs:
+                cc.add(k)
+            arith.append(lit)
+    if not cc.close():
+        return ("unsat",)
+    for lit in arith:
+        if lit.op == "eq" and len(lit.coeffs) == 1 and \
+                lit.coeffs[0][1] == 1:
+            key = lit.coeffs[0][0]
+            cc.add(key)
+            cc.merge(key, Skel("const", -lit.const, (), "int"))
+    if not cc.close():
+        return ("unsat",)
+    changed = True
+    while changed:
+        changed = False
+        for t in list(cc.terms):
+            if t.kind != "app" or not solver._interpreted(t):
+                continue
+            vals = []
+            for a in t.args:
+                v = solver._class_const(cc, a)
+                if v is None:
+                    break
+                vals.append(v)
+            else:
+                sem = solver._eval_interp(t, vals)
+                if sem is None:
+                    continue
+                cs = Skel("const", sem, (), "int")
+                if t in cc.terms and cs in cc.terms and \
+                        cc.find(t) == cc.find(cs):
+                    continue
+                cc.merge(t, cs)
+                changed = True
+        if cc.conflict or not cc.close():
+            return ("unsat",)
+    rows = [(dict(lit.coeffs), -lit.const, lit.op) for lit in arith]
+    for a, b in cc.int_equalities():
+        coeffs = solver._skel_linear(a, 1)
+        for k, c in solver._skel_linear(b, -1).items():
+            coeffs[k] = coeffs.get(k, 0) + c
+        const = coeffs.pop("%const", 0)
+        coeffs = {k: c for k, c in coeffs.items() if c != 0}
+        rows.append((coeffs, -const, "eq"))
+    r = fm.solve(rows)
+    if r[0] == "unsat":
+        return ("unsat",)
+    return solver._verify_model(lits, cc, r[1])
+
+
+def test_prepared_branches_match_a_from_scratch_check(monkeypatch):
+    """Every (hypothesis branch, goal branch) pair that checking the
+    corpus and a loop program visits gets the same status, reason and
+    valuation from the hypothesis branch's prepared context, extended by
+    the goal branch, as from a check built from scratch.  A branch keeps
+    the order of its `!=` literals and of the others, so its other
+    literals, then its `!=` ones, then the goal branch's give the
+    scratch check the same cases."""
+    from conftest import LOOP_K2, parse, parse_text
+    from rsccore import solver
+    from rsccore.checker import check_program
+
+    theory_check = solver._theory_check
+    visited = []
+
+    def recorded(hb, gb):
+        r = theory_check(hb, gb)
+        visited.append((hb, gb, r))
+        return r
+
+    monkeypatch.setattr(solver, "_theory_check", recorded)
+    for path in sorted(CORPUS.glob("*.rsc")):
+        check_program(parse(path), SolverConfig())
+    assert check_program(parse_text(LOOP_K2), SolverConfig()).verdict == \
+        "verified"
+    assert {r[0] for _, _, r in visited} == {"sat", "unsat", "unknown"}
+    assert len({id(hb) for hb, _, _ in visited}) < len(visited)
+    for hb, gb, r in visited:
+        assert r == _scratch_theory_check(hb.lits + hb.ne + gb), (hb.lits,
+                                                                   gb)
+
+
+def _cc_state(cc) -> tuple:
+    # find() compresses paths, so the parent map is read after the
+    # partition
+    closed, partition = cc.close(), _partition(cc)
+    return (closed, partition, dict(cc.parent),
+            {r: list(a) for r, a in cc.uses.items()}, dict(cc.sigs),
+            set(cc.terms), list(cc.diseqs), cc.conflict)
+
+
+@given(st.integers(3, 4).flatmap(_euf_steps), st.integers(0, 8))
+@example([EufLit(False, _X0, _X0), EufLit(True, _X0, _f(_X1)),
+          EufLit(True, _X0, _X1)], 3)
+@settings(max_examples=300, deadline=None)
+def test_extending_a_copied_closure_matches_a_fresh_one(steps, cut):
+    """A closure built from a prefix of the steps and copied, with the
+    copy extended by the rest, agrees with a closure built from all the
+    steps on conflict, close() and, absent a conflict, the partition;
+    the prefix's closure is left as it was."""
+    def apply(closure, part):
+        for step in part:
+            if isinstance(step, EufLit):
+                closure.assert_lit(step)
+            else:
+                closure.add(step)
+
+    prefix, fresh = CongruenceClosure(), CongruenceClosure()
+    apply(prefix, steps[:cut])
+    apply(fresh, steps)
+    before = _cc_state(prefix)
+    extended = prefix.copy()
+    apply(extended, steps[cut:])
+    assert extended.close() == fresh.close()
+    assert extended.conflict == fresh.conflict
+    assert extended.terms == fresh.terms
+    if not fresh.conflict:
+        assert _partition(extended) == _partition(fresh)
+        assert set(map(frozenset, extended.classes().values())) == \
+            _partition(fresh)
+    assert _cc_state(prefix) == before
+
+
+@given(st.integers(2, 4).flatmap(_fm_system), st.integers(0, 30))
+@example(_HEAVY_FM, 3)
+@settings(max_examples=300, deadline=None)
+def test_fourier_motzkin_over_a_prepared_table(system, cut):
+    """Solving the rows after a cut over the table of the rows before it
+    gives the outcome and the point of one call over all the rows, and
+    leaves the table as it was, so a second call gives them again."""
+    from rsccore.solver import fm
+    rows = _fm_rows(system)
+    cut %= len(rows) + 1
+    prepared = fm.table(rows[:cut])
+
+    def state():
+        return [(key, dict(r.coeffs), r.bound, r.mult)
+                for key, r in prepared.items()]
+
+    before = state()
+    want = fm.solve(rows)
+    assert fm.solve(rows[cut:], prepared) == want
+    assert state() == before
+    assert fm.solve(rows[cut:], prepared) == want
