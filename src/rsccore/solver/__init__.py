@@ -58,16 +58,19 @@ class Verdict:
     model: Optional[str] = None
     reason: Optional[str] = None
     # an internal Invalid answer's checked countermodel: the value of each
-    # non-constant solver term its literals read; `model` renders it
+    # non-constant solver term its literals read, subterms included;
+    # `model` renders it, leaving out the terms in `hidden`
     valuation: Optional[dict] = None
+    hidden: frozenset = frozenset()
 
     @staticmethod
-    def countermodel(valuation: dict) -> "Verdict":
+    def countermodel(valuation: dict,
+                     hidden: frozenset = frozenset()) -> "Verdict":
         sketch = ", ".join(f"{k} = {v}" for k, v in sorted(
-            ((str(k), v) for k, v in valuation.items()),
+            ((str(k), v) for k, v in valuation.items() if k not in hidden),
             key=lambda kv: kv[0]))
         return Verdict("invalid", model=sketch or "trivial model",
-                       valuation=valuation)
+                       valuation=valuation, hidden=hidden)
 
     @property
     def is_valid(self) -> bool:
@@ -229,7 +232,7 @@ def _check_internal(h: _Hypothesis, goal: Pred) -> Verdict:
         if r[0] == "unsat":
             continue
         if r[0] == "sat":
-            return Verdict.countermodel(r[1])
+            return Verdict.countermodel(*r[1:])
         unknown_reason = r[1]
     if unknown_reason is not None:
         return Verdict("unknown", reason=unknown_reason)
@@ -463,8 +466,7 @@ def _verify_model(lits: list, cc: CongruenceClosure, model: dict) -> tuple:
                     return ("unknown", f"candidate model unverified: {lit}")
             except _NonNumeric:
                 return ("unknown", f"non-numeric valuation in: {lit}")
-        # the argument values the congruence check adds are not shown
-        valuation = {k: v for k, v in values.items() if k.kind != "const"}
+        shown = set(values)
         clash = _congruence_clash(lits, value_of)
     except _NonIntegral:
         return ("unknown", "rational-only countermodel (integrality gap)")
@@ -473,7 +475,9 @@ def _verify_model(lits: list, cc: CongruenceClosure, model: dict) -> tuple:
                            f" {e}")
     if clash is not None:
         return ("unknown", f"candidate model not congruent: {clash}")
-    return ("sat", valuation)
+    valuation = {k: v for k, v in values.items() if k.kind != "const"}
+    # the argument values the congruence check adds are not shown
+    return ("sat", valuation, frozenset(valuation.keys() - shown))
 
 
 def _holds(lit, value) -> bool:

@@ -542,8 +542,8 @@ def test_corpus_solver_counters(monkeypatch):
                     monkeypatch.setattr(mod, attr, counted_fm_solve)
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
-    assert dict(counts) == {"queries": 887, "valid": 454, "invalid": 221,
-                            "unknown": 212, "runs": 872, "fm": 718}
+    assert dict(counts) == {"queries": 868, "valid": 454, "invalid": 202,
+                            "unknown": 212, "runs": 854, "fm": 700}
 
 
 def _swap_everywhere(monkeypatch, replacements: dict):
@@ -563,8 +563,8 @@ def test_corpus_lowers_each_hypothesis_once(monkeypatch):
     """Checking the corpus, each file with a fresh solver config, folds
     and lowers each distinct conjunct of its hypotheses once per config,
     1,032 of them over the 319 distinct hypotheses, and a negated goal
-    once per goal and fixpoint visit: once for each of the 872 internal
-    runs and once for each of the 289 goals that a countermodel refutes
+    once per goal and fixpoint visit: once for each of the 854 internal
+    runs and once for each of the 308 goals that a countermodel refutes
     without a run.  Every fold is that of one lowering."""
     import collections
 
@@ -608,9 +608,9 @@ def test_corpus_lowers_each_hypothesis_once(monkeypatch):
     })
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
-    assert dict(counts) == {"hypotheses": 319, "folds": 2193,
-                            "conjuncts": 1032, "negated_goals": 1161, "runs": 872,
-                            "refuted": 289}
+    assert dict(counts) == {"hypotheses": 319, "folds": 2194,
+                            "conjuncts": 1032, "negated_goals": 1162,
+                            "runs": 854, "refuted": 308}
     assert counts["negated_goals"] == counts["runs"] + counts["refuted"]
     assert counts["folds"] == counts["conjuncts"] + counts["negated_goals"]
 
@@ -633,7 +633,7 @@ def test_corpus_verdicts_match_fresh_configs(monkeypatch):
     _swap_everywhere(monkeypatch, {check_valid: recorded})
     for path in sorted(CORPUS.glob("*.rsc")):
         check_program(parse(path), SolverConfig())
-    assert len(asked) == 887
+    assert len(asked) == 868
     for q, verdict in asked:
         alone = check_valid(q, SolverConfig())
         assert (alone.status, alone.model, alone.reason) == \

@@ -949,17 +949,46 @@ def test_check_does_not_depend_on_interning_history():
 
 def test_invalid_verdict_renders_its_valuation():
     """An Invalid answer keeps the value of each term its literals read,
-    and its model is their rendering.  The value the congruence check
-    gives the argument `a` of len(a) is not part of it."""
+    subterms included, and its model is their rendering.  The value the
+    congruence check gives the argument `a` of len(a) is kept but not
+    shown."""
     a = TVar("a")
     v = check_valid(_q({"a": S_ARR}, p_eq(TUF("len", (a,)), TConst(3)),
                        PAtom(TBuiltin("lt", (TUF("len", (a,)), TConst(0))))))
     assert v.status == "invalid"
     assert {str(k): value for k, value in v.valuation.items()} == \
-        {"len(a)": 3}
+        {"len(a)": 3, "a": "@10000019"}
+    assert {str(k) for k in v.hidden} == {"a"}
     assert v.model == "len(a) = 3"
-    assert Verdict.countermodel(v.valuation) == v
+    assert Verdict.countermodel(v.valuation, v.hidden) == v
 
+
+
+def test_a_hidden_argument_value_refutes_a_later_goal(monkeypatch):
+    """Under f(x) = 3, the goal f(x) < 0 is Invalid with the model
+    f(x) = 3; the value the congruence check gives x is not shown but is
+    kept, and it refutes x < 5 without a run."""
+    from rsccore import solver
+
+    check_internal = solver._check_internal
+    runs = []
+
+    def run(h, goal):
+        runs.append(goal)
+        return check_internal(h, goal)
+
+    monkeypatch.setattr(solver, "_check_internal", run)
+    x = TVar("x")
+    fx = TUF("f", (x,))
+    goals = [PAtom(TBuiltin("lt", (fx, TConst(0)))),
+             PAtom(TBuiltin("lt", (x, TConst(5))))]
+    verdicts = filter_valid(Query.per_goal(
+        {"x": S_INT, "%uf:f": S_INT}, p_eq(fx, TConst(3)), goals))
+    assert [v and v.status for v in verdicts] == ["invalid", None]
+    assert verdicts[0].model == "f(x) = 3"
+    assert {str(k): v for k, v in verdicts[0].valuation.items()} == \
+        {"f(x)": 3, "x": 10_000_019}
+    assert runs == goals[:1]
 
 def test_non_congruent_model_is_unknown():
     """x <= y && y <= x && ttag(x) = "number" implies ttag(y) = "number".
