@@ -6,9 +6,10 @@ branch it cannot refute must produce a concrete verified countermodel to
 answer Invalid, otherwise the verdict is Unknown.  Valid answers are
 therefore sound, and Invalid answers carry a real model.  A config
 lowers each hypothesis to its branches once and checks every goal asked
-under it against them; `filter_valid` asks a batch of goals under one
-hypothesis and does not ask a goal that an earlier countermodel of the
-batch already refutes.
+under it against them: each hypothesis branch closes its own literals
+once, and each goal branch extends a copy of that context with its own;
+`filter_valid` asks a batch of goals under one hypothesis and does not
+ask a goal that an earlier countermodel of the batch already refutes.
 
 The external backend serializes the query to SMT-LIB2 and asks a solver
 subprocess."""
@@ -296,8 +297,7 @@ def _theory_check(hb: _Branch, gb: list) -> tuple:
     """Check a hypothesis branch joined with a goal branch, splitting
     their integer disequalities into strict cases, the hypothesis's
     first."""
-    cc, rows = hb.context()
-    if cc is None:
+    if hb.context()[0] is None:
         return ("unsat",)
     ne_lits = hb.ne + [l for l in gb if _is_ne(l)]
     base = [l for l in gb if not _is_ne(l)]
