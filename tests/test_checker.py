@@ -276,6 +276,88 @@ function add(x, y) { var r = x; var i = 0; while (i < 1) { i = i + 1; }\
     assert "r = (r + y);" in body_str(clones[1].decl.body)
 
 
+# An overloaded function in a program with a class hierarchy: conjunct 1
+# takes a `B`, conjunct 2 two numbers, and `%s` is guarded to run only
+# under conjunct 1.
+_PHASE_ONE_PROGRAM = """\
+class A {
+  immutable f : number;
+  constructor(f: number) { this.f = f; }
+  getF() : number { return this.f; }
+}
+class B extends A {
+  immutable g : number;
+  immutable k : (number) => number;
+  constructor(f: number, g: number, k: (number) => number) {
+    this.f = f; this.g = g; this.k = k;
+  }
+  getG() : number { return this.g; }
+}
+
+/*@ (b: B, k: (number) => number) => number */
+function apply1(b, k) { return k(b.g); }
+
+/*@ (x: B) => number
+    (x: number, y: number) => number */
+function pick(x, y) {
+  var r = 0;
+  function inc(z) { return z + 1; }
+  if (arguments.length === 1) { %s }
+  return r;
+}
+"""
+
+_DEAD = "assert(false);"
+
+
+@pytest.mark.parametrize("stmt, under_1, under_2", [
+    # field read: own, inherited, unknown; conjunct 2 reads a number
+    ("r = x.g;", ["r = x.g;"], [_DEAD]),
+    ("r = x.f;", ["r = x.f;"], [_DEAD]),
+    ("r = x.h;", [_DEAD], [_DEAD]),
+    # method call: own, inherited, unknown
+    ("r = x.getG();", ["r = x.getG();"], [_DEAD]),
+    ("r = x.getF();", ["r = x.getF();"], [_DEAD]),
+    ("r = x.zap();", [_DEAD], [_DEAD]),
+    # `new` and a cast
+    ("var a = new A(r); r = a.getF();",
+     ["var a = new A(r);", "r = a.getF();"],
+     ["var a = new A(r);", "r = a.getF();"]),
+    ("var a = <A> x; r = a.f;", ["var a = <A> x;", "r = a.f;"],
+     ["var a = <A> x;", "r = a.f;"]),
+    # a closure as an argument, well and ill placed
+    ("r = apply1(x, inc);", ["r = apply1(x, inc);"], [_DEAD]),
+    ("r = apply1(inc, inc);", [_DEAD], [_DEAD]),
+    # a closure as callee, directly and through a variable
+    ("r = inc(r);", ["r = inc(r);"], ["r = inc(r);"]),
+    ("var c = inc; r = c(r);", ["var c = inc;", "r = c(r);"],
+     ["var c = inc;", "r = c(r);"]),
+    # a function-typed field called with its arity and with another
+    ("var h = x.k; r = h(r);", ["var h = x.k;", "r = h(r);"],
+     [_DEAD, _DEAD]),
+    ("var h = x.k; r = h(r, r);", ["var h = x.k;", _DEAD], [_DEAD, _DEAD]),
+    # an unknown function, a call with too few arguments, a call of a
+    # non-function, and no conjunct with three parameters
+    ("r = zork(r);", [_DEAD], [_DEAD]),
+    ("r = apply1(x);", [_DEAD], [_DEAD]),
+    ("r = x(r);", [_DEAD], [_DEAD]),
+    ("r = pick(r, r, r);", [_DEAD], [_DEAD]),
+])
+def test_phase_one_rules(stmt, under_1, under_2):
+    """Every phase-one shape rule, pinned by the clone bodies it yields:
+    an ill-shaped statement becomes `assert(false)`."""
+    from rsccore.checker.twophase import two_phase_expand
+    p = parse_text(_PHASE_ONE_PROGRAM % stmt)
+    fn = next(f for f in p.functions if f.name == "pick")
+    clones = two_phase_expand(fn, p)
+    assert [c.name for c in clones] == ["pick@1", "pick@2"]
+    for arity, clone, under in zip((1, 2), clones, (under_1, under_2)):
+        guarded = "\n".join(f"  {s}" for s in under)
+        assert body_str(clone.decl.body) == (
+            f"var r = 0;\nif (({arity} === 1)) {{\n{guarded}\n}} else {{\n"
+            "  ;\n}\nreturn r;")
+
+
 def test_two_phase_verifies_overload():
     r = check(CORPUS / "overload_reduce.rsc")
     assert r.verdict == "verified"
