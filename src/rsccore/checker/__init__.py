@@ -94,14 +94,14 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
             diags.append(Diagnostic("error", c.span, "WF", v))
         try:
             rewritten, wit = ctor_rewrite(c, classes)
-            info = ctor_init_signature(classes, c.name)
+            init_sig = ctor_init_signature(classes, c.name)
         except (CtorError,) as e:
             diags.append(Diagnostic("error", e.span, "CTOR", e.msg))
             continue
         except WfViolation as e:
             diags.append(Diagnostic("error", c.span, "CTOR", e.reason))
             continue
-        ctor_inits[c.name] = info.init_sig
+        ctor_inits[c.name] = init_sig
         witnesses[c.name] = wit
         methods = [m for m in c.methods if not m.is_ctor] + [rewritten]
         checked_classes.append(ClassDecl(c.name, c.invariant, c.parent,
@@ -114,12 +114,7 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
     check_funcs: list[FuncDecl] = []
     for f in program.functions:
         if isinstance(f.signature, RInter) and f.body is not None:
-            try:
-                cs = two_phase_expand(f, program)
-            except Exception as e:  # shape-system structural failure
-                diags.append(Diagnostic("error", f.span, "OVERLOAD", str(e)))
-                return fail()
-            clones.extend(cs)
+            clones.extend(two_phase_expand(f, program))
             check_funcs.append(FuncDecl(f.name, f.params, f.signature,
                                         None, f.span))
         else:

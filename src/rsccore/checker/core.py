@@ -23,8 +23,8 @@ from ..syntax import (
     PAtom, PNot, RBase, RExists, RFun, RInter, RType, R_BOOL, R_BOT, R_UNDEF,
     SourceSpan, TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term,
     UNDEFINED, base_of_value, base_str, base_subst, conjuncts_of, exists_core,
-    map_core, map_type, p_and, p_eq, pred_subst, trivially_refine, type_str,
-    type_subst, with_field,
+    map_core, map_type, p_and, p_eq, pred_subst, select_conjunct,
+    trivially_refine, type_str, type_subst, with_field,
 )
 from .constraints import Constraint, Diagnostic
 
@@ -163,16 +163,12 @@ class Checker:
             self._sub_fun(env, t1, t2, span, rule)
             return
         if isinstance(t1, RInter):
-            if isinstance(t2, RFun):
-                for c in t1.conjuncts:
-                    if len(c.params) == len(t2.params):
-                        self.sub(env, c, t2, span, rule)
-                        return
-            self.abort(span, rule, "no overload conjunct matches the"
-                       " expected function type")
-        if isinstance(t2, RInter):
-            for c in t2.conjuncts:
-                self.sub(env, t1, c, span, rule)
+            c = select_conjunct(t1, len(t2.params)) \
+                if isinstance(t2, RFun) else None
+            if c is None:
+                self.abort(span, rule, "no overload conjunct matches the"
+                           " expected function type")
+            self.sub(env, c, t2, span, rule)
             return
         if not (isinstance(t1, RBase) and isinstance(t2, RBase)):
             self.abort(span, rule,
@@ -387,11 +383,11 @@ class Checker:
         return sig
 
     def _select_conjunct(self, inter: RInter, nargs: int, span) -> RFun:
-        for c in inter.conjuncts:
-            if len(c.params) == nargs:
-                return c
-        self.abort(span, "LQ-CHK-CALL",
-                   f"no overload takes {nargs} argument(s)")
+        sig = select_conjunct(inter, nargs)
+        if sig is None:
+            self.abort(span, "LQ-CHK-CALL",
+                       f"no overload takes {nargs} argument(s)")
+        return sig
 
     def _check_array_lit(self, env: TypeEnv, e: EFuncCall) -> RType:
         elem_base: Base = BPrim("number")

@@ -8,7 +8,6 @@ method calls on this, no this-escape) are enforced here."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..logic import ClassTable
@@ -27,14 +26,6 @@ class CtorError(Exception):
         super().__init__(msg)
         self.msg = msg
         self.span = span
-
-
-@dataclass
-class CtorInfo:
-    cname: str
-    init_params: list  # [(local name, field decl)]
-    init_sig: RFun
-    witnesses: dict  # field name -> constructor parameter name
 
 
 def _field_param(f: str) -> str:
@@ -62,7 +53,7 @@ def _paths_to_params(fields: list) -> tuple:
     return rw_type, rw_pred
 
 
-def ctor_init_signature(classes: ClassTable, cname: str) -> CtorInfo:
+def ctor_init_signature(classes: ClassTable, cname: str) -> RFun:
     """The signature of the atomic initializer: one parameter per field
     (inherited first), typed at the declared field type with this-rooted
     paths redirected to the sibling parameters; the declared class
@@ -76,11 +67,8 @@ def ctor_init_signature(classes: ClassTable, cname: str) -> CtorInfo:
     # `this` does not exist yet at initialization time; invariant conjuncts
     # about raw inclusion hold by construction
     precond = _strip_structural(precond, classes, cname)
-    sig = RFun(tuple(params), RBase(BPrim("undefined"), P_TRUE), (),
-               precond)
-    return CtorInfo(cname, [(p, f) for (p, _), f in
-                            zip(params, [f for _, _, f in fields])],
-                    sig, {})
+    return RFun(tuple(params), RBase(BPrim("undefined"), P_TRUE), (),
+                precond)
 
 
 def _strip_structural(p: Pred, classes: ClassTable, cname: str) -> Pred:
@@ -114,8 +102,11 @@ def _check_expr_restrictions(e: Expr, span):
                         " completes", span)
 
 
-def ctor_rewrite(cls: ClassDecl, classes: ClassTable) -> MethodDecl:
-    """Produce the checking variant of the constructor."""
+def ctor_rewrite(cls: ClassDecl,
+                 classes: ClassTable) -> tuple[MethodDecl, dict]:
+    """The checking variant of the constructor, and its witnesses: each
+    field whose value is a constructor parameter's at the call, mapped to
+    that parameter."""
     ctor = None
     for m in cls.methods:
         if m.is_ctor:
@@ -136,7 +127,7 @@ def ctor_rewrite(cls: ClassDecl, classes: ClassTable) -> MethodDecl:
                           cls.span, is_ctor=True), {}
 
     assigned: dict[str, Optional[str]] = {}
-    new_body, _ = _rewrite_body(ctor.body, fnames, assigned, cls.span)
+    new_body = _rewrite_body(ctor.body, fnames, assigned)
     missing = [f for f in fnames if f not in assigned]
     if missing:
         raise CtorError(
@@ -153,7 +144,7 @@ def ctor_rewrite(cls: ClassDecl, classes: ClassTable) -> MethodDecl:
                       is_ctor=True), witnesses
 
 
-def _rewrite_body(b: Body, fnames: list, assigned: dict, cspan):
+def _rewrite_body(b: Body, fnames: list, assigned: dict) -> Body:
     if isinstance(b, BReturn):
         if not (isinstance(b.expr, EThis)):
             raise CtorError("constructors return the constructed object",
@@ -163,24 +154,24 @@ def _rewrite_body(b: Body, fnames: list, assigned: dict, cspan):
             [EVar(_field_param(f), span=b.span, nid=next_node_id())
              for f in fnames],
             span=b.span, nid=next_node_id())
-        return BReturn(call, span=b.span, nid=next_node_id()), assigned
+        return BReturn(call, span=b.span, nid=next_node_id())
     if isinstance(b, BSeq):
-        stmt = _rewrite_stmt(b.stmt, fnames, assigned, cspan)
-        rest, _ = _rewrite_body(b.rest, fnames, assigned, cspan)
-        return BSeq(stmt, rest, span=b.span, nid=next_node_id()), assigned
+        stmt = _rewrite_stmt(b.stmt, fnames, assigned)
+        rest = _rewrite_body(b.rest, fnames, assigned)
+        return BSeq(stmt, rest, span=b.span, nid=next_node_id())
     if isinstance(b, BIte):
         _check_expr_restrictions(b.cond, b.span)
         a1 = dict(assigned)
         a2 = dict(assigned)
-        t, _ = _rewrite_body(b.then_b, fnames, a1, cspan)
-        e, _ = _rewrite_body(b.else_b, fnames, a2, cspan)
+        t = _rewrite_body(b.then_b, fnames, a1)
+        e = _rewrite_body(b.else_b, fnames, a2)
         for f in fnames:
             if (f in a1) != (f in a2):
                 raise CtorError(
                     f"field {f!r} initialized on only one branch", b.span)
             if f in a1:
                 assigned[f] = a1[f] if a1.get(f) == a2.get(f) else None
-        return BIte(b.cond, t, e, span=b.span, nid=next_node_id()), assigned
+        return BIte(b.cond, t, e, span=b.span, nid=next_node_id())
     raise TypeError(b)
 
 
@@ -190,10 +181,10 @@ def _fields_written(s: Stmt) -> set:
             if isinstance(n, SFieldAssign) and isinstance(n.obj, EThis)}
 
 
-def _rewrite_stmt(s: Stmt, fnames: list, assigned: dict, cspan) -> Stmt:
+def _rewrite_stmt(s: Stmt, fnames: list, assigned: dict) -> Stmt:
     if isinstance(s, SSeq):
-        first = _rewrite_stmt(s.first, fnames, assigned, cspan)
-        second = _rewrite_stmt(s.second, fnames, assigned, cspan)
+        first = _rewrite_stmt(s.first, fnames, assigned)
+        second = _rewrite_stmt(s.second, fnames, assigned)
         return SSeq(first, second, span=s.span, nid=next_node_id())
     if isinstance(s, SFieldAssign) and isinstance(s.obj, EThis):
         if s.fname not in fnames:
@@ -234,8 +225,8 @@ def _rewrite_stmt(s: Stmt, fnames: list, assigned: dict, cspan) -> Stmt:
             assigned[f] = None
         a1 = dict(assigned)
         a2 = dict(assigned)
-        t = _rewrite_stmt(s.then_s, fnames, a1, cspan)
-        e = _rewrite_stmt(s.else_s, fnames, a2, cspan)
+        t = _rewrite_stmt(s.then_s, fnames, a1)
+        e = _rewrite_stmt(s.else_s, fnames, a2)
         for f in assigned:
             assigned[f] = a1[f] if a1[f] == a2[f] else None
         out = SIte(s.cond, t, e, span=s.span, nid=next_node_id())

@@ -12,7 +12,7 @@ from typing import Optional
 from .syntax import (
     BArr, BBot, BClass, BPrim, BVar, Base, ClassDecl, MethodDecl, PRIM_TAG,
     P_TRUE, PAnd, PAtom, PKvar, PNot, Pred, Program, RBase, RExists, RFun,
-    RInter, RType, TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term,
+    RType, TBuiltin, TConst, TField, TThis, TUF, TValueVar, TVar, Term,
     UNDEFINED, NULL, base_of_value, exists_core, map_core, p_and, p_eq,
     pred_leaves, pred_subst, type_subst, with_field,
 )
@@ -522,11 +522,6 @@ def wf_type(env: TypeEnv, t: RType) -> list:
         if t.ret is not None:
             out.extend(wf_type(inner, t.ret))
         out.extend(wf_pred(inner, t.precond, None))
-        return out
-    if isinstance(t, RInter):
-        out = []
-        for c in t.conjuncts:
-            out.extend(wf_type(env, c))
         return out
     raise TypeError(t)
 

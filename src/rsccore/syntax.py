@@ -328,6 +328,13 @@ class RInter:
 RType = Union[RBase, RExists, RFun, RInter]
 
 
+def select_conjunct(t: RInter, nargs: int) -> Optional[RFun]:
+    """The first conjunct of `t` that takes `nargs` parameters, or None:
+    an overloaded function is called at the conjunct of the call's
+    arity."""
+    return next((c for c in t.conjuncts if len(c.params) == nargs), None)
+
+
 def trivially_refine(base: Base) -> RType:
     """t abbreviates {v:t | true}."""
     return RBase(base, P_TRUE)
