@@ -17,12 +17,12 @@ from typing import Optional
 from ..frontend.prelude import load_prelude
 from ..logic import ClassTable, WfViolation
 from ..syntax import (
-    BArr, BBot, BClass, BIte, BPrim, BReturn, BSeq, BVar, Body, EArgsLen,
-    ECast, EClosure, EConst, EFieldRead, EFuncCall, EMethodCall, ENew, EThis,
-    EVar, Expr, FuncDecl, P_TRUE, Program, RBase, RFun, RInter, RType,
-    SAssign, SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile,
-    Stmt, TThis, base_of_value, clone_tree, exists_core, next_node_id,
-    replace_in_tree, select_conjunct,
+    BArr, BClass, BIte, BPrim, BReturn, BSeq, BVar, Body, EArgsLen, ECast,
+    EClosure, EConst, EFieldRead, EFuncCall, EMethodCall, ENew, EVar, Expr,
+    FuncDecl, P_TRUE, Program, RBase, RFun, RInter, RType, SAssign,
+    SExprStmt, SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, Stmt, TThis,
+    base_of_value, clone_tree, exists_core, next_node_id, replace_in_tree,
+    select_conjunct,
 )
 
 
@@ -30,7 +30,7 @@ class ShapeError(Exception):
     pass
 
 
-# shapes: ("num")|("bool")|("str")|("undef")|("null")|("bot")
+# shapes: ("num")|("bool")|("str")|("undef")|("null")
 #         ("class", name)|("arr", shape)|("rigid", name)
 #         ("fun", (params...), ret)|("closure", fname)|("meta", id)
 
@@ -60,8 +60,6 @@ class ShapeChecker:
     def unify(self, a, b):
         a, b = self.resolve(a), self.resolve(b)
         if a == b:
-            return
-        if a[0] == "bot" or b[0] == "bot":
             return
         if a[0] == "meta":
             self.solution[a[1]] = b
@@ -109,8 +107,6 @@ class ShapeChecker:
             if isinstance(b, BVar):
                 return inst[b.name] if inst and b.name in inst \
                     else ("rigid", b.name)
-            if isinstance(b, BBot):
-                return ("bot",)
         if isinstance(t, RFun):
             return ("fun",
                     tuple(self.shape_of_type(pt, inst) for _, pt in t.params),
@@ -127,12 +123,6 @@ class ShapeChecker:
             return env[e.name]
         if isinstance(e, EConst):
             return _PRIM_SHAPES[base_of_value(e.value).name]
-        if isinstance(e, EThis):
-            if "this" not in env:
-                raise ShapeError("this outside a method")
-            return env["this"]
-        if isinstance(e, EArgsLen):
-            return ("num",)
         if isinstance(e, EClosure):
             return ("closure", e.fname)
         if isinstance(e, EFieldRead):
@@ -153,7 +143,7 @@ class ShapeChecker:
             cs = self.resolve(self.expr(env, callee))
             if cs[0] == "fun":
                 return self._apply(env, cs, e.args)
-            if cs[0] in ("closure", "rigid", "meta", "bot"):
+            if cs[0] in ("closure", "rigid", "meta"):
                 return self.call(env, None, e.args)
             raise ShapeError("call of a non-function shape")
         if isinstance(e, ENew):

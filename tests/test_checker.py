@@ -297,6 +297,9 @@ class B extends A {
 /*@ (b: B, k: (number) => number) => number */
 function apply1(b, k) { return k(b.g); }
 
+/*@ (b: B, k: (number, number) => number) => number */
+function apply2(b, k) { return k(b.g, b.f); }
+
 /*@ (x: B) => number
     (x: number, y: number) => number */
 function pick(x, y) {
@@ -319,6 +322,8 @@ _DEAD = "assert(false);"
     ("r = x.getG();", ["r = x.getG();"], [_DEAD]),
     ("r = x.getF();", ["r = x.getF();"], [_DEAD]),
     ("r = x.zap();", [_DEAD], [_DEAD]),
+    # `this`, which no function binds
+    ("r = this.f;", [_DEAD], [_DEAD]),
     # `new` and a cast
     ("var a = new A(r); r = a.getF();",
      ["var a = new A(r);", "r = a.getF();"],
@@ -332,16 +337,35 @@ _DEAD = "assert(false);"
     ("r = inc(r);", ["r = inc(r);"], ["r = inc(r);"]),
     ("var c = inc; r = c(r);", ["var c = inc;", "r = c(r);"],
      ["var c = inc;", "r = c(r);"]),
+    # an unknown result unifies with a number; a class where another is
+    # expected is accepted; a function of the wrong arity is not
+    ("var q = inc(r); q = r;", ["var q = inc(r);", "q = r;"],
+     ["var q = inc(r);", "q = r;"]),
+    ("var a = new A(r); r = apply1(a, inc);",
+     ["var a = new A(r);", "r = apply1(a, inc);"],
+     ["var a = new A(r);", "r = apply1(a, inc);"]),
+    ("r = apply2(x, x.k);", [_DEAD], [_DEAD]),
     # a function-typed field called with its arity and with another
     ("var h = x.k; r = h(r);", ["var h = x.k;", "r = h(r);"],
      [_DEAD, _DEAD]),
     ("var h = x.k; r = h(r, r);", ["var h = x.k;", _DEAD], [_DEAD, _DEAD]),
     # an unknown function, a call with too few arguments, a call of a
-    # non-function, and no conjunct with three parameters
+    # non-function, and the overload itself called with two arguments and
+    # with three, which no conjunct takes
     ("r = zork(r);", [_DEAD], [_DEAD]),
     ("r = apply1(x);", [_DEAD], [_DEAD]),
     ("r = x(r);", [_DEAD], [_DEAD]),
+    ("r = pick(r, r);", ["r = pick(r, r);"], ["r = pick(r, r);"]),
     ("r = pick(r, r, r);", [_DEAD], [_DEAD]),
+    # statements: an `if` and a `while` condition, an assignment to a
+    # name the conjunct lacks, a field write, a call for its effect
+    ("if (x.g > 0) { r = 1; }",
+     ["if ((x.g > 0)) {\n  r = 1;\n} else {\n  ;\n}"], [_DEAD]),
+    ("while (x.g > r) { r = r + 1; }",
+     ["while ((x.g > r)) {\n  r = (r + 1);\n}"], [_DEAD]),
+    ("y = r;", [_DEAD], ["y = r;"]),
+    ("x.g = r;", ["x.g = r;"], ["x.g = r;"]),
+    ("x.getG();", ["x.getG();"], [_DEAD]),
 ])
 def test_phase_one_rules(stmt, under_1, under_2):
     """Every phase-one shape rule, pinned by the clone bodies it yields:
@@ -352,10 +376,25 @@ def test_phase_one_rules(stmt, under_1, under_2):
     clones = two_phase_expand(fn, p)
     assert [c.name for c in clones] == ["pick@1", "pick@2"]
     for arity, clone, under in zip((1, 2), clones, (under_1, under_2)):
-        guarded = "\n".join(f"  {s}" for s in under)
+        guarded = "\n".join(f"  {line}" for s in under
+                            for line in s.split("\n"))
         assert body_str(clone.decl.body) == (
             f"var r = 0;\nif (({arity} === 1)) {{\n{guarded}\n}} else {{\n"
             "  ;\n}\nreturn r;")
+
+
+def test_phase_one_ill_shaped_return_condition():
+    """A conditional whose branches return is replaced, as a whole, by
+    `return assert(false)` when its condition is ill-shaped."""
+    from rsccore.checker.twophase import two_phase_expand
+    p = parse_text(_PHASE_ONE_PROGRAM % "if (x.g > 0) { return r; }")
+    fn = next(f for f in p.functions if f.name == "pick")
+    b1, b2 = (body_str(c.decl.body) for c in two_phase_expand(fn, p))
+    assert b1 == ("var r = 0;\nif ((1 === 1)) {\n  if ((x.g > 0)) {\n"
+                  "    return r;\n  } else {\n    return r;\n  }\n"
+                  "} else {\n  return r;\n}")
+    assert b2 == ("var r = 0;\nif ((2 === 1)) {\n  return assert(false);\n"
+                  "} else {\n  return r;\n}")
 
 
 def test_two_phase_verifies_overload():
@@ -376,6 +415,33 @@ function f(x, y) {
     # the conjunct
     assert r.verdict == "errors"
     assert any("overload 2" in d.message for d in r.errors())
+
+
+@pytest.mark.parametrize("use, message", [
+    ("f(1, 2)", None),
+    ("f(1, 2, 3)", "no overload takes 3 argument(s)"),
+    ("app1(f)", None),
+    ("app3(f)", "no overload conjunct matches the expected function type"),
+])
+def test_overload_conjunct_chosen_by_arity(use, message):
+    """A call, and a use where a function type is expected, take the
+    conjunct with as many parameters."""
+    r = check_text(f"""
+/*@ (x: number) => number
+    (x: number, y: number) => number */
+function f(x, y) {{ return x; }}
+
+/*@ (k: (number) => number) => number */
+function app1(k) {{ return k(1); }}
+
+/*@ (k: (number, number, number) => number) => number */
+function app3(k) {{ return k(1, 2, 3); }}
+
+/*@ () => number */
+function main() {{ return {use}; }}
+""")
+    assert [(d.rule, d.message) for d in r.errors()] == \
+        ([] if message is None else [("LQ-CHK-CALL", message)])
 
 
 def test_single_conjunct_intersection_is_identity():
