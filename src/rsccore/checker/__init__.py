@@ -94,14 +94,13 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
             diags.append(Diagnostic("error", c.span, "WF", v))
         try:
             rewritten, wit = ctor_rewrite(c, classes)
-            init_sig = ctor_init_signature(classes, c.name)
+            ctor_inits[c.name] = ctor_init_signature(classes, c.name)
         except (CtorError,) as e:
             diags.append(Diagnostic("error", e.span, "CTOR", e.msg))
             continue
         except WfViolation as e:
             diags.append(Diagnostic("error", c.span, "CTOR", e.reason))
             continue
-        ctor_inits[c.name] = init_sig
         witnesses[c.name] = wit
         methods = [m for m in c.methods if not m.is_ctor] + [rewritten]
         checked_classes.append(ClassDecl(c.name, c.invariant, c.parent,
