@@ -274,7 +274,6 @@ def _assert_false_return(b: Body) -> Body:
 class OverloadClone:
     base_name: str
     index: int  # 1-based conjunct index
-    conjunct: RFun
     decl: FuncDecl
 
     @property
@@ -301,5 +300,5 @@ def two_phase_expand(fn: FuncDecl, program: Program) -> list:
         body = checker.check_body(env, body, ret_shape)
         decl = FuncDecl(f"{fn.name}@{i}", [n for n, _ in conj.params], conj,
                         body, fn.span)
-        clones.append(OverloadClone(fn.name, i, conj, decl))
+        clones.append(OverloadClone(fn.name, i, decl))
     return clones
