@@ -6,9 +6,8 @@ with `-p`, the tests directory on the import path:
 
 At the end of the session it prints, per source file, how many of its
 executable lines never ran, and writes those lines (as ranges) to
-`.linetrace/unrun.txt`, or to the file named by `RSC_LINETRACE_OUT`.
-A file's executable lines are the line starts of its compiled code
-objects.
+`.linetrace/unrun.txt`.  A file's executable lines are the line starts
+of its compiled code objects.
 
 Three things would otherwise make lines look unrun that did run:
 - Hypothesis's explain phase installs its own `sys.settrace` tracer and
@@ -34,7 +33,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -69,7 +67,6 @@ def _global(frame, event, arg):
 def _install():
     if sys.gettrace() is not _global:
         sys.settrace(_global)
-    threading.settrace(_global)
 
 
 def trace_child(out_dir: str) -> None:
@@ -89,7 +86,7 @@ _popen_init = subprocess.Popen.__init__
 def _traced_popen_init(self, args, *rest, **kw):
     argv = [args] if isinstance(args, (str, bytes)) else list(args)
     if argv and str(argv[0]).split()[:1] == [sys.executable]:
-        env = dict(kw.get("env") or os.environ)
+        env = dict(os.environ if kw.get("env") is None else kw["env"])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (_child_dir, env.get("PYTHONPATH")) if p)
         kw["env"] = env
@@ -171,11 +168,10 @@ def pytest_runtest_teardown(item):
 
 def pytest_terminal_summary(terminalreporter):
     sys.settrace(None)
-    threading.settrace(None)
     subprocess.Popen.__init__ = _popen_init
     report = unrun_lines()
     shutil.rmtree(_child_dir, ignore_errors=True)
-    out = Path(os.environ.get("RSC_LINETRACE_OUT", ".linetrace/unrun.txt"))
+    out = Path(".linetrace/unrun.txt")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("".join(f"{name}: {len(unrun)} of {total} unrun: "
                            f"{_ranges(unrun)}\n"
