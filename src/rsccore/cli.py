@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--entry", help="function to call (default: top level)")
     pr.add_argument("--args", nargs="*", default=[],
                     help="JSON literals for the entry arguments")
-    pr.add_argument("--fuel", type=int, default=100_000)
+    pr.add_argument("--fuel", type=_fuel, default=100_000)
     pr.add_argument("--machine", choices=["frsc", "irsc"], default="frsc")
 
     ps = sub.add_parser("simulate", help="run both machines in lockstep and"
@@ -75,15 +75,31 @@ def _build_parser() -> argparse.ArgumentParser:
     common(ps)
     ps.add_argument("--entry")
     ps.add_argument("--args", nargs="*", default=[])
-    ps.add_argument("--fuel", type=int, default=10_000)
+    ps.add_argument("--fuel", type=_fuel, default=10_000)
     return ap
+
+
+def _fuel(text: str) -> int:
+    """A step budget: a non-negative integer, else a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
 
 
 def _load(files: list) -> str:
     parts = []
     for f in files:
         with open(f, "r", encoding="utf-8") as fh:
-            parts.append(fh.read())
+            try:
+                parts.append(fh.read())
+            except UnicodeDecodeError as e:
+                print(f"rsc: {f}: not UTF-8 text (byte {e.start}: "
+                      f"{e.reason})", file=sys.stderr)
+                raise SystemExit(2)
     return "\n".join(parts)
 
 

@@ -7,7 +7,13 @@ answer Invalid, otherwise the verdict is Unknown.  Valid answers are
 therefore sound, and Invalid answers carry a real model.  A config
 lowers each hypothesis to its branches once and checks every goal asked
 under it against them: each hypothesis branch closes its own literals
-once, and each goal branch extends a copy of that context with its own;
+once, and each goal branch extends a copy of that context with its own.
+Arithmetic rows are written over congruence-class representatives: an
+integer term is replaced by its class's anchor, the class's constant or
+else its least atom by name, so an equality that congruence closure
+proves never becomes a Fourier-Motzkin row.  A goal branch adds the rows
+of its own literals and one for each prepared class that its merges
+joined to another.
 `filter_valid` asks a batch of goals under one hypothesis and does not
 ask a goal that an earlier countermodel of the batch already refutes.
 
@@ -17,6 +23,7 @@ subprocess."""
 from __future__ import annotations
 
 import itertools
+from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -273,31 +280,57 @@ class _Branch:
     """One branch of a hypothesis, the shared prefix of every theory check
     made under it: its integer disequalities (`ne`), its other literals
     (`lits`) and, prepared on first use, the context those make, which
-    each goal branch extends: their congruence closure, closed and with
-    constants propagated (None when they conflict), and their tightened
-    arithmetic rows."""
+    each goal branch extends."""
 
-    __slots__ = ("lits", "ne", "_cc", "_rows")
+    __slots__ = ("lits", "ne", "_context")
 
     def __init__(self, lits: list):
         self.ne = [l for l in lits if _is_ne(l)]
         self.lits = [l for l in lits if not _is_ne(l)]
-        self._rows = None
+        self._context = None
 
-    def context(self) -> tuple:
-        if self._rows is None:
-            cc = CongruenceClosure()
-            arith = _extend(cc, self.lits)
-            self._cc = cc if arith is not None else None
-            self._rows = fm_table(_rows(arith or []))
-        return self._cc, self._rows
+    def context(self) -> "_Context":
+        if self._context is None:
+            self._context = _Context(self.lits)
+        return self._context
+
+
+class _Context:
+    """The context of a conjunction of literals without disequalities:
+    their congruence closure, closed and with constants propagated (`cc`,
+    None when the literals are unsatisfiable); its integer classes by
+    representative (`classes`); the anchor form of each atom in a class
+    of two or more integer terms (`forms`) and the anchor atom of each
+    such class (`anchors`, by representative); and the literals'
+    arithmetic rows over anchors, with a row for each additive member of
+    a class, tightened (`table`)."""
+
+    __slots__ = ("cc", "classes", "forms", "anchors", "table")
+
+    def __init__(self, lits: list):
+        self.cc, self.classes, self.forms, self.anchors = None, {}, {}, {}
+        self.table = {}
+        cc = CongruenceClosure()
+        arith = _extend(cc, lits)
+        if arith is None:
+            return
+        groups = []
+        for rep, members in cc.classes().items():
+            ints = [m for m in members if m.sort == "int"]
+            if ints:
+                groups.append((rep, [], ints))
+        rows: list = []
+        classes = _anchor(groups, self.forms, self.anchors, rows)
+        if classes is None or not _arith_rows(arith, self.forms, rows):
+            return
+        self.cc, self.classes, self.table = cc, classes, fm_table(rows)
 
 
 def _theory_check(hb: _Branch, gb: list) -> tuple:
     """Check a hypothesis branch joined with a goal branch, splitting
     their integer disequalities into strict cases, the hypothesis's
     first."""
-    if hb.context()[0] is None:
+    if hb.context().cc is None:
         return ("unsat",)
     ne_lits = hb.ne + [l for l in gb if _is_ne(l)]
     base = [l for l in gb if not _is_ne(l)]
@@ -321,24 +354,60 @@ def _theory_check(hb: _Branch, gb: list) -> tuple:
 
 def _theory_check_conj(hb: _Branch, lits: list) -> tuple:
     """Check the prepared context of `hb` extended by `lits`, which hold
-    no disequality, on a copy of its closure."""
-    cc, prepared = hb.context()
-    cc = cc.copy()
+    no disequality, on a copy of its closure.  The prepared table stays
+    as it is: the new rows are those of `lits` and of each class that
+    the extension changed, over the prepared anchors and the anchors of
+    the changed classes."""
+    ctx = hb.context()
+    fresh = _fresh_terms(ctx.cc, lits)
+    cc = ctx.cc.copy()
     arith = _extend(cc, lits)
     if arith is None:
         return ("unsat",)
-    rows = _rows(arith)
-    for a, b in cc.int_equalities():
-        coeffs = _skel_linear(a, 1)
-        for k, c in _skel_linear(b, -1).items():
-            coeffs[k] = coeffs.get(k, 0) + c
-        const = coeffs.pop("%const", 0)
-        coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        rows.append((coeffs, -const, "eq"))
-    r = fm_solve(rows, prepared)
+    # each class that holds a new term or joins prepared classes, with
+    # the prepared classes it holds and its new integer terms
+    groups: dict = {}
+    for rep, cls in ctx.classes.items():
+        if cc.parent[rep] is not rep:
+            groups.setdefault(cc.find(rep), ([], []))[0].append(cls)
+    for t in fresh:
+        if t.sort == "int":
+            groups.setdefault(cc.find(t), ([], []))[1].append(t)
+    for rep, (joined, _) in groups.items():
+        own = ctx.classes.get(rep)
+        if own is not None:
+            joined.append(own)
+    forms = ChainMap({}, ctx.forms)
+    anchors = ChainMap({}, ctx.anchors)
+    rows: list = []
+    if _anchor([(rep, *g) for rep, g in groups.items()], forms, anchors,
+               rows) is None or not _arith_rows(arith, forms, rows):
+        return ("unsat",)
+    r = fm_solve(rows, ctx.table)
     if r[0] == "unsat":
         return ("unsat",)
-    return _verify_model(hb.lits + lits, cc, r[1])
+    return _verify_model(hb.lits + lits, cc, r[1], anchors)
+
+
+def _fresh_terms(cc: CongruenceClosure, lits: list) -> list:
+    """The terms of `lits`, subterms included, that `cc` does not hold,
+    each once, subterms first."""
+    out: dict = {}
+
+    def visit(t: Skel):
+        if t not in cc.terms and t not in out:
+            for a in t.args:
+                visit(a)
+            out[t] = None
+
+    for lit in lits:
+        if isinstance(lit, EufLit):
+            visit(lit.t1)
+            visit(lit.t2)
+        else:
+            for k, _ in lit.coeffs:
+                visit(k)
+    return list(out)
 
 
 def _extend(cc: CongruenceClosure, lits: list) -> Optional[list]:
@@ -391,38 +460,156 @@ def _extend(cc: CongruenceClosure, lits: list) -> Optional[list]:
     return arith
 
 
-def _rows(arith: list) -> list:
-    """Fourier-Motzkin rows of eq/le/lt literals."""
-    return [(dict(lit.coeffs), -lit.const, lit.op) for lit in arith]
+# the key of a linear form's constant term
+_CONST = "%const"
 
 
-def _skel_linear(sk: Skel, sign: int) -> dict:
-    """Expand additive skeleton structure into linear coefficients so
-    equalities discovered by congruence feed arithmetic precisely."""
-    if sk.kind == "const" and isinstance(sk.head, int) and \
-            not isinstance(sk.head, bool):
-        return {"%const": sign * sk.head}
-    if sk.kind == "app" and sk.head == "add":
-        out = _skel_linear(sk.args[0], sign)
-        for k, c in _skel_linear(sk.args[1], sign).items():
-            out[k] = out.get(k, 0) + c
-        return out
-    if sk.kind == "app" and sk.head == "sub":
-        out = _skel_linear(sk.args[0], sign)
-        for k, c in _skel_linear(sk.args[1], -sign).items():
-            out[k] = out.get(k, 0) + c
-        return out
-    return {sk: sign}
+class _Class:
+    """An integer class of a closure: its anchor form, the linear form
+    every member equals; the atom (`atom`) or the member (`least`) that
+    gave it; and its number of integer members (`size`)."""
+
+    __slots__ = ("form", "atom", "least", "size")
+
+    def __init__(self, form, atom, least, size: int):
+        self.form, self.atom, self.least, self.size = form, atom, least, size
 
 
-def _verify_model(lits: list, cc: CongruenceClosure, model: dict) -> tuple:
+def _anchor(groups: list, forms, anchors, rows: list) -> Optional[dict]:
+    """Anchor each integer class of a closure given as a group: its
+    representative, the prepared classes it holds, and its other integer
+    members.  The anchor form is the class's integer constant, else its
+    least atom by name, else the form of its least member.  Each member
+    atom of a class of two or more terms gets the form in `forms`, and
+    the class gets its anchor atom in `anchors`.  `rows` gets a row that
+    equates the form with that of each additive member and of each held
+    class whose form differs.  The class of each group by representative,
+    or None when a row without unknowns is false."""
+    made = {}
+    for rep, joined, new in groups:
+        size = len(new) + sum(c.size for c in joined)
+        if _int_const(rep):
+            cls = _Class({_CONST: rep.head}, None, None, size)
+        else:
+            atoms = [c.atom for c in joined if c.atom is not None]
+            atoms += [t for t in new if _is_atom(t)]
+            if atoms:
+                atom = min(atoms, key=str)
+                cls = _Class({atom: 1}, atom, None, size)
+                if size > 1:
+                    anchors[rep] = atom
+            else:
+                # every member is additive: the form is written below,
+                # once the atoms it reads have theirs
+                cls = _Class(None, None,
+                             min([c.least for c in joined] + new, key=str),
+                             size)
+        made[rep] = cls
+        if _int_const(rep) or cls.atom is not None and size > 1:
+            for t in new:
+                if _is_atom(t):
+                    forms[t] = cls.form
+    for cls in made.values():
+        if cls.form is None:
+            cls.form = _linear(cls.least, 1, {}, forms)
+    for (rep, joined, new), cls in zip(groups, made.values()):
+        for c in joined:
+            if c.form != cls.form and not _add_row(
+                    rows, _difference(c.form, cls.form), "eq"):
+                return None
+        for t in new:
+            if _is_atom(t) or _int_const(t) or t is cls.least:
+                continue
+            if not _add_row(rows, _difference(_linear(t, 1, {}, forms),
+                                              cls.form), "eq"):
+                return None
+    return made
+
+
+def _arith_rows(arith: list, forms, rows: list) -> bool:
+    """Add the rows of the eq/le/lt literals `arith`, over anchors, to
+    `rows`; False when one of them is false without unknowns."""
+    for lit in arith:
+        lin = {_CONST: lit.const}
+        for k, c in lit.coeffs:
+            _linear(k, c, lin, forms)
+        if not _add_row(rows, lin, lit.op):
+            return False
+    return True
+
+
+def _add_row(rows: list, lin: dict, op: str) -> bool:
+    """Append the Fourier-Motzkin row `lin op 0` of a linear form; a row
+    with no unknown left is decided instead.  False when it is false."""
+    const = lin.pop(_CONST, 0)
+    coeffs = {k: c for k, c in lin.items() if c != 0}
+    if coeffs:
+        rows.append((coeffs, -const, op))
+        return True
+    if op == "eq":
+        return const == 0
+    return const < 0 if op == "lt" else const <= 0
+
+
+def _int_const(sk: Skel) -> bool:
+    return sk.kind == "const" and isinstance(sk.head, int) and \
+        not isinstance(sk.head, bool)
+
+
+def _is_additive(sk: Skel) -> bool:
+    return sk.kind == "app" and sk.head in ("add", "sub")
+
+
+def _is_atom(sk: Skel) -> bool:
+    """Whether `sk` is an unknown of the arithmetic: neither an integer
+    constant nor an add/sub application, which `_linear` expands."""
+    return not (_int_const(sk) or _is_additive(sk))
+
+
+def _linear(sk: Skel, coeff: int, out: dict, forms) -> dict:
+    """Add `coeff` times `sk` to the linear form `out` and return it:
+    additive structure is expanded so equalities discovered by congruence
+    feed arithmetic precisely, and each atom is written as its form in
+    `forms`, or as itself when it has none."""
+    if _int_const(sk):
+        out[_CONST] = out.get(_CONST, 0) + coeff * sk.head
+    elif _is_additive(sk):
+        _linear(sk.args[0], coeff, out, forms)
+        _linear(sk.args[1], -coeff if sk.head == "sub" else coeff, out,
+                forms)
+    else:
+        form = forms.get(sk)
+        if form is None:
+            out[sk] = out.get(sk, 0) + coeff
+        else:
+            for k, c in form.items():
+                out[k] = out.get(k, 0) + coeff * c
+    return out
+
+
+def _difference(a: dict, b: dict) -> dict:
+    """The linear form a - b."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) - c
+    return out
+
+
+def _verify_model(lits: list, cc: CongruenceClosure, model: dict,
+                  anchors) -> tuple:
     """Check the Fourier-Motzkin point really satisfies every literal once
     uninterpreted classes get concrete values, and that those values make
     every uninterpreted function a function; only then report sat, with
-    the value of each non-constant term the literals read."""
+    the value of each non-constant term the literals read.  A class takes
+    the value of its constant, else the point's value of its anchor atom
+    in `anchors` (by representative), else that of a member the point
+    values."""
     values: dict = {}
     class_vals: dict = {}
     fresh = itertools.count(10_000_019, 7919)
+    valued: dict = {}  # representative -> the point's first member in it
+    for k in model:
+        valued.setdefault(cc.find(k) if k in cc.terms else k, k)
 
     def value_of(sk: Skel):
         if sk in values:
@@ -435,14 +622,15 @@ def _verify_model(lits: list, cc: CongruenceClosure, model: dict) -> tuple:
             values[sk] = class_vals[rep]
             return class_vals[rep]
         v = model.get(sk)
-        if v is None and sk in cc.terms:
-            for member in cc.classes().get(rep, []):
-                if member in model:
-                    v = model[member]
-                    break
-                if member.kind == "const":
-                    v = member.head
-                    break
+        if v is None and rep.kind == "const":
+            v = rep.head
+        elif v is None and rep in anchors:
+            # a class of two or more integer terms is an unknown of the
+            # arithmetic even when no row is left to bound it, and
+            # elimination gives such an unknown 0
+            v = model.get(anchors[rep], 0)
+        elif v is None and rep in valued:
+            v = model[valued[rep]]
         if v is None and not _interpreted(sk):
             v = next(fresh) if sk.sort == "int" else f"@{next(fresh)}"
         if isinstance(v, Fraction):
@@ -570,10 +758,7 @@ def _class_const(cc: CongruenceClosure, t: Skel):
     if t not in cc.terms:
         return None
     rep = cc.find(t)
-    if rep.kind == "const" and isinstance(rep.head, int) and \
-            not isinstance(rep.head, bool):
-        return rep.head
-    return None
+    return rep.head if _int_const(rep) else None
 
 
 # interpreted Skel heads -> ARITH operators; products print as "*" in

@@ -124,12 +124,3 @@ class CongruenceClosure:
                 out.setdefault(self.find(t), []).append(t)
             self._classes = out
         return self._classes
-
-    def int_equalities(self) -> list:
-        """Pairs of integer-sorted terms the closure proved equal."""
-        out = []
-        for rep, members in self.classes().items():
-            ints = sorted((m for m in members if m.sort == "int"), key=str)
-            for m in ints[1:]:
-                out.append((ints[0], m))
-        return out

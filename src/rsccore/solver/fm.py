@@ -8,7 +8,10 @@ tighter bound and counts how many rows of plain elimination it stands for
 (`mult`).  The variable order sums those counts, so it, the rows that
 survive and the candidate point are those of elimination without merging.
 Rows shared by many systems are tightened once into a table (`table`)
-that `solve` extends without changing it.  Sound for unsatisfiability;
+that `solve` extends without changing it.  The caller writes its rows
+over congruence-class representatives, so the unknowns here are class
+anchors and the equalities left are those congruence does not know.
+Sound for unsatisfiability;
 satisfiable outcomes come with a candidate point for model checking."""
 
 from __future__ import annotations

@@ -40,6 +40,24 @@ def test_missing_file_exit_two():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("cmd", ["check", "run", "simulate"])
+def test_non_utf8_file_exit_two(tmp_path, cmd):
+    path = tmp_path / "bom.rsc"
+    path.write_bytes(b"\xff\xfefunction f() { return 1; }\n")
+    r = rsc(cmd, str(path))
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [
+        f"rsc: {path}: not UTF-8 text (byte 0: invalid start byte)"]
+
+
+@pytest.mark.parametrize("cmd", ["run", "simulate"])
+def test_negative_fuel_exit_two(cmd):
+    r = rsc(cmd, str(CORPUS / "head.rsc"), "--fuel", "-1")
+    assert r.returncode == 2
+    assert "argument --fuel: must not be negative: -1" in r.stderr
+    assert "out-of-fuel" not in r.stdout
+
+
 def test_check_json_format():
     r = rsc("check", "--format", "json", str(CORPUS / "bad_head0.rsc"))
     assert r.returncode == 1

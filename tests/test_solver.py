@@ -1,8 +1,9 @@
 """Validity-checker tests: the worked verification conditions, constant
 folding, congruence, integrality tightening, conservativity, emission
 determinism, the subprocess boundary, skeleton interning, the congruence
-closure against a quadratic reference, and Fourier-Motzkin against plain
-`Fraction` elimination."""
+closure against a quadratic reference, Fourier-Motzkin against plain
+`Fraction` elimination, and rows over congruence-class anchors against a
+row for each equality."""
 
 import gc
 import os
@@ -1091,17 +1092,20 @@ def _scratch_theory_check_conj(lits: list) -> tuple:
         if cc.conflict or not cc.close():
             return ("unsat",)
     rows = [(dict(lit.coeffs), -lit.const, lit.op) for lit in arith]
-    for a, b in cc.int_equalities():
-        coeffs = solver._skel_linear(a, 1)
-        for k, c in solver._skel_linear(b, -1).items():
-            coeffs[k] = coeffs.get(k, 0) + c
-        const = coeffs.pop("%const", 0)
-        coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        rows.append((coeffs, -const, "eq"))
+    # a row for each pair of integer terms the closure proved equal: the
+    # least by name and each other member of a class
+    for members in cc.classes().values():
+        ints = sorted((m for m in members if m.sort == "int"), key=str)
+        for m in ints[1:]:
+            coeffs = solver._linear(ints[0], 1, {}, {})
+            solver._linear(m, -1, coeffs, {})
+            const = coeffs.pop("%const", 0)
+            coeffs = {k: c for k, c in coeffs.items() if c != 0}
+            rows.append((coeffs, -const, "eq"))
     r = fm.solve(rows)
     if r[0] == "unsat":
         return ("unsat",)
-    return solver._verify_model(lits, cc, r[1])
+    return solver._verify_model(lits, cc, r[1], {})
 
 
 def test_prepared_branches_match_a_from_scratch_check(monkeypatch):
@@ -1134,6 +1138,54 @@ def test_prepared_branches_match_a_from_scratch_check(monkeypatch):
     for hb, gb, r in visited:
         assert r == _scratch_theory_check(hb.lits + hb.ne + gb), (hb.lits,
                                                                    gb)
+
+
+def _anchored_lits(nvars):
+    """Literals over `nvars` integer variables, the constants 0-2 and a
+    unary `f` whose arguments may be sums, each list with a cut into a
+    hypothesis branch and a goal branch."""
+    from rsccore.solver.normal import LinCmp
+    leaves = [_var(i) for i in range(nvars)] + \
+        [Skel("const", c, (), "int") for c in (0, 1, 2)]
+    leaf = st.sampled_from(leaves)
+    sums = st.tuples(leaf, leaf).map(lambda ab: Skel("app", "add", ab, "int"))
+    apps = st.one_of(leaf, sums).map(_f)
+    terms = st.one_of(leaf, apps, apps.map(_f))
+    atoms = st.one_of(st.sampled_from(leaves[:nvars]), apps)
+    euf = st.tuples(st.booleans(), terms, terms).map(lambda l: EufLit(*l))
+    lin = st.tuples(
+        st.sampled_from(["le", "lt", "eq", "ne"]),
+        st.dictionaries(atoms, st.sampled_from([-2, -1, 1, 2]), min_size=1,
+                        max_size=3),
+        st.integers(-3, 3)).map(lambda t: LinCmp(
+            t[0], tuple(sorted(t[1].items(), key=lambda kv: str(kv[0]))),
+            t[2]))
+    return st.tuples(st.lists(st.one_of(euf, lin), min_size=1, max_size=7),
+                     st.integers(0, 7))
+
+
+@given(st.integers(3, 4).flatmap(_anchored_lits))
+@settings(max_examples=300, deadline=None)
+def test_anchored_rows_agree_with_a_row_per_equality(drawn):
+    """Rows written over class anchors, from a prepared hypothesis branch
+    extended by a goal branch, against the from-scratch check that gives
+    each equality the closure proves its own row: an unsat of the
+    from-scratch check is unsat here too, so no Valid is lost; neither
+    says sat where the other says unsat; and a sat valuation makes every
+    literal true."""
+    from rsccore import solver
+    lits, cut = drawn
+    cut %= len(lits) + 1
+    hb = solver._Branch(lits[:cut])
+    got = solver._theory_check(hb, lits[cut:])
+    want = _scratch_theory_check(hb.lits + hb.ne + lits[cut:])
+    assert want[0] != "unsat" or got[0] == "unsat", (got, want)
+    assert {got[0], want[0]} != {"sat", "unsat"}, (got, want)
+    for r in (got, want):
+        if r[0] == "sat":
+            def value(sk, valuation=r[1]):
+                return sk.head if sk.kind == "const" else valuation[sk]
+            assert all(solver._holds(lit, value) for lit in lits), r
 
 
 def _cc_state(cc) -> tuple:
