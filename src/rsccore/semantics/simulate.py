@@ -38,23 +38,45 @@ target's spine element by element; the comparison stops at the first
 element that differs, so a failed alignment attempt translates little
 more than the statement under evaluation.  The whole image of a
 configuration is the fold of its spine (`ConfigTranslator.config`).
+
+An aligned attempt costs what changed since the previous one, not the
+size of the program, by two tables that rest on one fact: no term is
+changed once built (both machines and the substitution copy what they
+rewrite, and the substitution rebuilds only the paths to what it
+replaces).
+- The image of a statement (any but a sequence or a running loop) is
+  kept with the statement object and what each name it reads or binds
+  resolved to: its pending SSA name, or the type-exact key of its store
+  value (`values.value_key`).  The translation of a statement looks up
+  nothing else, so while the statement object and every resolution are
+  the same, its image is the same frame object.
+- Each field of a spine element remembers the target subterm it was
+  found equal to.  When both sides are the same objects again, the field
+  is equal without a walk.
+Both tables are keyed by the identity of a source object and hold that
+object, so the key stays its own.  They keep two generations, turned at
+each aligned pair: an entry that no attempt since the previous aligned
+pair used is dropped, so they hold about one configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, get_args
+from typing import NamedTuple, Optional, get_args
 
-from ..ssa import GlobalSsaEnv, SsaProgram, SsaRules, fold
+from ..ssa import (
+    GlobalSsaEnv, SsaProgram, SsaRules, drain, fold, stmt_names,
+)
 from ..syntax import (
     Ctx, EConst, ECtxApply, EThis, EVar, EWhileRun, Expr, KHole, KLetIf,
-    KLetIn, KLetWhile, SIte, expr_str, subtree_fields,
+    KLetIn, KLetWhile, SIte, SSeq, SSkip, expr_str, subtree_fields,
 )
 from .frsc import FrscConfig, FrscMachine
 from .irsc import EHole, IrscConfig, IrscMachine, plug
 from .tables import RuntimeTables
 from .values import (
-    HArr, HObj, Heap, MISSING, mk_val, val_of, value_str, values_equal,
+    HArr, HObj, Heap, MISSING, mk_val, val_of, value_key, value_str,
+    values_equal,
 )
 
 
@@ -78,6 +100,39 @@ class SimReport:
                 "value": self.value, "detail": self.detail}
 
 
+class Generations:
+    """A table that keeps what was used since the previous `turn`: a hit
+    in the older generation moves into the current one, and a turn drops
+    the older generation.  No value is None."""
+
+    def __init__(self):
+        self.cur: dict = {}
+        self.old: dict = {}
+
+    def get(self, key):
+        v = self.cur.get(key)
+        if v is None and key in self.old:
+            v = self.cur[key] = self.old.pop(key)
+        return v
+
+    def __setitem__(self, key, v):
+        self.cur[key] = v
+
+    def turn(self):
+        self.old, self.cur = self.cur, {}
+
+
+class _Image(NamedTuple):
+    """A statement's image under the `resolution` of its `names`: its one
+    frame, and the bindings (`delta`) it adds to the environment."""
+
+    stmt: object
+    names: Optional[tuple]
+    resolution: Optional[tuple]
+    frame: object
+    delta: Optional[dict]
+
+
 class ConfigTranslator(SsaRules):
     """The image of a runtime source configuration under the translation
     rules of `ssa.SsaRules`.  Names are the ones `theta` recorded.  The
@@ -89,18 +144,19 @@ class ConfigTranslator(SsaRules):
     An assignment that has stored its value is a plain value statement:
     the source machine aligns at the assignment, one step earlier.
     `joins` holds the branch names of the result joins `theta` recorded,
-    the only lets the comparison sees through."""
+    the only lets the comparison sees through.  `images` and `matched` are
+    the two tables of the module docstring, turned by `corresponds` at
+    each aligned pair."""
 
-    def __init__(self, theta: GlobalSsaEnv, tables: RuntimeTables,
-                 store: Optional[dict] = None,
-                 joins: Optional[frozenset] = None):
+    def __init__(self, theta: GlobalSsaEnv, tables: RuntimeTables):
         self.theta = theta
         self.t = tables
         self.globals = tables.globals
-        self.store = store
+        self.store: Optional[dict] = None
         self.joins = frozenset(
-            n for _, r1, r2 in theta.body_ret.values() for n in (r1, r2)) \
-            if joins is None else joins
+            n for _, r1, r2 in theta.body_ret.values() for n in (r1, r2))
+        self.images = Generations()  # id(statement) -> _Image
+        self.matched = Generations()  # id(source field) -> (it, target)
 
     def nid(self) -> int:
         return 0
@@ -133,22 +189,49 @@ class ConfigTranslator(SsaRules):
         return SsaRules.expr(self, env, e)
 
     def frames(self, env: dict, s):
-        if not (isinstance(s, SIte) and s.nid == 0):
+        if isinstance(s, SIte) and s.nid == 0:
+            # a running loop, unrolled: if (c) { body; while } else skip
+            cond_focus = self.expr(env, s.cond)
+            phis, head, cond, body = self.loop(env, s.then_s.second)
+            yield EWhileRun(cond_focus, [self.store[p.src] for p in phis],
+                            phis, cond, body, None, nid=0)
+            return head
+        if isinstance(s, (SSeq, SSkip)):
             return (yield from SsaRules.frames(self, env, s))
-        # a running loop, unrolled: if (c) { body; while } else skip
-        cond_focus = self.expr(env, s.cond)
-        phis, head, cond, body = self.loop(env, s.then_s.second)
-        yield EWhileRun(cond_focus, [self.store[p.src] for p in phis],
-                        phis, cond, body, None, nid=0)
-        return head
+        img = self.images.get(id(s))
+        if img is None:
+            # seen for the first time: a statement under evaluation is a
+            # new object at every step, so names are listed from the
+            # second sight on
+            self.images[id(s)] = _Image(s, None, None, None, None)
+            return (yield from SsaRules.frames(self, env, s))
+        if img.names is None:
+            img = _Image(s, stmt_names(s), None, None, None)
+        resolution = self.resolve(env, img.names)
+        if resolution != img.resolution:
+            (frame,), out = drain(SsaRules.frames(self, env, s))
+            img = _Image(s, img.names, resolution, frame,
+                         {x: n for x, n in out.items() if env.get(x) != n})
+            self.images[id(s)] = img
+        yield img.frame
+        return {**env, **img.delta}
+
+    def resolve(self, env: dict, names: tuple) -> tuple:
+        """What each of `names` reads as here: its pending SSA name, else
+        the key of its store value, else None."""
+        store = self.store
+        return tuple([env[x] if x in env else
+                      value_key(store[x]) if x in store else None
+                      for x in names])
 
     # -- whole configurations ---------------------------------------------------
 
     def walk(self, b, store: dict):
         """The spine of the image of a body or expression run over
         `store`, head first."""
-        return ConfigTranslator(self.theta, self.t, store,
-                                self.joins).elements({}, b)
+        tr = object.__new__(ConfigTranslator)  # shares the tables
+        tr.__dict__.update(self.__dict__, store=store)
+        return tr.elements({}, b)
 
     def spine(self, c: IrscConfig):
         """The image of configuration `c`, head first.  A saved frame whose
@@ -229,27 +312,54 @@ def read_spine(elements, joins: frozenset):
         el = next(elements)
 
 
-def spines_equal(a, b, joins: frozenset) -> bool:
+def spines_equal(a, b, joins: frozenset, matched: Generations) -> bool:
     """`terms_equal` on two terms given as spines, element by element,
     each without its rest or continuation: False at the first element
     that differs, so the rest of a lazily translated spine is never
     built."""
     for x, y in zip(read_spine(a, joins), read_spine(b, joins)):
-        if not terms_equal(x, y, joins, whole=False):
+        if not elements_equal(x, y, joins, matched):
             return False
+    return True
+
+
+def elements_equal(a, b, joins: frozenset, matched: Generations) -> bool:
+    """`terms_equal` on two spine elements, each without its rest or
+    continuation, and each field pair found equal remembered in `matched`:
+    the very same two objects are equal again without a walk."""
+    a = normalize(a, joins)
+    b = normalize(b, joins)
+    if a.__class__ is not b.__class__:
+        return False
+    for name in _SHAPES[a.__class__][0]:
+        x, y = getattr(a, name), getattr(b, name)
+        if x is y:
+            continue
+        seen = matched.get(id(x))
+        if seen is not None and seen[1] is y:
+            continue
+        if not terms_equal(x, y, joins):
+            return False
+        matched[id(x)] = (x, y)
     return True
 
 
 def corresponds(tr: ConfigTranslator, ic: IrscConfig,
                 fc: FrscConfig) -> bool:
     """Whether source configuration `ic` translates to target `fc`: the
-    spines first, then, after a full match, the heaps."""
+    spines first, then, after a full match, the heaps.  An aligned pair
+    turns the translator's tables."""
     try:
-        if not spines_equal(tr.spine(ic), spine_of(fc.focus), tr.joins):
+        if not spines_equal(tr.spine(ic), spine_of(fc.focus), tr.joins,
+                            tr.matched):
             return False
     except TranslateGap:
         return False
-    return heaps_equal(ic.heap, fc.heap)
+    if not heaps_equal(ic.heap, fc.heap):
+        return False
+    tr.images.turn()
+    tr.matched.turn()
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +394,11 @@ def _shape(cls: type) -> tuple:
 _SHAPES = {cls: _shape(cls) for cls in (*get_args(Expr), *get_args(Ctx))}
 
 
-def terms_equal(a, b, joins: frozenset, whole: bool = True) -> bool:
+def terms_equal(a, b, joins: frozenset) -> bool:
     """Structural equality of two terms, seen through `normalize`: the
     same class, and every subtree field equal by this rule, which takes
     a list element by element and a leaf that is no node by
-    `values_equal`.  Unless `whole`, a frame's rest and a running loop's
-    continuation are left out."""
+    `values_equal`."""
     while a is not b:
         if a.__class__ is list:
             if b.__class__ is not list or len(a) != len(b):
@@ -309,7 +418,7 @@ def terms_equal(a, b, joins: frozenset, whole: bool = True) -> bool:
             x, y = getattr(a, name), getattr(b, name)
             if x is not y and not terms_equal(x, y, joins):
                 return False
-        if chain is None or not whole:
+        if chain is None:
             return True
         a, b = getattr(a, chain), getattr(b, chain)
     return True

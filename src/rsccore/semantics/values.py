@@ -201,6 +201,15 @@ def values_equal(a: Value, b: Value) -> bool:
     return a == b
 
 
+def value_key(v: Value) -> tuple:
+    """A key two values share exactly when they are the same value of the
+    same type, down to each capture of a closure: unlike `==`, 1 and true
+    get different keys."""
+    if isinstance(v, VClosure):
+        return (VClosure, v.fname, tuple(map(value_key, v.caps)))
+    return (v.__class__, v)
+
+
 def apply_builtin(name: str, args: list, heap: Heap) -> Value:
     """Primitive reduction shared by both machines; raises StuckError when
     no rule applies."""

@@ -6,6 +6,7 @@ harness translates runtime source configurations under those names."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,7 +17,7 @@ from .syntax import (
     KLetIn, KLetWhile,
     MethodDecl, NO_SPAN, PhiIf, PhiWhile, Program, SAssign, SExprStmt,
     SFieldAssign, SIte, SSeq, SSkip, SVarDecl, SWhile, SourceSpan, Stmt,
-    assigned_names, children, next_node_id, with_field,
+    assigned_names, children, next_node_id, subtree_fields, with_field,
 )
 from .frontend.prelude import BUILTIN_NAMES
 
@@ -123,7 +124,11 @@ def fold(elements: list, span: SourceSpan = NO_SPAN, nid: int = 0) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Capture-avoiding substitution (names are unique per translation, but loop
-# bodies re-instantiate their binders on each unrolling)
+# bodies re-instantiate their binders on each unrolling).  Only the paths
+# to the replaced occurrences are rebuilt: a subtree in which no substituted
+# name occurs comes back as the same object, as `irsc.plug` does for its
+# hole, so what a step leaves untouched stays the same object from step to
+# step.
 
 
 def subst_expr(e, m: dict):
@@ -138,47 +143,75 @@ def subst_expr(e, m: dict):
     if isinstance(e, EConst):
         return e
     if isinstance(e, EFieldRead):
-        return with_field(e, "obj", subst_expr(e.obj, m))
+        obj = subst_expr(e.obj, m)
+        return e if obj is e.obj else with_field(e, "obj", obj)
     if isinstance(e, EMethodCall):
-        return EMethodCall(subst_expr(e.obj, m), e.mname,
-                           [subst_expr(a, m) for a in e.args], nid=e.nid,
-                           span=e.span)
+        obj, args = subst_expr(e.obj, m), _subst_each(e.args, m)
+        if obj is e.obj and args is e.args:
+            return e
+        return EMethodCall(obj, e.mname, args, nid=e.nid, span=e.span)
     if isinstance(e, EFuncCall):
-        return EFuncCall(subst_expr(e.callee, m),
-                         [subst_expr(a, m) for a in e.args], nid=e.nid,
-                         span=e.span)
+        callee, args = subst_expr(e.callee, m), _subst_each(e.args, m)
+        if callee is e.callee and args is e.args:
+            return e
+        return EFuncCall(callee, args, nid=e.nid, span=e.span)
     if isinstance(e, ENew):
-        return with_field(e, "args", [subst_expr(a, m) for a in e.args])
+        args = _subst_each(e.args, m)
+        return e if args is e.args else with_field(e, "args", args)
     if isinstance(e, ECast):
-        return with_field(e, "expr", subst_expr(e.expr, m))
+        inner = subst_expr(e.expr, m)
+        return e if inner is e.expr else with_field(e, "expr", inner)
     if isinstance(e, EClosure):
-        return with_field(e, "captures",
-                          [subst_expr(c, m) for c in e.captures])
+        caps = _subst_each(e.captures, m)
+        return e if caps is e.captures else with_field(e, "captures", caps)
     if isinstance(e, EFieldAssign):
-        return EFieldAssign(subst_expr(e.obj, m), e.fname,
-                            subst_expr(e.rhs, m), nid=e.nid, span=e.span)
+        obj, rhs = subst_expr(e.obj, m), subst_expr(e.rhs, m)
+        if obj is e.obj and rhs is e.rhs:
+            return e
+        return EFieldAssign(obj, e.fname, rhs, nid=e.nid, span=e.span)
     if isinstance(e, ECtxApply):
         k, m2 = subst_ctx(e.ctx, m)
-        return ECtxApply(k, subst_expr(e.expr, m2), nid=e.nid, span=e.span)
+        body = subst_expr(e.expr, m2)
+        if k is e.ctx and body is e.expr:
+            return e
+        return ECtxApply(k, body, nid=e.nid, span=e.span)
     if isinstance(e, EWhileRun):
-        m2 = {k: v for k, v in m.items()
-              if k not in {p.phi for p in e.phis}}
-        return EWhileRun(subst_expr(e.cond_focus, m2), list(e.cur_vals),
-                         e.phis, subst_expr(e.cond_orig, m2),
-                         subst_ctx(e.body_ctx, m2)[0],
-                         subst_expr(e.cont, m2), nid=e.nid)
+        m2 = _unbind(m, [p.phi for p in e.phis])
+        cond_focus = subst_expr(e.cond_focus, m2)
+        cond = subst_expr(e.cond_orig, m2)
+        body = subst_ctx(e.body_ctx, m2)[0]
+        cont = subst_expr(e.cont, m2)
+        if cond_focus is e.cond_focus and cond is e.cond_orig and \
+                body is e.body_ctx and cont is e.cont:
+            return e
+        return EWhileRun(cond_focus, e.cur_vals, e.phis, cond, body, cont,
+                         nid=e.nid)
     raise TypeError(e)
+
+
+def _subst_each(xs: list, m: dict) -> list:
+    """`subst_expr` on each element: the same list when none changed."""
+    ys = [subst_expr(x, m) for x in xs]
+    return xs if all(map(operator.is_, ys, xs)) else ys
+
+
+def _unbind(m: dict, names) -> dict:
+    """`m` without the names a binder shadows."""
+    if not any(n in m for n in names):
+        return m
+    return {n: v for n, v in m.items() if n not in names}
 
 
 def subst_ctx(k: Ctx, m: dict):
     """Substitute into a context; returns the new context and the map still
     live at its hole (binders shadow)."""
-    if isinstance(k, KHole):
+    if isinstance(k, KHole) or not m:
         return k, m
     if isinstance(k, KLetIn):
         e = subst_expr(k.expr, m)
-        m2 = {n: v for n, v in m.items() if n != k.name}
-        rest, m3 = subst_ctx(k.rest, m2)
+        rest, m3 = subst_ctx(k.rest, _unbind(m, (k.name,)))
+        if e is k.expr and rest is k.rest:
+            return k, m3
         return KLetIn(k.name, e, rest, nid=k.nid, span=k.span), m3
     if isinstance(k, KLetIf):
         cond = subst_expr(k.cond, m)
@@ -186,24 +219,25 @@ def subst_ctx(k: Ctx, m: dict):
         k2, _ = subst_ctx(k.else_ctx, m)
         # a phi slot reads a name at its branch's end scope: names the
         # branch rebinds shadow the enclosing substitution
-        b1 = ctx_binders(k.then_ctx)
-        b2 = ctx_binders(k.else_ctx)
-        ml = {n: v for n, v in m.items() if n not in b1}
-        mr = {n: v for n, v in m.items() if n not in b2}
-        lefts = [subst_expr(x, ml) for x in k.left_exprs]
-        rights = [subst_expr(x, mr) for x in k.right_exprs]
-        m2 = {n: v for n, v in m.items()
-              if n not in {p.phi for p in k.phis}}
-        rest, m3 = subst_ctx(k.rest, m2)
+        lefts = _subst_each(k.left_exprs, _unbind(m, ctx_binders(k.then_ctx)))
+        rights = _subst_each(k.right_exprs,
+                             _unbind(m, ctx_binders(k.else_ctx)))
+        rest, m3 = subst_ctx(k.rest, _unbind(m, [p.phi for p in k.phis]))
+        if cond is k.cond and k1 is k.then_ctx and k2 is k.else_ctx and \
+                lefts is k.left_exprs and rights is k.right_exprs and \
+                rest is k.rest:
+            return k, m3
         return KLetIf(k.phis, cond, k1, k2, rest, lefts, rights,
                       nid=k.nid, span=k.span), m3
     if isinstance(k, KLetWhile):
-        inits = [subst_expr(i, m) for i in k.init_exprs]
-        m2 = {n: v for n, v in m.items()
-              if n not in {p.phi for p in k.phis}}
+        inits = _subst_each(k.init_exprs, m)
+        m2 = _unbind(m, [p.phi for p in k.phis])
         cond = subst_expr(k.cond, m2)
         body, _ = subst_ctx(k.body_ctx, m2)
         rest, m3 = subst_ctx(k.rest, m2)
+        if inits is k.init_exprs and cond is k.cond and \
+                body is k.body_ctx and rest is k.rest:
+            return k, m3
         return KLetWhile(k.phis, cond, body, rest, inits, nid=k.nid,
                          span=k.span), m3
     raise TypeError(k)
@@ -228,7 +262,33 @@ def ctx_binders(k: Ctx) -> set:
     return out
 
 
-def _drain(gen) -> tuple[list, object]:
+def stmt_names(s: Stmt) -> tuple:
+    """Every source name the translation of statement `s` can look up in an
+    environment or a store, each once: the variables it reads or binds,
+    `this` and `#argc`.  The source of each phi of a conditional or a loop
+    is among them: it is a name a branch or the body assigns, and the
+    source machine steps into neither while the statement stands."""
+    names: dict = {}
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls in (EVar, SVarDecl, SAssign):
+            names[node.name] = None
+        elif cls is EThis:
+            names["this"] = None
+        elif cls is EArgsLen:
+            names["#argc"] = None
+        for name in subtree_fields(cls):
+            v = getattr(node, name)
+            if v.__class__ is list:
+                stack.extend(v)
+            elif hasattr(v, "nid"):
+                stack.append(v)
+    return tuple(names)
+
+
+def drain(gen) -> tuple[list, object]:
     """What generator `gen` yields, and what it returns."""
     items = []
     while True:
@@ -374,7 +434,7 @@ class SsaRules:
         return phis, head, cond, body
 
     def ssa_stmt(self, env: SsaEnv, s: Stmt) -> tuple[Ctx, SsaEnv]:
-        ctxs, env = _drain(self.frames(env, s))
+        ctxs, env = drain(self.frames(env, s))
         ctx = KHole(nid=self.nid())
         for k in reversed(ctxs):
             ctx = with_field(k, "rest", ctx)
@@ -406,7 +466,7 @@ class SsaRules:
             yield self.expr(env, b.expr if isinstance(b, BReturn) else b)
 
     def ssa_body(self, env: SsaEnv, b: Body) -> Expr:
-        return fold(_drain(self.elements(env, b))[0], b.span, self.nid())
+        return fold(drain(self.elements(env, b))[0], b.span, self.nid())
 
 
 class SsaTranslator(SsaRules):

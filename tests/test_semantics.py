@@ -8,7 +8,7 @@ import pytest
 
 from conftest import CORPUS, parse, parse_text
 
-from rsccore.semantics import VClosure, run, simulate
+from rsccore.semantics import VClosure, VLoc, run, simulate
 from rsccore.semantics.values import MISSING, mk_val, val_of, values_equal
 from rsccore.ssa import ssa_program
 from rsccore.syntax import (
@@ -543,11 +543,12 @@ def _oracle_phis_equal(a, b) -> bool:
 
 
 def _eager_corresponds(tr, ic, fc) -> bool:
-    """The oracle: translate the whole source configuration, then compare
-    the whole terms, class by class, and the heaps."""
+    """The oracle: translate the whole source configuration with a fresh
+    translator, which shares no image and no remembered pair with `tr`,
+    then compare the whole terms, class by class, and the heaps."""
     sim = sys.modules["rsccore.semantics.simulate"]
     try:
-        image = tr.config(ic)
+        image = sim.ConfigTranslator(tr.theta, tr.t).config(ic)
     except sim.TranslateGap:
         return False
     return _oracle_terms_equal(image, fc.focus, tr.joins) and \
@@ -595,7 +596,11 @@ def test_failed_attempts_translate_little(monkeypatch):
     1,840 aligned ones 260,327; head first, a failed attempt stops at the
     first element that differs.  Looking one element ahead after every
     `let` at a term start, the failed attempts made 78,372 calls; only a
-    `let` of a recorded result join looks ahead now."""
+    `let` of a recorded result join looks ahead now.  With the image of
+    each statement kept from its second sight on, until a name it reads
+    or binds resolves to something else, the failed attempts went from
+    52,817 calls to 16,656 and the aligned ones from 260,327 to 35,723:
+    an aligned attempt translates what changed since the previous one."""
     sim = sys.modules["rsccore.semantics.simulate"]
     corresponds, expr = sim.corresponds, sim.ConfigTranslator.expr
     calls = [0]
@@ -618,8 +623,9 @@ def test_failed_attempts_translate_little(monkeypatch):
     for _ in range(12):
         rep = simulate(*_ssa_text(gen_program(rng)))
         assert rep.status == "ok", rep.detail
-    assert by_outcome == {False: [3516, 52_817], True: [1840, 260_327]}
+    assert by_outcome == {False: [3516, 16_656], True: [1840, 35_723]}
     assert by_outcome[False][1] <= 0.2 * 499_541
+    assert by_outcome[True][1] <= 0.5 * 260_327
 
 
 _G = """
@@ -739,6 +745,28 @@ def test_closure_equality_compares_captures():
                             VClosure("k", (inner, 2)))
     assert not values_equal(VClosure("h", (1,)), VClosure("h", (1, 2)))
     assert not values_equal(VClosure("h", (1,)), VClosure("k", (1,)))
+
+
+def test_value_keys_are_type_exact():
+    """The key under which the simulation keeps a statement's image tells
+    apart every pair of values that are not the same value of the same
+    type, also inside a closure's captures, and gives two equal values
+    built apart the same key."""
+    from rsccore.semantics.values import value_key
+    from rsccore.syntax import NULL, UNDEFINED
+    inner = VClosure("h", (1,))
+    distinct = [(1, True), (0, False), (1, "1"), (UNDEFINED, NULL),
+                (VLoc(1), 1), (inner, VClosure("h", (True,))),
+                (VClosure("k", (inner,)), VClosure("k", (VClosure(
+                    "h", (True,)),))), (inner, VClosure("k", (1,)))]
+    for a, b in distinct:
+        assert value_key(a) != value_key(b), (a, b)
+    same = [(2 ** 70, 2 ** 69 * 2), ("ab", "".join("ab")),
+            (VLoc(1), VLoc(1)), (NULL, NULL),
+            (VClosure("k", (VClosure("h", (1,)), VLoc(1))),
+             VClosure("k", (inner, VLoc(1))))]
+    for a, b in same:
+        assert value_key(a) == value_key(b), (a, b)
 
 
 @pytest.mark.parametrize("text,args,expected", [
@@ -962,6 +990,126 @@ def test_plug_rebuilds_only_the_path_to_the_hole(monkeypatch):
     assert out.rest is tree.rest and out.stmt.expr.callee is call.callee
     assert out.stmt.expr.args[0] is call.args[0]
     assert out.stmt.expr.args[2] is call.args[2]
+
+
+def _free(x) -> set:
+    """The names free in term `x`: read by a variable, `this` or
+    `arguments.length`, and bound by no binder of `x` around the read."""
+    if isinstance(x, list):
+        return set().union(*map(_free, x))
+    if isinstance(x, EVar):
+        return {x.name}
+    if isinstance(x, EThis):
+        return {"this"}
+    if isinstance(x, EArgsLen):
+        return {"#argc"}
+    if isinstance(x, (KHole, KLetIn, KLetIf, KLetWhile)):
+        return _ctx_free(x, set())
+    if isinstance(x, ECtxApply):
+        return _ctx_free(x.ctx, _free(x.expr))
+    if isinstance(x, EWhileRun):
+        return (_free([x.cond_focus, x.cond_orig, x.cont]) |
+                _ctx_free(x.body_ctx, set())) - {p.phi for p in x.phis}
+    if not hasattr(x, "nid"):
+        return set()
+    return _free([v for k, v in vars(x).items() if k not in ("nid", "span")])
+
+
+def _ctx_free(k, after: set) -> set:
+    """The names free in `k[e]`, given the names `after` free in `e`."""
+    from rsccore.ssa import ctx_binders
+    if isinstance(k, KHole):
+        return after
+    if isinstance(k, KLetIn):
+        return _free(k.expr) | (_ctx_free(k.rest, after) - {k.name})
+    phis = {p.phi for p in k.phis}
+    if isinstance(k, KLetIf):
+        # a phi slot reads at its branch's end
+        return (_free(k.cond) | _ctx_free(k.then_ctx, set()) |
+                _ctx_free(k.else_ctx, set()) |
+                (_free(k.left_exprs) - ctx_binders(k.then_ctx)) |
+                (_free(k.right_exprs) - ctx_binders(k.else_ctx)) |
+                (_ctx_free(k.rest, after) - phis))
+    return _free(k.init_exprs) | ((_free(k.cond) |
+                                   _ctx_free(k.body_ctx, set()) |
+                                   _ctx_free(k.rest, after)) - phis)
+
+
+def _check_substituted(old, new, m: dict) -> int:
+    """Walks a term before and after substituting `m` side by side and
+    returns the number of nodes rebuilt; a subtree in which no name of
+    `m` is free must come back as the same object, and a rebuilt node
+    keeps its class, id, span and fields."""
+    if isinstance(old, list):
+        assert isinstance(new, list) and len(new) == len(old)
+        if not _free(old) & m.keys():
+            assert new is old
+        return sum(_check_substituted(a, b, m) for a, b in zip(old, new))
+    if not hasattr(old, "nid"):
+        assert new == old
+        return 0
+    if not _free(old) & m.keys():
+        assert new is old, old
+        return 0
+    if new is old:  # every free occurrence is bound on the way down
+        return 0
+    if isinstance(old, EVar):
+        assert new is m[old.name]
+        return 0
+    assert type(new) is type(old)
+    assert (new.nid, new.span) == (old.nid, old.span)
+    assert vars(new).keys() == vars(old).keys()
+    return 1 + sum(_check_substituted(v, getattr(new, k), m)
+                   for k, v in vars(old).items())
+
+
+def test_substitution_rebuilds_only_the_paths_to_the_name(monkeypatch):
+    """Every substitution the functional machine makes during a run, and a
+    chain of lets built by hand that reads the name only in its last
+    `let`: each subtree in which no substituted name is free comes back
+    as the same object, so the untouched tail of a configuration stays
+    the same object from step to step."""
+    from rsccore import ssa
+    from rsccore.semantics import frsc
+    seen = []
+
+    def recording_expr(e, m):
+        out = ssa.subst_expr(e, m)
+        seen.append((e, m, out))
+        return out
+
+    def recording_ctx(k, m):
+        out = ssa.subst_ctx(k, m)
+        seen.append((k, m, out[0]))
+        return out
+
+    monkeypatch.setattr(frsc, "subst_expr", recording_expr)
+    monkeypatch.setattr(frsc, "subst_ctx", recording_ctx)
+    sp, _ = _ssa(CORPUS / "minindex.rsc")
+    r = run(sp, entry="minIndex", args=[[3, 1, 2]], machine="frsc")
+    assert (r.status, r.value) == ("terminal", 1)
+    monkeypatch.undo()
+    assert len(seen) > 20
+    shared = sum(1 for old, m, new in seen
+                 if _check_substituted(old, new, m) == 0 and new is old)
+    assert shared > 0
+
+    seven = EConst(7, nid=0)
+    last = EFuncCall(EVar("*", nid=8), [EVar("x", nid=9), EConst(2, nid=10)],
+                     nid=7)
+    first = EFuncCall(EVar("+", nid=2), [EVar("y", nid=3), EConst(1, nid=4)],
+                      nid=1)
+    chain = KLetIn("a", first, KLetIn("b", EConst(2, nid=5), KLetIn(
+        "c", last, KHole(nid=0), nid=6), nid=11), nid=12)
+    term = ECtxApply(chain, EVar("c", nid=13), nid=14)
+    out = ssa.subst_expr(term, {"x": seven})
+    assert _check_substituted(term, out, {"x": seven}) == 5
+    assert out.ctx.expr is first and out.ctx.rest.expr is chain.rest.expr
+    assert out.ctx.rest.rest.expr.callee is last.callee
+    assert out.ctx.rest.rest.expr.args[0] is seven
+    assert out.ctx.rest.rest.expr.args[1] is last.args[1]
+    assert out.expr is term.expr
+    assert ssa.subst_expr(term, {"z": seven}) is term
 
 
 def test_skip_sequencing_step():
