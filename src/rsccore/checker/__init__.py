@@ -4,14 +4,16 @@ the final verdict."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..infer import (
     KvarAssignment, KvarRegistry, default_qualifiers, solve, split_horn,
 )
 from ..logic import ClassTable, NameSupply, TypeEnv, WfViolation, wf_pred, wf_type
 from ..solver import SolverConfig
-from ..ssa import SsaErrors, ssa_program, subst_expr
+from ..ssa import (
+    SsaError, SsaErrors, SsaFunc, SsaTranslator, ssa_program, subst_expr,
+)
 from ..syntax import (
     BClass, ClassDecl, EConst, FuncDecl, P_TRUE, Program, RBase, RFun, RInter,
     RType, SourceSpan, exists_core, trivially_refine, walk_tree, with_field,
@@ -21,8 +23,8 @@ from .core import CheckAbort, Checker
 from .ctor import CtorError, ctor_init_signature, ctor_rewrite
 from .twophase import OverloadClone, two_phase_expand
 
-__all__ = ["check_program", "class_diagnostic", "CheckResult", "Diagnostic",
-           "Constraint"]
+__all__ = ["check_program", "class_diagnostic", "clone_check", "CheckResult",
+           "Diagnostic", "Constraint"]
 
 
 @dataclass
@@ -80,40 +82,20 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
         diags.append(class_diagnostic(program, e))
         return fail()
 
-    # class declarations: field types, invariants, constructor rewriting
-    ctor_inits: dict = {}
-    witnesses: dict = {}
-    checked_classes: list[ClassDecl] = []
-    for c in program.classes:
-        env_this = TypeEnv(classes, supply).bind_raw(
-            "this", trivially_refine(BClass(c.name)))
-        for f in c.fields:
-            for v in wf_type(env_this, f.rtype):
-                diags.append(Diagnostic("error", f.span, "WF", v))
-        for v in wf_pred(env_this, c.invariant, None):
-            diags.append(Diagnostic("error", c.span, "WF", v))
-        try:
-            rewritten, wit = ctor_rewrite(c, classes)
-            ctor_inits[c.name] = ctor_init_signature(classes, c.name)
-        except (CtorError,) as e:
-            diags.append(Diagnostic("error", e.span, "CTOR", e.msg))
-            continue
-        except WfViolation as e:
-            diags.append(Diagnostic("error", c.span, "CTOR", e.reason))
-            continue
-        witnesses[c.name] = wit
-        methods = [m for m in c.methods if not m.is_ctor] + [rewritten]
-        checked_classes.append(ClassDecl(c.name, c.invariant, c.parent,
-                                         c.fields, methods, c.span))
+    checked_classes, ctor_inits, witnesses = _class_pass(program, classes,
+                                                         supply, diags)
     if any(d.severity == "error" for d in diags):
         return fail()
 
     # two-phase expansion of intersection-typed functions
+    check_clone = None
     clones: list[OverloadClone] = []
     check_funcs: list[FuncDecl] = []
     for f in program.functions:
         if isinstance(f.signature, RInter) and f.body is not None:
-            clones.extend(two_phase_expand(f, program))
+            check_clone = check_clone or _clone_check(
+                program, classes, config, ctor_inits, witnesses)
+            clones.extend(two_phase_expand(f, program, check_clone))
             check_funcs.append(FuncDecl(f.name, f.params, f.signature,
                                         None, f.span))
         else:
@@ -211,6 +193,86 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
         else "verified"
     return CheckResult(verdict, diags, checker.constraints, clauses,
                        assignment, registry, classes, program2, config)
+
+
+def _class_pass(program: Program, classes: ClassTable, supply: NameSupply,
+                diags: list) -> tuple:
+    """The class declarations' field types and invariants checked, and
+    their constructors rewritten: (the classes to check, the constructor
+    initializer signatures, the field witnesses).  Errors go to `diags`."""
+    ctor_inits: dict = {}
+    witnesses: dict = {}
+    checked_classes: list[ClassDecl] = []
+    for c in program.classes:
+        env_this = TypeEnv(classes, supply).bind_raw(
+            "this", trivially_refine(BClass(c.name)))
+        for f in c.fields:
+            for v in wf_type(env_this, f.rtype):
+                diags.append(Diagnostic("error", f.span, "WF", v))
+        for v in wf_pred(env_this, c.invariant, None):
+            diags.append(Diagnostic("error", c.span, "WF", v))
+        try:
+            rewritten, wit = ctor_rewrite(c, classes)
+            ctor_inits[c.name] = ctor_init_signature(classes, c.name)
+        except (CtorError,) as e:
+            diags.append(Diagnostic("error", e.span, "CTOR", e.msg))
+            continue
+        except WfViolation as e:
+            diags.append(Diagnostic("error", c.span, "CTOR", e.reason))
+            continue
+        witnesses[c.name] = wit
+        methods = [m for m in c.methods if not m.is_ctor] + [rewritten]
+        checked_classes.append(ClassDecl(c.name, c.invariant, c.parent,
+                                         c.fields, methods, c.span))
+    return checked_classes, ctor_inits, witnesses
+
+
+def clone_check(program: Program) -> Callable:
+    """Phase one's clone check for `program` outside `check_program`:
+    under its classes and the default solver configuration."""
+    classes = ClassTable(program)
+    _, ctor_inits, witnesses = _class_pass(program, classes, NameSupply(), [])
+    return _clone_check(program, classes, SolverConfig(), ctor_inits,
+                        witnesses)
+
+
+def _clone_check(program: Program, classes: ClassTable, config: SolverConfig,
+                 ctor_inits: dict, witnesses: dict) -> Callable:
+    """Phase one's check of an overload clone (see `twophase`): the clone's
+    body translated to SSA and checked as a unit, as a function is, with
+    throwaway refinement variables and names; the span of its first SSA or
+    structural error, or None."""
+    translator = SsaTranslator(program)
+
+    def translate(f: FuncDecl):
+        return translator.ssa_body({p: p for p in [*f.params, "#argc"]},
+                                   f.body)
+
+    # the unannotated functions, which a call site checks (see
+    # `Checker._check_closure_against`)
+    closures: dict = {}
+    for f in program.functions:
+        if f.signature is None and f.body is not None:
+            try:
+                closures[f.name] = SsaFunc(f.name, f.params, translate(f), f)
+            except SsaError:
+                pass
+    fn_sigs = {f.name: f.signature for f in program.functions}
+    fn_decls = {f.name: f for f in program.functions}
+
+    def check(decl: FuncDecl) -> Optional[SourceSpan]:
+        try:
+            body = translate(decl)
+        except SsaError as e:
+            return e.span
+        supply = NameSupply()
+        checker = Checker(classes, KvarRegistry(), supply, config, ctor_inits,
+                          witnesses, fn_sigs, fn_decls, closures)
+        diags: list = []
+        _check_unit(checker, diags, decl.name, TypeEnv(classes, supply),
+                    decl.signature, body, decl.span)
+        return diags[0].span if diags else None
+    return check
 
 
 def _check_unit(checker: Checker, diags: list, unit: str, env: TypeEnv,

@@ -315,7 +315,7 @@ class Checker:
                                             strengthen_with_refinement=True)
         except WfViolation as ex:
             self.abort(e.span, "LQ-CHK-FIELD", ex.reason)
-        if mut == "imm":
+        if mut == "imm" and isinstance(exists_core(ft), RBase):
             ft = selfify(ft, TField(recv, e.fname))
         return _package(env, env2, ft)
 

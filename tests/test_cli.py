@@ -434,6 +434,71 @@ def test_a_function_typed_field_too_weak_is_an_error(tmp_path):
 
 
 
+_FN_FIELD_READ = """class B {
+  immutable k : (number) => number;
+  constructor(k: (number) => number) { this.k = k; }
+}
+/*@ (x: B) => RET */
+function pick(x) { var h = x.k; return h(1); }
+"""
+
+
+@pytest.mark.parametrize("ret, code, stderr", [
+    ("number", 0, "VERIFIED\n"),
+    ("{v: number | 0 <= v}", 1, "error[RET]: "),
+])
+def test_a_read_of_an_immutable_function_typed_field(tmp_path, ret, code,
+                                                     stderr):
+    """Reading an immutable field of function type gives the field's
+    type, which is not selfified, since only a base type can be."""
+    src = tmp_path / "fnread.rsc"
+    src.write_text(_FN_FIELD_READ.replace("RET", ret))
+    r = rsc("check", str(src))
+    assert (r.returncode, r.stdout) == (code, "")
+    assert stderr in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+# bodies that verify under one signature and, since phase one of two-phase
+# checking is the refinement checker's own structural check, also as an
+# overload whose second conjunct takes one more parameter
+_OVERLOADS = {
+    "array literal": """/*@ (x: number) => number
+    (x: number, y: number) => number */
+function f(x, y) { var a = [x, x]; return a.length; }
+""",
+    "conditional expression": """/*@ (x: number) => number
+    (x: number, y: number) => number */
+function f(x, y) { var r = x > 0 ? 1 : 0; return r; }
+""",
+    "typeof on a generic parameter": """/*@ <A>(x: A) => number
+    <A>(x: A, y: number) => number */
+function f(x, y) {
+  var r = 1;
+  if (typeof x === "number") r = r + x;
+  return r;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("kind, args, out", [
+    ("array literal", ["3"], "2\n"),
+    ("conditional expression", ["3", "4"], "1\n"),
+    ("typeof on a generic parameter", ["3", "4"], "4\n"),
+])
+def test_an_overload_verifies_where_its_conjuncts_do(tmp_path, kind, args,
+                                                     out):
+    src = tmp_path / "overload.rsc"
+    src.write_text(_OVERLOADS[kind])
+    r = rsc("check", str(src))
+    assert (r.returncode, r.stderr) == (0, "VERIFIED\n")
+    for machine in ("irsc", "frsc"):
+        r = rsc("run", str(src), "--entry", "f", "--machine", machine,
+                "--args", *args)
+        assert (r.returncode, r.stdout) == (0, out), machine
+
+
 # checks each file named on the command line in turn, in this one process
 _CHECK_EACH = """
 import contextlib, io, sys
