@@ -23,8 +23,8 @@ from .core import CheckAbort, Checker
 from .ctor import CtorError, ctor_init_signature, ctor_rewrite
 from .twophase import OverloadClone, two_phase_expand
 
-__all__ = ["check_program", "class_diagnostic", "clone_check", "CheckResult",
-           "Diagnostic", "Constraint"]
+__all__ = ["check_program", "class_diagnostic", "CheckResult", "Diagnostic",
+           "Constraint"]
 
 
 @dataclass
@@ -95,7 +95,7 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
         if isinstance(f.signature, RInter) and f.body is not None:
             check_clone = check_clone or _clone_check(
                 program, classes, config, ctor_inits, witnesses)
-            clones.extend(two_phase_expand(f, program, check_clone))
+            clones.extend(two_phase_expand(f, check_clone))
             check_funcs.append(FuncDecl(f.name, f.params, f.signature,
                                         None, f.span))
         else:
@@ -112,11 +112,8 @@ def check_program(program: Program, config: Optional[SolverConfig] = None,
             diags.append(Diagnostic("error", e.span, "SSA", e.msg))
         return fail()
 
-    fn_sigs = {f.name: f.signature for f in program.functions}
-    fn_sigs.update((cl.name, cl.decl.signature) for cl in clones)
-    checker = Checker(classes, registry, supply, config, ctor_inits,
-                      witnesses, fn_sigs, {f.name: f for f in check_funcs},
-                      ssa2.functions)
+    checker = _checker(classes, registry, supply, config, ctor_inits,
+                       witnesses, check_funcs, ssa2.functions)
     registry.note_strings(_collect_strings(program))
 
     # a failure inside an overload clone names its conjunct
@@ -227,21 +224,22 @@ def _class_pass(program: Program, classes: ClassTable, supply: NameSupply,
     return checked_classes, ctor_inits, witnesses
 
 
-def clone_check(program: Program) -> Callable:
-    """Phase one's clone check for `program` outside `check_program`:
-    under its classes and the default solver configuration."""
-    classes = ClassTable(program)
-    _, ctor_inits, witnesses = _class_pass(program, classes, NameSupply(), [])
-    return _clone_check(program, classes, SolverConfig(), ctor_inits,
-                        witnesses)
+def _checker(classes: ClassTable, registry: KvarRegistry, supply: NameSupply,
+             config: SolverConfig, ctor_inits: dict, witnesses: dict,
+             functions: list, ssa_funcs: dict) -> Checker:
+    """A checker of units that may call `functions`, the unannotated ones
+    translated in `ssa_funcs`."""
+    return Checker(classes, registry, supply, config, ctor_inits, witnesses,
+                   {f.name: f.signature for f in functions},
+                   {f.name: f for f in functions}, ssa_funcs)
 
 
 def _clone_check(program: Program, classes: ClassTable, config: SolverConfig,
                  ctor_inits: dict, witnesses: dict) -> Callable:
     """Phase one's check of an overload clone (see `twophase`): the clone's
     body translated to SSA and checked as a unit, as a function is, with
-    throwaway refinement variables and names; the span of its first SSA or
-    structural error, or None."""
+    throwaway refinement variables and names; the spans of its SSA and
+    structural errors."""
     translator = SsaTranslator(program)
 
     def translate(f: FuncDecl):
@@ -257,21 +255,20 @@ def _clone_check(program: Program, classes: ClassTable, config: SolverConfig,
                 closures[f.name] = SsaFunc(f.name, f.params, translate(f), f)
             except SsaError:
                 pass
-    fn_sigs = {f.name: f.signature for f in program.functions}
-    fn_decls = {f.name: f for f in program.functions}
 
-    def check(decl: FuncDecl) -> Optional[SourceSpan]:
+    def check(decl: FuncDecl) -> list:
         try:
             body = translate(decl)
         except SsaError as e:
-            return e.span
+            return [e.span]
         supply = NameSupply()
-        checker = Checker(classes, KvarRegistry(), supply, config, ctor_inits,
-                          witnesses, fn_sigs, fn_decls, closures)
+        checker = _checker(classes, KvarRegistry(), supply, config, ctor_inits,
+                           witnesses, program.functions, closures)
+        checker.returns = decl.signature.ret
         diags: list = []
         _check_unit(checker, diags, decl.name, TypeEnv(classes, supply),
                     decl.signature, body, decl.span)
-        return diags[0].span if diags else None
+        return [d.span for d in checker.diags + diags]
     return check
 
 

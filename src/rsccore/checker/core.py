@@ -58,6 +58,9 @@ class Checker:
         self.current_unit = "<top>"
         self._closure_stack: list[str] = []
         self._current_ctor: Optional[str] = None
+        # phase one of two-phase typing: the conjunct's result, which a
+        # branch's returned value must fit where it is returned
+        self.returns: Optional[RType] = None
 
     # -- bookkeeping -------------------------------------------------------------
 
@@ -645,6 +648,12 @@ class Checker:
             if t1 is None or t2 is None:
                 self.abort(k.span, "LQ-CHK-CTX-LETIF",
                            f"phi input of {p.phi} unbound")
+            if p.src == "<ret>" and self.returns is not None:
+                for t, envi, let in ((t1, env1, k.then_ctx),
+                                     (t2, env2, k.else_ctx)):
+                    e = let.expr.expr if isinstance(let.expr, ECtxApply) \
+                        else let.expr
+                    self.sub(envi, t, self.returns, e.span, "RET")
             base = self._join_base(t1, t2, k.span)
             tphi = self.registry.fresh_template(
                 base, env, ("phi", self.current_unit, p.src))

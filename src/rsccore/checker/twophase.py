@@ -4,23 +4,23 @@
 Phase one clones the function once per conjunct, resolves
 `arguments.length` to the conjunct's arity, and checks each clone as a
 unit under its conjunct, with the refinement checker's own structural
-rules.  The first SSA or structural error that falls on a node of the
-clone's body turns the innermost statement or body holding that node
-into a dead-code assertion, and the clone is checked again, until it has
-no error or its error lies outside the body (that one is the real
-check's to report).  Phase two is the ordinary refinement check of each
+rules; a value a branch returns must fit the conjunct's result where it
+is returned.  The first SSA or structural error that falls on a node of
+the clone's body turns the innermost statement or body holding that node
+into a dead-code assertion, and the clone is checked again, until no
+error falls on its body (one outside it is the real check's to
+report).  Phase two is the ordinary refinement check of each
 clone, which must prove every such assertion unreachable."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..syntax import (
-    BIte, BReturn, Body, EArgsLen, EConst, EFuncCall, EVar, FuncDecl,
-    Program, RInter, SAssign, SExprStmt, SFieldAssign, SIte, SSkip, SVarDecl,
-    SWhile, Stmt, children, clone_tree, next_node_id,
-    replace_in_tree,
+    BIte, BReturn, Body, EArgsLen, EConst, EFuncCall, EVar, FuncDecl, RInter,
+    SAssign, SExprStmt, SFieldAssign, SIte, SSkip, SVarDecl, SWhile, Stmt,
+    children, clone_tree, next_node_id, replace_in_tree,
 )
 
 # the statements and bodies that phase one may replace; a sequence is not
@@ -72,19 +72,14 @@ class OverloadClone:
         return self.decl.name
 
 
-def two_phase_expand(fn: FuncDecl, program: Program,
-                     check: Optional[Callable] = None) -> list:
+def two_phase_expand(fn: FuncDecl, check: Callable) -> list:
     """Clones of an intersection-typed function, one per conjunct, each
     with its ill-typed statements replaced by assert(false).  `check(decl)`
-    checks a clone as a unit and returns the span of its first SSA or
-    structural error, or None; it is `checker.clone_check(program)` unless
-    given."""
+    checks a clone as a unit and returns the spans of its SSA and
+    structural errors, in the order they were found."""
     sig = fn.signature
     if not isinstance(sig, RInter):
         return []
-    if check is None:
-        from . import clone_check
-        check = clone_check(program)
     clones: list[OverloadClone] = []
     for i, conj in enumerate(sig.conjuncts, 1):
         decl = FuncDecl(f"{fn.name}@{i}", [n for n, _ in conj.params], conj,
@@ -94,11 +89,10 @@ def two_phase_expand(fn: FuncDecl, program: Program,
                         EConst(arity, span=c.span, nid=next_node_id())
                         if isinstance(c, EArgsLen) else None)
         dead: set = set()
-        while (span := check(decl)) is not None:
-            target = _holder(decl.body, (span.file, span.start, span.end),
-                             dead, None)
-            if target is None:
-                break
+        # the statement or body holding the first error on the body
+        while (target := next(filter(None, (
+                _holder(decl.body, (s.file, s.start, s.end), dead, None)
+                for s in check(decl))), None)) is not None:
             new = _assert_false_return(target) \
                 if isinstance(target, _BODIES) else _assert_false_stmt(target)
             dead.add(new.nid)

@@ -239,11 +239,24 @@ def test_only_the_type_env_opens_existentials():
 # -- two-phase overloads -----------------------------------------------------------
 
 
-def test_two_phase_reduce_clones():
+def _expand(fn, p):
+    """`two_phase_expand` of `fn` with the clone check that
+    `check_program` builds for `p`, under the default solver
+    configuration."""
+    from rsccore.checker import _class_pass, _clone_check
     from rsccore.checker.twophase import two_phase_expand
+    from rsccore.logic import NameSupply
+    from rsccore.solver import SolverConfig
+    classes = ClassTable(p)
+    _, ctor_inits, witnesses = _class_pass(p, classes, NameSupply(), [])
+    return two_phase_expand(fn, _clone_check(p, classes, SolverConfig(),
+                                             ctor_inits, witnesses))
+
+
+def test_two_phase_reduce_clones():
     p = parse(CORPUS / "overload_reduce.rsc")
     fn = next(f for f in p.functions if f.name == "$reduce")
-    clones = two_phase_expand(fn, p)
+    clones = _expand(fn, p)
     assert len(clones) == 2
     b1 = body_str(clones[0].decl.body)
     b2 = body_str(clones[1].decl.body)
@@ -264,13 +277,12 @@ def test_two_phase_reduce_clones():
 def test_two_phase_clone_with_a_loop():
     """Phase one reaches the statements of a clone's body: under the
     one-argument conjunct, the two-argument update is dead code."""
-    from rsccore.checker.twophase import two_phase_expand
     p = parse_text("""/*@ (x: number) => number
     (x: number, y: number) => number */
 function add(x, y) { var r = x; var i = 0; while (i < 1) { i = i + 1; }\
  if (arguments.length === 2) { r = r + y; } return r; }
 """)
-    clones = two_phase_expand(p.functions[0], p)
+    clones = _expand(p.functions[0], p)
     assert [c.name for c in clones] == ["add@1", "add@2"]
     assert body_str(clones[0].decl.body) == (
         "var r = x;\nvar i = 0;\nwhile ((i < 1)) {\n  i = (i + 1);\n}\n"
@@ -368,15 +380,17 @@ _DEAD = "assert(false);"
     ("y = r;", [_DEAD], ["y = r;"]),
     ("x.g = r;", [_DEAD], [_DEAD]),
     ("x.getG();", ["x.getG();"], [_DEAD]),
+    # a cast to a type that names `y`, which conjunct 1 lacks (WF)
+    ("r = <{v: number | v = y}> r;", [_DEAD],
+     ["r = <{v:number | v = y}> r;"]),
 ])
 def test_phase_one_rules(stmt, under_1, under_2):
     """Phase one's structural errors, pinned by the clone bodies they
     yield: the innermost statement that holds the error becomes
     `assert(false)`."""
-    from rsccore.checker.twophase import two_phase_expand
     p = parse_text(_PHASE_ONE_PROGRAM % stmt)
     fn = next(f for f in p.functions if f.name == "pick")
-    clones = two_phase_expand(fn, p)
+    clones = _expand(fn, p)
     assert [c.name for c in clones] == ["pick@1", "pick@2"]
     for arity, clone, under in zip((1, 2), clones, (under_1, under_2)):
         guarded = "\n".join(f"  {line}" for s in under
@@ -389,15 +403,40 @@ def test_phase_one_rules(stmt, under_1, under_2):
 def test_phase_one_ill_shaped_return_condition():
     """A conditional whose branches return is replaced, as a whole, by
     `return assert(false)` when its condition is ill-shaped."""
-    from rsccore.checker.twophase import two_phase_expand
     p = parse_text(_PHASE_ONE_PROGRAM % "if (x.g > 0) { return r; }")
     fn = next(f for f in p.functions if f.name == "pick")
-    b1, b2 = (body_str(c.decl.body) for c in two_phase_expand(fn, p))
+    b1, b2 = (body_str(c.decl.body) for c in _expand(fn, p))
     assert b1 == ("var r = 0;\nif ((1 === 1)) {\n  if ((x.g > 0)) {\n"
                   "    return r;\n  } else {\n    return r;\n  }\n"
                   "} else {\n  return r;\n}")
     assert b2 == ("var r = 0;\nif ((2 === 1)) {\n  return assert(false);\n"
                   "} else {\n  return r;\n}")
+
+
+@pytest.mark.parametrize("sig, cond, ret1, body2", [
+    # dispatch on the arity: under conjunct 1, `y` is no parameter
+    ("(x: number, y: string) => string", "arguments.length === 2", "y",
+     "if ((2 === 2)) {\n  return y;\n} else {\n  return assert(false);\n}"),
+    # dispatch on the tag
+    ("(x: string) => string", 'typeof x === "number"', "0",
+     'if ((typeof x === "number")) {\n  return assert(false);\n} else {'
+     "\n  return x;\n}"),
+], ids=["arity", "typeof"])
+def test_an_overload_whose_branches_return_different_bases(sig, cond, ret1,
+                                                           body2):
+    """Phase one checks a returned value against the conjunct's result
+    where it is returned, so only the return that does not fit becomes
+    `return assert(false)`, not the conditional that joins both."""
+    p = parse_text(f"""/*@ (x: number) => number
+    {sig} */
+function f(x, y) {{
+  if ({cond}) {{ return {ret1}; }}
+  return x;
+}}
+""")
+    _, clone2 = _expand(p.functions[0], p)
+    assert body_str(clone2.decl.body) == body2
+    assert check_program(p).verdict == "verified"
 
 
 def test_two_phase_verifies_overload():
@@ -448,13 +487,12 @@ function main() {{ return {use}; }}
 
 
 def test_single_conjunct_intersection_is_identity():
-    from rsccore.checker.twophase import two_phase_expand
     from rsccore.syntax import RInter
     p = parse(CORPUS / "overload_reduce.rsc")
     fn = next(f for f in p.functions if f.name == "$reduce")
     fn2 = type(fn)(fn.name, fn.params,
                    RInter((fn.signature.conjuncts[1],)), fn.body, fn.span)
-    clones = two_phase_expand(fn2, p)
+    clones = _expand(fn2, p)
     assert len(clones) == 1
     assert "assert(false)" in body_str(clones[0].decl.body)
 

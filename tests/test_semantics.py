@@ -1440,14 +1440,14 @@ def test_three_level_hierarchy():
 
 
 def test_only_the_class_table_follows_parents():
-    """The machines and the checker's typing rules, which phase one of
-    two-phase checking also runs, resolve the class hierarchy through
-    `ClassTable`; none of them reads a `ClassDecl.parent` itself."""
+    """The machines, the checker's typing rules and phase one of
+    two-phase checking resolve the class hierarchy through `ClassTable`;
+    none of them reads a `ClassDecl.parent` itself."""
     import ast
     from pathlib import Path
     src = Path(__file__).resolve().parent.parent / "src" / "rsccore"
     files = sorted((src / "semantics").glob("*.py")) + \
-        [src / "checker" / "core.py"]
+        [src / "checker" / "core.py", src / "checker" / "twophase.py"]
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
             assert not (isinstance(node, ast.Attribute) and
